@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence, Union
+from itertools import filterfalse, repeat
+from typing import Callable, Container, Iterable, Sequence, Union
 
 from .words import (
     NotAdmissibleError,
@@ -32,6 +33,7 @@ from .words import (
     is_cyclically_admissible,
     tail_is_admissible,
     tree,
+    _border_length,
 )
 
 Label = Union[int, str]
@@ -86,26 +88,25 @@ class BranchingSystem:
     def n(self) -> int:
         return self.matrix.n
 
-    def domain_of(self, i: int) -> set[Label]:
-        return set(self.maps.get(i, {}))
-
-    def range_of(self, i: int) -> set[Label]:
-        return set(self.maps.get(i, {}).values())
-
     @cached_property
     def owner(self) -> dict[Label, tuple[int, Label]]:
         """For each recorded image y = f_i(x), the pair (i, x).
 
         Raises InvalidSystemError if two recorded edges share an image.
         """
+        maps = [self.maps.get(i, {}) for i in range(1, self.n + 1)]
         out: dict[Label, tuple[int, Label]] = {}
-        for i in range(1, self.n + 1):
-            for x, y in self.maps.get(i, {}).items():
-                if y in out:
-                    raise InvalidSystemError(
-                        f"point {y!r} lies in two ranges: {out[y][0]} and {i}"
-                    )
-                out[y] = (i, x)
+        for i, edges in enumerate(maps, start=1):
+            out.update(zip(edges.values(), zip(repeat(i), edges)))
+        if len(out) < sum(map(len, maps)):
+            first: dict[Label, int] = {}
+            for i, edges in enumerate(maps, start=1):
+                for y in edges.values():
+                    if y in first:
+                        raise InvalidSystemError(
+                            f"point {y!r} lies in two ranges: {first[y]} and {i}"
+                        )
+                    first[y] = i
         return out
 
 
@@ -127,6 +128,68 @@ class ValidationReport:
         return not self.violations
 
 
+def _edge_violations(f: BranchingSystem) -> list[Violation]:
+    violations: list[Violation] = []
+    owner: dict[Label, tuple[int, Label]] = {}
+    for i in range(1, f.n + 1):
+        images: dict[Label, Label] = {}
+        for x in sorted(f.maps.get(i, {}), key=f.position.get):
+            y = f.maps[i][x]
+            if y in images:
+                violations.append(Violation("InjectivityFail", (i,), (images[y], x, y)))
+            else:
+                images[y] = x
+            if y in owner and owner[y][0] != i:
+                violations.append(Violation("RangeOverlap", (owner[y][0], i), (y,)))
+            else:
+                owner.setdefault(y, (i, x))
+    return violations
+
+
+def _outside(points: Iterable[Label], *sets: Container[Label]) -> Iterable[Label]:
+    """The points that lie in none of `sets`, lazily."""
+    for s in sets:
+        points = filterfalse(s.__contains__, points)
+    return points
+
+
+def _axiom_scan(f: BranchingSystem) -> tuple[int, list[Violation], list[tuple]]:
+    """One pass over the recorded data, shared by both axiom reports.
+
+    Returns the number of non-frontier points, the injectivity and
+    range-overlap failures edge by edge in carrier order (the position
+    sort runs only when some image repeats), and the suspect points in
+    carrier order with their membership in D(f_i) and in R(f_i).  Suspect
+    means non-frontier and in no range, in two or more, or in just one of
+    D(f_i) and the union of R(f_j) over j with a_ij = 1; at every other
+    point every per-point axiom holds.
+    """
+    frontier = f.frontier
+    maps = [f.maps.get(i, {}) for i in range(1, f.n + 1)]
+    ranges = [set(m.values()) for m in maps]
+    overlap: set[Label] = set()
+    for k, r in enumerate(ranges):
+        for other in ranges[k + 1 :]:
+            overlap |= r & other
+    suspect = set(_outside(overlap, frontier))
+    for row, m in zip(f.matrix.rows, maps):
+        feeders = [r for a_ij, r in zip(row, ranges) if a_ij]
+        suspect.update(_outside(m, *feeders, frontier))
+        for r in feeders:
+            suspect.update(_outside(r, m, frontier))
+    suspect.update(_outside(f.carrier, *ranges, frontier))
+    injective = all(len(r) == len(m) for r, m in zip(ranges, maps))
+    return (
+        len(f.carrier) - sum(map(frontier.__contains__, f.carrier)),
+        [] if injective and not overlap else _edge_violations(f),
+        [
+            (x, tuple(x in m for m in maps), tuple(x in r for r in ranges))
+            for x in (f.carrier if suspect else ())
+            if x in suspect
+        ],
+    )
+
+
 def validate_bfs(f: BranchingSystem) -> ValidationReport:
     """Check the system axioms on all recorded data.
 
@@ -135,46 +198,18 @@ def validate_bfs(f: BranchingSystem) -> ValidationReport:
     D(f_i) = union of R(f_j) over j with a_ij = 1 are checked at every
     non-frontier point.  Violations are report entries, not exceptions.
     """
-    a = f.matrix
-    violations: list[Violation] = []
-
-    owner: dict[Label, tuple[int, Label]] = {}
-    for i in range(1, f.n + 1):
-        images: dict[Label, Label] = {}
-        for x in sorted(f.maps.get(i, {}), key=f.position.get):
-            y = f.maps[i][x]
-            if y in images:
-                violations.append(
-                    Violation("InjectivityFail", (i,), (images[y], x, y))
-                )
-            else:
-                images[y] = x
-            if y in owner and owner[y][0] != i:
-                violations.append(
-                    Violation("RangeOverlap", (owner[y][0], i), (y,))
-                )
-            else:
-                owner.setdefault(y, (i, x))
-
-    ranges = {i: f.range_of(i) for i in range(1, f.n + 1)}
-    checked = 0
-    for x in f.carrier:
-        if x in f.frontier:
-            continue
-        checked += 1
-        holders = [i for i in range(1, f.n + 1) if x in ranges[i]]
-        if not holders:
+    checked, violations, suspects = _axiom_scan(f)
+    for x, in_domain, in_range in suspects:
+        if not any(in_range):
             violations.append(Violation("NotCovered", (), (x,)))
-        for i in range(1, f.n + 1):
-            in_domain = x in f.maps.get(i, {})
-            should = any(a.entry(i, j) and x in ranges[j] for j in range(1, f.n + 1))
-            if in_domain != should:
+        for i, (row, recorded) in enumerate(zip(f.matrix.rows, in_domain), start=1):
+            if recorded != any(a_ij and r for a_ij, r in zip(row, in_range)):
                 violations.append(
                     Violation(
                         "DomainMismatch",
                         (i,),
                         (x,),
-                        "recorded" if in_domain else "missing",
+                        "recorded" if recorded else "missing",
                     )
                 )
     return ValidationReport(checked_points=checked, violations=tuple(violations))
@@ -219,22 +254,6 @@ class ComponentSkeleton:
     declared: TailSource | None = None
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[Label, Label] = {}
-
-    def find(self, x: Label) -> Label:
-        root = x
-        while self.parent.setdefault(root, root) != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: Label, y: Label) -> None:
-        self.parent[self.find(x)] = self.find(y)
-
-
 def find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
     """Partition the truncation into orbits and classify each one.
 
@@ -245,15 +264,30 @@ def find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
     truncation noise and are not reported.
     """
     owner = f.owner  # raises on range overlaps
-    uf = _UnionFind()
+    # The coding map is a functional graph: a point joins the group of the
+    # first labelled point its forward walk meets, or opens a new group.
+    # Groups come in order of first point, each in carrier order.
+    label: dict[Label, int] = {}
+    groups: list[list[Label]] = []
     for x in f.carrier:
-        uf.find(x)
-    for y, (_, x) in owner.items():
-        uf.union(x, y)
-
-    groups: dict[Label, list[Label]] = {}
-    for x in f.carrier:
-        groups.setdefault(uf.find(x), []).append(x)
+        g = label.get(x)
+        if g is None and x in owner:
+            g = label.get(owner[x][1])  # the usual case: one step suffices
+        if g is None:
+            path = [x]
+            label[x] = fresh = len(groups)
+            cur = x
+            while cur in owner and (g := label.get(cur := owner[cur][1])) is None:
+                path.append(cur)
+                label[cur] = fresh
+            if g is None or g == fresh:
+                g = fresh
+                groups.append([])
+            else:
+                for p in path:
+                    label[p] = g
+        label[x] = g
+        groups[g].append(x)
 
     def walk(start: Label) -> tuple[list[Label], list[int], Label | None]:
         # Follow F until a repeat (returns repeat point) or a dead end.
@@ -272,19 +306,16 @@ def find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
         return points, letters, cur
 
     components: list[ComponentSkeleton] = []
-    ordered_groups = sorted(groups.values(), key=lambda g: min(f.position[x] for x in g))
-    for group in ordered_groups:
-        non_frontier = [x for x in group if x not in f.frontier]
-        if not non_frontier:
+    for group in groups:
+        if f.frontier.issuperset(group):
             continue
-        basin = tuple(sorted(group, key=f.position.get))
-        start = min(group, key=f.position.get)
-        points, letters, repeat = walk(start)
-        if repeat is not None:
-            at = points.index(repeat)
-            cycle_pts = points[at:]
+        basin = tuple(group)
+        points, letters, revisit = walk(group[0])
+        if revisit is not None:
+            cycle_pts = points[points.index(revisit):]
             # restart at the cycle's first-in-carrier point for determinism
-            anchor = min(cycle_pts, key=f.position.get)
+            on_cycle = set(cycle_pts)
+            anchor = next(x for x in group if x in on_cycle)
             cyc_points: list[Label] = []
             cyc_word: list[int] = []
             cur = anchor
@@ -292,7 +323,7 @@ def find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
                 cyc_points.append(cur)
                 sym, cur = owner[cur]
                 cyc_word.append(sym)
-            kind = "cycle" if all(p not in f.frontier for p in cyc_points) else "unresolved"
+            kind = "cycle" if f.frontier.isdisjoint(cyc_points) else "unresolved"
             components.append(
                 ComponentSkeleton(
                     kind=kind,
@@ -506,9 +537,6 @@ class ACoordinate:
     def q(self, i: int, j: int) -> int:
         return self.b_sets[i - 1].index(j) + 1
 
-    def q_inv(self, i: int, r: int) -> int:
-        return self.b_sets[i - 1][r - 1]
-
 
 def a_coordinate(a: TransitionMatrix) -> ACoordinate:
     return ACoordinate(tuple(a.successors(i) for i in range(1, a.n + 1)))
@@ -524,28 +552,17 @@ def standard_bfs(a: TransitionMatrix, truncation: int) -> BranchingSystem:
     n = a.n
     if truncation < n:
         raise BranchingError(f"truncation must be >= {n}")
-    coord = a_coordinate(a)
     maps: dict[int, dict[Label, Label]] = {i: {} for i in range(1, n + 1)}
     frontier: set[Label] = set()
     for i in range(1, n + 1):
-        mi = coord.m(i)
-        for j in coord.b_sets[i - 1]:
-            qi = coord.q(i, j)
-            m = 1
-            while (x := n * (m - 1) + j) <= truncation:
-                y = n * (mi * (m - 1) + qi - 1) + i
-                if y <= truncation:
-                    maps[i][x] = y
-                else:
-                    frontier.add(x)
-                m += 1
-    for x in range(1, truncation + 1):
-        i = (x - 1) % n + 1
-        pos = (x - 1) // n  # x = N*pos + i
-        mi = coord.m(i)
-        pre = n * (pos // mi) + coord.q_inv(i, pos % mi + 1)
-        if pre > truncation:
-            frontier.add(x)
+        b_set = a.successors(i)
+        for q, j in enumerate(b_set):
+            # preimages N(m-1)+j and images N(M_i(m-1)+q)+i, m = 1, 2, ...:
+            # an unpaired tail of either progression is frontier
+            sources = range(j, truncation + 1, n)
+            images = range(n * q + i, truncation + 1, n * len(b_set))
+            maps[i].update(zip(sources, images))
+            frontier.update(sources[len(images):], images[len(sources):])
     return BranchingSystem(
         matrix=a,
         carrier=tuple(range(1, truncation + 1)),
@@ -612,21 +629,9 @@ def a_cycle_set(a: TransitionMatrix) -> ACycleSet:
     return ACycleSet(cycles=tuple(cycles), once=once, infinite=infinite)
 
 
-def _min_period(word: Word) -> int:
-    table = [0] * len(word)
-    k = 0
-    for i in range(1, len(word)):
-        while k and word[i] != word[k]:
-            k = table[k - 1]
-        if word[i] == word[k]:
-            k += 1
-        table[i] = k
-    return len(word) - table[-1]
-
-
 def _periodic_extension(word: Word) -> int:
     """The next letter when `word` continues with its minimal period."""
-    return word[len(word) - _min_period(word)]
+    return word[_border_length(word)]
 
 
 def shift_bfs(a: TransitionMatrix, word_len: int) -> BranchingSystem:
@@ -783,7 +788,10 @@ def load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
             if "->" not in item:
                 raise DumpFormatError(f"bad edge {item!r}")
             src, dst = item.split("->", 1)
-            maps[sym][intern(src)] = intern(dst)
+            target, source = intern(dst), intern(src)  # carrier order: target first
+            if source in maps[sym]:
+                raise DumpFormatError(f"symbol {sym} maps {source!r} twice")
+            maps[sym][source] = target
     if len(carrier) != size:
         raise DumpFormatError(f"header says {size} points, found {len(carrier)}")
     return BranchingSystem(

@@ -140,8 +140,10 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_decompose_standard(args) -> int:
     a = _load_matrix(args.matrix)
-    d = reps.decompose_standard(a, cross_check_truncation=args.truncate)
-    _maybe_dump(branching.standard_bfs(a, args.truncate), args.dump_bfs)
+    d = reps.decompose_standard(a)
+    system = branching.standard_bfs(a, args.truncate)
+    reps.cross_check_standard(d, system)
+    _maybe_dump(system, args.dump_bfs)
     _print_decomposition(d, args.json)
     return 0
 
@@ -149,7 +151,8 @@ def _cmd_decompose_standard(args) -> int:
 def _cmd_decompose_shift(args) -> int:
     a = _load_matrix(args.matrix)
     d = reps.decompose_shift(a, args.max_period)
-    _maybe_dump(branching.shift_bfs(a, max(2, args.max_period * 2)), args.dump_bfs)
+    if args.dump_bfs:
+        _maybe_dump(branching.shift_bfs(a, max(2, args.max_period * 2)), args.dump_bfs)
     _print_decomposition(d, args.json)
     return 0
 

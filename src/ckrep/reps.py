@@ -19,6 +19,7 @@ from .branching import (
     ComponentSkeleton,
     Label,
     Violation,
+    _axiom_scan,
     build_cycle_system,
     direct_sum,
     a_cycle_set,
@@ -278,7 +279,8 @@ class MatrixRealization:
     """pi_f as a sparse phase-weighted partial permutation per symbol.
 
     s_i sends the basis vector at x to weight * basis vector at f_i(x)
-    on the recorded domain and to 0 elsewhere.
+    on the recorded domain and to 0 elsewhere.  `weights` holds the
+    twisted edges only; every other recorded edge has weight 1.
     """
 
     system: BranchingSystem
@@ -292,14 +294,13 @@ class MatrixRealization:
 def realize(
     f: BranchingSystem, phases: dict[tuple[int, Label], Phase] | None = None
 ) -> MatrixRealization:
-    """Attach unit weights (or the supplied twists) to the recorded edges."""
-    weights: dict[int, dict[Label, Phase]] = {
-        i: {x: ONE for x in f.maps.get(i, {})} for i in range(1, f.n + 1)
-    }
+    """Attach the supplied twists to their edges; every other recorded
+    edge has weight 1."""
+    weights: dict[int, dict[Label, Phase]] = {}
     for (i, x), phase in (phases or {}).items():
         if x not in f.maps.get(i, {}):
             raise PhaseOffDomainError(f"no edge for symbol {i} at point {x!r}")
-        weights[i][x] = phase
+        weights.setdefault(i, {})[x] = phase
     return MatrixRealization(system=f, weights=weights)
 
 
@@ -318,21 +319,11 @@ def _add_term(vec: Vector, label: Label, coeff: RootSum) -> None:
 def apply_symbol(m: MatrixRealization, i: int, vec: Vector) -> Vector:
     out: Vector = {}
     edges = m.system.maps.get(i, {})
+    twists = m.weights.get(i, {})
     for x, coeff in vec.items():
         y = edges.get(x)
         if y is not None:
-            _add_term(out, y, coeff * RootSum.from_phase(m.weights[i][x]))
-    return out
-
-
-def apply_symbol_adjoint(m: MatrixRealization, i: int, vec: Vector) -> Vector:
-    out: Vector = {}
-    owner = m.system.owner
-    for y, coeff in vec.items():
-        data = owner.get(y)
-        if data is not None and data[0] == i:
-            x = data[1]
-            _add_term(out, x, coeff * RootSum.from_phase(m.weights[i][x].conjugate()))
+            _add_term(out, y, coeff * RootSum.from_phase(twists.get(x, ONE)))
     return out
 
 
@@ -340,13 +331,6 @@ def apply_word(m: MatrixRealization, word: Word, vec: Vector) -> Vector:
     """s_word = s_{j_1} ... s_{j_k}; the rightmost factor acts first."""
     for i in reversed(word):
         vec = apply_symbol(m, i, vec)
-    return vec
-
-
-def apply_word_adjoint(m: MatrixRealization, word: Word, vec: Vector) -> Vector:
-    """(s_word)^* = s_{j_k}^* ... s_{j_1}^*; s_{j_1}^* acts first."""
-    for i in word:
-        vec = apply_symbol_adjoint(m, i, vec)
     return vec
 
 
@@ -386,39 +370,25 @@ class CKReport:
 
 
 def verify_ck_relations(m: MatrixRealization) -> CKReport:
+    """Both relations at every non-frontier basis point, from the same
+    axiom scan as `validate_bfs`: the weights have unit modulus, so no
+    weight enters either relation."""
     f = m.system
-    a = f.matrix
-    violations: list[Violation] = []
-
-    for i in range(1, f.n + 1):
-        images: dict[Label, Label] = {}
-        for x in sorted(f.maps.get(i, {}), key=f.position.get):
-            y = f.maps[i][x]
-            if y in images:
-                violations.append(Violation("InjectivityFail", (i,), (images[y], x, y)))
-            else:
-                images[y] = x
-
-    ranges = {i: f.range_of(i) for i in range(1, f.n + 1)}
-    checked = domain_checks = completeness_checks = 0
-    for x in f.carrier:
-        if x in f.frontier:
-            continue
-        checked += 1
-        for i in range(1, f.n + 1):
-            domain_checks += 1
-            lhs = 1 if x in f.maps.get(i, {}) else 0
-            rhs = sum(1 for j in range(1, f.n + 1) if a.entry(i, j) and x in ranges[j])
+    checked, edge_violations, suspects = _axiom_scan(f)
+    violations = [v for v in edge_violations if v.kind == "InjectivityFail"]
+    for x, in_domain, in_range in suspects:
+        for i, (row, recorded) in enumerate(zip(f.matrix.rows, in_domain), start=1):
+            lhs = int(recorded)
+            rhs = sum(a_ij and r for a_ij, r in zip(row, in_range))
             if lhs != rhs:
                 violations.append(Violation("DomainFail", (i,), (x,), f"{lhs} != {rhs}"))
-        completeness_checks += 1
-        cover = sum(1 for i in range(1, f.n + 1) if x in ranges[i])
+        cover = sum(in_range)
         if cover != 1:
             violations.append(Violation("CompletenessFail", (), (x,), f"covered {cover} times"))
     return CKReport(
         checked_points=checked,
-        domain_checks=domain_checks,
-        completeness_checks=completeness_checks,
+        domain_checks=checked * f.n,
+        completeness_checks=checked,
         violations=tuple(violations),
     )
 
@@ -435,8 +405,9 @@ def classify_component(c: ComponentSkeleton, m: MatrixRealization) -> RepClass:
         phase = ONE
         k = len(c.points)
         for l in range(k):
-            source = c.points[(l + 1) % k]
-            phase = phase * m.weights[c.word[l]][source]
+            twist = m.weights.get(c.word[l], {}).get(c.points[(l + 1) % k])
+            if twist is not None:  # untwisted edges have weight 1
+                phase = phase * twist
         return finite_class(c.word, phase, m.matrix)
     if c.kind == "chain":
         if isinstance(c.declared, TailWord):
@@ -610,7 +581,7 @@ def gp_vector_check(a: TransitionMatrix, word: Word, p: int, depth: int = 2) -> 
     expected = expand_irreducible(
         Decomposition(entries={finite_class(power(word, p), ONE, a): 1}, matrix=a)
     )
-    deco_ok = _entries_match(observed.entries, expected.entries) and not observed.unresolved
+    deco_ok = observed.entries == expected.entries and not observed.unresolved
     return GPReport(
         word=word,
         p=p,
@@ -619,12 +590,6 @@ def gp_vector_check(a: TransitionMatrix, word: Word, p: int, depth: int = 2) -> 
         family_size=len(family),
         decomposition_matches=deco_ok,
     )
-
-
-def _entries_match(
-    left: dict[RepClass, Multiplicity], right: dict[RepClass, Multiplicity]
-) -> bool:
-    return left == right
 
 
 def decompose_standard(
@@ -644,13 +609,25 @@ def decompose_standard(
     for word in cycles.infinite:
         out.add(finite_class(word, ONE, a), INFINITY)
     if cross_check_truncation is not None:
-        observed = decompose(standard_bfs(a, cross_check_truncation))
-        if not _entries_match(observed.entries, out.entries):
-            raise RepError(
-                f"truncation at {cross_check_truncation} disagrees with the "
-                f"structural standard decomposition"
-            )
+        cross_check_standard(out, standard_bfs(a, cross_check_truncation))
     return out
+
+
+def cross_check_standard(d: Decomposition, f: BranchingSystem) -> None:
+    """Check the structural decomposition `d` against the truncated
+    standard system `f`; the error names every class whose multiplicity
+    differs, with its structural and its observed value."""
+    observed = decompose(f).entries
+    differ = [
+        f"{class_literal(c)} structural {d.entries.get(c, 0)}, observed {observed.get(c, 0)}"
+        for c in sorted(set(d.entries) | set(observed), key=class_literal)
+        if d.entries.get(c, 0) != observed.get(c, 0)
+    ]
+    if differ:
+        raise RepError(
+            f"truncation at {len(f.carrier)} disagrees with the structural "
+            f"standard decomposition: {'; '.join(differ)}"
+        )
 
 
 def decompose_shift(a: TransitionMatrix, max_period: int) -> Decomposition:

@@ -13,6 +13,7 @@ index.  Everything here is a pure function of immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 Word = tuple[int, ...]
@@ -84,15 +85,19 @@ class TransitionMatrix:
 
     def successors(self, i: int) -> tuple[int, ...]:
         """{j : a_ij = 1}, ascending."""
-        return tuple(j for j in range(1, self.n + 1) if self.rows[i - 1][j - 1])
+        return self._successor_table[i - 1]
 
     def predecessors(self, j: int) -> tuple[int, ...]:
         """{i : a_ij = 1}, ascending."""
-        return tuple(i for i in range(1, self.n + 1) if self.rows[i - 1][j - 1])
+        return self._predecessor_table[j - 1]
 
-    @property
-    def is_full(self) -> bool:
-        return all(all(row) for row in self.rows)
+    @cached_property
+    def _successor_table(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(j for j, e in enumerate(row, 1) if e) for row in self.rows)
+
+    @cached_property
+    def _predecessor_table(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(i for i, e in enumerate(col, 1) if e) for col in zip(*self.rows))
 
     @staticmethod
     def from_text(text: str) -> TransitionMatrix:

@@ -3,13 +3,23 @@
 The oracles deliberately avoid the library's own algorithms: rotation
 minima are taken by base-N positional value over all rotations, periodicity
 by trying every proper divisor, and cyclic words by filtering the full
-cartesian product.
+cartesian product.  The axiom and component oracles are the direct
+definitions: every axiom at every point and symbol, and orbits by
+union-find over the edges.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from ckrep.branching import (
+    BranchingSystem,
+    ComponentSkeleton,
+    InvalidSystemError,
+    ValidationReport,
+    Violation,
+)
+from ckrep.reps import CKReport
 from ckrep.words import TransitionMatrix, Word, validate_matrix
 
 # The seven 2x2 matrices without zero rows or columns.
@@ -107,3 +117,148 @@ def brute_spectrum_finite(a: TransitionMatrix) -> bool:
             return False
         seen.update(cyc)
     return True
+
+
+def _edge_checks(f: BranchingSystem, overlaps: bool) -> list[Violation]:
+    """Injectivity per symbol and, if asked, range disjointness, edge by
+    edge in carrier order."""
+    violations: list[Violation] = []
+    owner: dict = {}
+    for i in range(1, f.n + 1):
+        images: dict = {}
+        for x in sorted(f.maps.get(i, {}), key=f.position.get):
+            y = f.maps[i][x]
+            if y in images:
+                violations.append(Violation("InjectivityFail", (i,), (images[y], x, y)))
+            else:
+                images[y] = x
+            if not overlaps:
+                continue
+            if y in owner and owner[y][0] != i:
+                violations.append(Violation("RangeOverlap", (owner[y][0], i), (y,)))
+            else:
+                owner.setdefault(y, (i, x))
+    return violations
+
+
+def oracle_validate_bfs(f: BranchingSystem) -> ValidationReport:
+    """The system axioms checked point by point and symbol by symbol."""
+    a = f.matrix
+    violations = _edge_checks(f, overlaps=True)
+    ranges = {i: set(f.maps.get(i, {}).values()) for i in range(1, f.n + 1)}
+    checked = 0
+    for x in f.carrier:
+        if x in f.frontier:
+            continue
+        checked += 1
+        if not any(x in ranges[i] for i in range(1, f.n + 1)):
+            violations.append(Violation("NotCovered", (), (x,)))
+        for i in range(1, f.n + 1):
+            in_domain = x in f.maps.get(i, {})
+            should = any(a.entry(i, j) and x in ranges[j] for j in range(1, f.n + 1))
+            if in_domain != should:
+                violations.append(
+                    Violation("DomainMismatch", (i,), (x,), "recorded" if in_domain else "missing")
+                )
+    return ValidationReport(checked_points=checked, violations=tuple(violations))
+
+
+def oracle_verify_ck_relations(f: BranchingSystem) -> CKReport:
+    """Both defining relations evaluated on every non-frontier basis point:
+    s_i^* s_i against the row sum of range projections, and the sum of
+    all range projections against the identity."""
+    a = f.matrix
+    violations = _edge_checks(f, overlaps=False)
+    ranges = {i: set(f.maps.get(i, {}).values()) for i in range(1, f.n + 1)}
+    checked = domain_checks = completeness_checks = 0
+    for x in f.carrier:
+        if x in f.frontier:
+            continue
+        checked += 1
+        for i in range(1, f.n + 1):
+            domain_checks += 1
+            lhs = 1 if x in f.maps.get(i, {}) else 0
+            rhs = sum(1 for j in range(1, f.n + 1) if a.entry(i, j) and x in ranges[j])
+            if lhs != rhs:
+                violations.append(Violation("DomainFail", (i,), (x,), f"{lhs} != {rhs}"))
+        completeness_checks += 1
+        cover = sum(1 for i in range(1, f.n + 1) if x in ranges[i])
+        if cover != 1:
+            violations.append(Violation("CompletenessFail", (), (x,), f"covered {cover} times"))
+    return CKReport(
+        checked_points=checked,
+        domain_checks=domain_checks,
+        completeness_checks=completeness_checks,
+        violations=tuple(violations),
+    )
+
+
+def oracle_find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
+    """Orbits by union-find over every edge, each classified by walking
+    the coding map from the orbit's first carrier point."""
+    owner: dict = {}
+    for i in range(1, f.n + 1):
+        for x, y in f.maps.get(i, {}).items():
+            if y in owner:
+                raise InvalidSystemError(f"point {y!r} lies in two ranges: {owner[y][0]} and {i}")
+            owner[y] = (i, x)
+    parent: dict = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for x in f.carrier:
+        find(x)
+    for y, (_, x) in owner.items():
+        parent[find(x)] = find(y)
+    groups: dict = {}
+    for x in f.carrier:
+        groups.setdefault(find(x), []).append(x)
+
+    def walk(start):
+        seen, points, letters = set(), [], []
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            points.append(cur)
+            if cur not in owner:
+                return points, letters, None
+            sym, cur = owner[cur]
+            letters.append(sym)
+        return points, letters, cur
+
+    out = []
+    for group in sorted(groups.values(), key=lambda g: min(f.position[x] for x in g)):
+        if all(x in f.frontier for x in group):
+            continue
+        basin = tuple(sorted(group, key=f.position.get))
+        points, letters, repeat = walk(basin[0])
+        if repeat is not None:
+            cycle = points[points.index(repeat):]
+            cur = min(cycle, key=f.position.get)
+            cyc_points, cyc_word = [], []
+            for _ in cycle:
+                cyc_points.append(cur)
+                sym, cur = owner[cur]
+                cyc_word.append(sym)
+            kind = "unresolved" if any(p in f.frontier for p in cyc_points) else "cycle"
+            out.append(ComponentSkeleton(kind, tuple(cyc_word), tuple(cyc_points), basin))
+            continue
+        anchors = [x for x in basin if x in f.declared_tails]
+        if len(anchors) == 1:
+            a_points, a_letters, a_repeat = walk(anchors[0])
+            if a_repeat is None:
+                out.append(
+                    ComponentSkeleton(
+                        "chain",
+                        tuple(a_letters),
+                        tuple(a_points),
+                        basin,
+                        f.declared_tails[anchors[0]],
+                    )
+                )
+                continue
+        out.append(ComponentSkeleton("unresolved", tuple(letters), tuple(points), basin))
+    return tuple(out)

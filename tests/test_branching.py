@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -11,10 +12,15 @@ from conftest import (
     brute_cyclic_words,
     corpus,
     full_matrix,
+    oracle_find_components,
+    oracle_validate_bfs,
+    oracle_verify_ck_relations,
 )
 from ckrep.branching import (
     BranchingError,
     BranchingSystem,
+    DumpFormatError,
+    InvalidSystemError,
     MatrixMismatchError,
     UnresolvedPointError,
     a_coordinate,
@@ -32,6 +38,7 @@ from ckrep.branching import (
     truncated_from_rules,
     validate_bfs,
 )
+from ckrep.reps import realize, verify_ck_relations
 from ckrep.words import (
     NotCyclicallyAdmissibleError,
     TailWord,
@@ -99,6 +106,86 @@ class TestValidate:
         f = BranchingSystem(matrix=FULL2, carrier=g.carrier, maps=maps, frontier=g.frontier)
         report = validate_bfs(f)
         assert any(v.kind == "NotCovered" and v.points == (removed,) for v in report.violations)
+
+
+def corrupted(f: BranchingSystem, rng: random.Random, steps: int) -> BranchingSystem:
+    """`f` after `steps` random faults: a dropped edge, a duplicated image,
+    an edge moved to another symbol, or a toggled frontier mark."""
+    maps = {i: dict(f.maps.get(i, {})) for i in range(1, f.n + 1)}
+    frontier = set(f.frontier)
+    for _ in range(steps):
+        edges = [(i, x) for i in maps for x in maps[i]]
+        fault = rng.choice(("drop", "duplicate", "move", "frontier"))
+        if fault == "frontier" or not edges:
+            frontier ^= {rng.choice(f.carrier)}
+            continue
+        i, x = rng.choice(edges)
+        if fault == "drop":
+            del maps[i][x]
+        elif fault == "duplicate":
+            j, z = rng.choice(edges)
+            maps[j][z] = maps[i][x]
+        else:
+            j = rng.choice([s for s in maps if s != i])
+            maps[j][x] = maps[i].pop(x)
+    return BranchingSystem(
+        matrix=f.matrix,
+        carrier=f.carrier,
+        maps=maps,
+        frontier=frozenset(frontier),
+        origin=f.origin,
+        declared_tails=f.declared_tails,
+    )
+
+
+class TestAgainstOracles:
+    """The set-level axiom scan and the walk-labelled components agree
+    with the point-by-point definitions on intact and corrupted systems."""
+
+    @staticmethod
+    def systems(rng: random.Random):
+        for a in corpus():
+            word = sorted(canonical_rotation(w) for k in (1, 2) for w in brute_cyclic_words(a, k))[0]
+            standard = standard_bfs(a, 80)
+            cycle = build_cycle_system(a, word, 2)
+            yield standard
+            yield cycle
+            yield load_bfs(dump_bfs(cycle), a)
+            yield build_chain_system(a, TailWord((), word), 4, 2)
+            for f in (standard, cycle):  # walks then enter cycles mid-carrier
+                yield BranchingSystem(
+                    matrix=a,
+                    carrier=tuple(rng.sample(f.carrier, len(f.carrier))),
+                    maps=f.maps,
+                    frontier=f.frontier,
+                )
+
+    def test_reports_and_components_match(self):
+        rng = random.Random(20260518)
+        seen: set[str] = set()
+        for f in self.systems(rng):
+            for steps in (0, 1, 1, 1, 2, 2, 2, 3, 3, 4):
+                g = corrupted(f, rng, steps)
+                report = validate_bfs(g)
+                assert report == oracle_validate_bfs(g), (g.matrix.rows, g.origin, steps)
+                relations = verify_ck_relations(realize(g))
+                assert relations == oracle_verify_ck_relations(g), (g.matrix.rows, g.origin)
+                seen.update(v.kind for v in report.violations + relations.violations)
+                try:
+                    want = oracle_find_components(g)
+                except InvalidSystemError as err:
+                    with pytest.raises(InvalidSystemError, match=re.escape(str(err))):
+                        find_components(g)
+                    continue
+                assert find_components(g) == want, (g.matrix.rows, g.origin, steps)
+        assert seen == {
+            "InjectivityFail",
+            "RangeOverlap",
+            "NotCovered",
+            "DomainMismatch",
+            "DomainFail",
+            "CompletenessFail",
+        }
 
 
 class TestCodingMap:
@@ -429,3 +516,7 @@ class TestDump:
                 assert {str(x) for x in g.frontier} == {str(x) for x in f.frontier}
                 assert {str(x) for x in g.carrier} == {str(x) for x in f.carrier}
                 assert dump_bfs(g) == dump_bfs(f)
+
+    def test_repeated_source_rejected(self):
+        with pytest.raises(DumpFormatError, match="maps 'a' twice"):
+            load_bfs("2 3\n1: a->b, a->c\n2: \n", FULL2)

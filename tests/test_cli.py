@@ -90,6 +90,26 @@ class TestVerbs:
         a3 = validate_matrix(A3_ROWS)
         assert target.read_text() == branching.dump_bfs(branching.standard_bfs(a3, 40))
 
+    def test_each_system_built_once_and_only_when_read(self, capsys, monkeypatch, a3_file, tmp_path):
+        built = []
+        for name in ("standard_bfs", "shift_bfs"):
+            real = getattr(branching, name)
+            monkeypatch.setattr(
+                branching, name, lambda *args, _real=real, _name=name: built.append(_name) or _real(*args)
+            )
+        target = tmp_path / "dump.txt"
+        run(capsys, "decompose-standard", "--matrix", a3_file, "--dump-bfs", str(target))
+        assert built == ["standard_bfs"]
+        run(capsys, "decompose-shift", "--matrix", a3_file, "--max-period", "3")
+        assert built == ["standard_bfs"]
+        code, _ = run(
+            capsys, "decompose-shift", "--matrix", a3_file, "--max-period", "3",
+            "--dump-bfs", str(target),
+        )
+        assert code == 0 and built == ["standard_bfs", "shift_bfs"]
+        a3 = validate_matrix(A3_ROWS)
+        assert target.read_text() == branching.dump_bfs(branching.shift_bfs(a3, 6))
+
     def test_expand_classes(self, capsys):
         code, out = run(capsys, "expand", "--class", "P(1212)")
         assert code == 0 and out == "P(12) (+) P(12;1/2)\n"
@@ -165,6 +185,13 @@ class TestContract:
         code = main(["decompose-standard", "--matrix", str(bad)])
         err = capsys.readouterr().err
         assert code == 1 and "column" in err
+
+    def test_dump_with_repeated_source_exits_1(self, capsys, a3_file, tmp_path):
+        dump = tmp_path / "sys.txt"
+        dump.write_text("3 3\n1: a->b, a->c\n2: \n3: \n")
+        code = main(["decompose-bfs", "--matrix", a3_file, "--bfs", str(dump)])
+        err = capsys.readouterr().err
+        assert code == 1 and "maps 'a' twice" in err
 
     def test_usage_error_exits_1_with_help(self, capsys):
         code = main(["decompose-standard"])  # missing --matrix

@@ -452,6 +452,13 @@ class TestStandardReports:
         with pytest.raises(RepError):
             decompose_standard(A3, cross_check_truncation=3)
 
+    def test_cross_check_failure_names_the_differences(self):
+        # too small a truncation misses a cycle; the error says which one
+        with pytest.raises(RepError, match=r": P\(12\) structural 1, observed 0$"):
+            decompose_standard(A3, cross_check_truncation=3)
+        with pytest.raises(RepError, match=r"at 2 .*: P\(2\) structural inf, observed 0$"):
+            decompose_standard(A1, cross_check_truncation=2)
+
 
 class TestShiftReports:
     def test_a1(self):
