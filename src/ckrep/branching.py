@@ -751,10 +751,17 @@ def load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise DumpFormatError("empty dump")
+
+    def number(token: str, what: str) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            raise DumpFormatError(f"bad {what} {token!r}") from None
+
     head = lines[0].split()
     if len(head) != 2:
         raise DumpFormatError(f"bad header {lines[0]!r}")
-    n, size = int(head[0]), int(head[1])
+    n, size = number(head[0], "header field"), number(head[1], "header field")
     if n != matrix.n:
         raise DumpFormatError(f"dump is for {n} symbols, matrix has {matrix.n}")
 
@@ -778,7 +785,7 @@ def load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
     maps: dict[int, dict[Label, Label]] = {i: {} for i in range(1, n + 1)}
     for line in lines[1:]:
         sym_text, _, rest = line.partition(":")
-        sym = int(sym_text)
+        sym = number(sym_text, "symbol")
         if not 0 <= sym <= n:
             raise DumpFormatError(f"bad symbol {sym_text!r}")
         for item in filter(None, (p.strip() for p in rest.split(","))):

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import branching, reps, words
-from .phases import Phase, PhaseError
+from .phases import PhaseError
 from .reps import INFINITY, Decomposition
 
 DEFAULT_TRUNCATION = 256
@@ -173,14 +173,14 @@ def _cmd_expand(args) -> int:
         for lit in args.cls:
             d.add(reps.parse_class_literal(lit, a))
     else:
-        payload = json.loads(sys.stdin.read())
+        payload = _read_report(sys.stdin.read())
         if a is None and payload.get("matrix"):
             a = words.validate_matrix(payload["matrix"])
             d.matrix = a
         for comp in payload["components"]:
             mult = INFINITY if comp["multiplicity"] == "inf" else comp["multiplicity"]
             if comp["kind"] == "finite":
-                phase = _phase_from_json(comp.get("phase"))
+                phase = reps.phase_from_json(comp.get("phase"))
                 d.add(reps.finite_class(words.parse_word(comp["word"]), phase, a), mult)
             elif comp["kind"] == "tail":
                 d.add(reps.tail_class(words.TailWord((), words.parse_word(comp["word"])), a), mult)
@@ -192,12 +192,27 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _phase_from_json(data) -> Phase:
-    if data is None:
-        return Phase.exact(0)
-    if "num" in data:
-        return Phase.exact(data["num"], data["den"])
-    return Phase.from_complex(complex(data["re"], data["im"]))
+def _read_report(text: str) -> dict:
+    """A JSON decomposition report, checked as far as `expand` reads it."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"expand input is not JSON: {exc}") from None
+    if not isinstance(payload, dict) or not isinstance(payload.get("components"), list):
+        raise UsageError('expand input needs a "components" list')
+    matrix = payload.get("matrix")
+    if matrix is not None and not (
+        isinstance(matrix, list) and all(isinstance(row, list) for row in matrix)
+    ):
+        raise UsageError('"matrix" must be a list of rows')
+    for comp in payload["components"]:
+        fields = comp if isinstance(comp, dict) else {}
+        if not all(isinstance(fields.get(key), str) for key in ("kind", "word")):
+            raise UsageError(f"component {comp!r} needs a string kind and word")
+        mult = fields.get("multiplicity")
+        if mult != "inf" and not (type(mult) is int and mult >= 1):
+            raise UsageError(f'component {comp!r} needs multiplicity "inf" or a positive integer')
+    return payload
 
 
 def _build_system(args, a: words.TransitionMatrix) -> branching.BranchingSystem:

@@ -8,9 +8,10 @@ may instead be approximate unit complex numbers, compared within
 without any floating point at all.
 
 :class:`RootSum` is the ring of finite rational linear combinations of
-roots of unity.  Zero testing reduces the element modulo the appropriate
-cyclotomic polynomial, so equality of inner products computed from exact
-phases is decided exactly.
+roots of unity, stored as a sparse map from integer exponents to
+coefficients at one order n.  Zero testing reduces the element modulo the
+n-th cyclotomic polynomial, so equality of inner products computed from
+exact phases is decided exactly.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 APPROX_TOL = 1e-12
 
@@ -43,12 +45,14 @@ class Phase:
             raise PhaseError("phase needs exactly one of turns/approx")
         if self.turns is not None and not 0 <= self.turns < 1:
             object.__setattr__(self, "turns", self.turns % 1)
-        if self.approx is not None and abs(abs(self.approx) - 1.0) > APPROX_TOL:
+        if self.approx is not None and not abs(abs(self.approx) - 1.0) <= APPROX_TOL:  # NaN too
             raise PhaseError(f"|z| = {abs(self.approx)} is not 1 within {APPROX_TOL}")
 
     @staticmethod
     def exact(num: int, den: int = 1) -> Phase:
         """The root of unity exp(2*pi*i*num/den)."""
+        if den == 0:
+            raise PhaseError(f"phase {num}/{den} has a zero denominator")
         return Phase(turns=Fraction(num, den) % 1)
 
     @staticmethod
@@ -106,10 +110,10 @@ def phases_equal(a: Phase, b: Phase, tol: float = APPROX_TOL) -> bool:
     return abs(a.as_complex() - b.as_complex()) <= tol
 
 
-def _poly_divmod(num: list[Fraction], den: list[int]) -> tuple[list[Fraction], list[Fraction]]:
+def _poly_divmod(num: list, den: tuple[int, ...]) -> tuple[list, list]:
     # Long division; `den` monic with integer coefficients, ascending order.
     num = list(num)
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
+    q = [0] * max(1, len(num) - len(den) + 1)
     for i in range(len(num) - len(den), -1, -1):
         c = num[i + len(den) - 1]
         if c:
@@ -128,37 +132,28 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         raise ValueError("n must be >= 1")
     if n == 1:
         return (-1, 1)
-    poly: list[Fraction] = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-            assert all(c == 0 for c in rem)
-    assert all(c.denominator == 1 for c in poly)
-    return tuple(int(c) for c in poly)
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a // gcd(a, b) * b
+            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
+            assert not any(rem)
+    return tuple(poly)
 
 
 class RootSum:
-    """A finite sum ``sum_t  c_t * exp(2*pi*i*t)`` with rational c_t, t.
+    """A finite sum ``sum_k  c_k * zeta_n^k`` with rational c_k, where
+    ``zeta_n = exp(2*pi*i/n)`` and ``n`` is the element's ``order``.
 
-    Immutable by convention.  Equality and zero tests are exact, via
-    reduction modulo the cyclotomic polynomial at the common order.
+    Immutable by convention.  Operands of different orders are lifted to
+    the lcm order (``k -> k*m/n``).  Equality and zero tests are exact, via
+    reduction modulo the n-th cyclotomic polynomial.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("order", "_terms")
 
-    def __init__(self, terms: dict[Fraction, Fraction] | None = None):
-        cleaned: dict[Fraction, Fraction] = {}
-        for turn, coeff in (terms or {}).items():
-            if coeff:
-                key = turn % 1
-                cleaned[key] = cleaned.get(key, Fraction(0)) + coeff
-        self._terms = {t: c for t, c in cleaned.items() if c}
+    def __init__(self, order: int = 1, terms: dict[int, int | Fraction] | None = None):
+        self.order = order
+        self._terms = {k: c for k, c in (terms or {}).items() if c}
 
     @staticmethod
     def zero() -> RootSum:
@@ -166,60 +161,60 @@ class RootSum:
 
     @staticmethod
     def one() -> RootSum:
-        return RootSum({Fraction(0): Fraction(1)})
+        return RootSum(1, {0: 1})
 
     @staticmethod
     def rational(q) -> RootSum:
-        return RootSum({Fraction(0): Fraction(q)})
+        return RootSum(1, {0: Fraction(q)})
 
     @staticmethod
     def from_phase(phase: Phase) -> RootSum:
         if not phase.is_exact:
             raise PhaseError("exact arithmetic requires an exact phase")
-        return RootSum({phase.turns: Fraction(1)})
+        return RootSum(phase.turns.denominator, {phase.turns.numerator: 1})
 
-    @property
-    def terms(self) -> dict[Fraction, Fraction]:
-        return dict(self._terms)
+    def _lifted(self, order: int) -> dict[int, int | Fraction]:
+        step = order // self.order
+        return {k * step: c for k, c in self._terms.items()}
 
     def __add__(self, other: RootSum) -> RootSum:
-        merged = dict(self._terms)
-        for t, c in other._terms.items():
-            merged[t] = merged.get(t, Fraction(0)) + c
-        return RootSum(merged)
+        order = lcm(self.order, other.order)
+        merged = self._lifted(order)
+        for k, c in other._lifted(order).items():
+            merged[k] = merged.get(k, 0) + c
+        return RootSum(order, merged)
 
     def __neg__(self) -> RootSum:
-        return RootSum({t: -c for t, c in self._terms.items()})
+        return RootSum(self.order, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: RootSum) -> RootSum:
         return self + (-other)
 
     def __mul__(self, other: RootSum) -> RootSum:
-        out: dict[Fraction, Fraction] = {}
-        for t1, c1 in self._terms.items():
-            for t2, c2 in other._terms.items():
-                key = (t1 + t2) % 1
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return RootSum(out)
+        order = lcm(self.order, other.order)
+        out: dict[int, int | Fraction] = {}
+        right = other._lifted(order).items()
+        for k1, c1 in self._lifted(order).items():
+            for k2, c2 in right:
+                key = (k1 + k2) % order
+                out[key] = out.get(key, 0) + c1 * c2
+        return RootSum(order, out)
 
     def scaled(self, q) -> RootSum:
         q = Fraction(q)
-        return RootSum({t: c * q for t, c in self._terms.items()})
+        return RootSum(self.order, {k: c * q for k, c in self._terms.items()})
 
     def conjugate(self) -> RootSum:
-        return RootSum({(-t) % 1: c for t, c in self._terms.items()})
+        return RootSum(self.order, {-k % self.order: c for k, c in self._terms.items()})
 
     def is_zero(self) -> bool:
         if not self._terms:
             return True
-        order = 1
-        for t in self._terms:
-            order = _lcm(order, t.denominator)
-        coeffs = [Fraction(0)] * order
-        for t, c in self._terms.items():
-            coeffs[int(t * order)] += c
-        _, rem = _poly_divmod(coeffs, list(cyclotomic_polynomial(order)))
-        return all(c == 0 for c in rem)
+        coeffs = [0] * self.order
+        for k, c in self._terms.items():
+            coeffs[k] = c
+        _, rem = _poly_divmod(coeffs, cyclotomic_polynomial(self.order))
+        return not any(rem)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RootSum):
@@ -229,11 +224,9 @@ class RootSum:
     __hash__ = None
 
     def as_complex(self) -> complex:
-        return sum(
-            (float(c) * cmath.exp(2j * cmath.pi * float(t)) for t, c in self._terms.items()),
-            0j,
-        )
+        n, terms = self.order, self._terms.items()
+        return sum((float(c) * cmath.exp(2j * cmath.pi * (k / n)) for k, c in terms), 0j)
 
     def __repr__(self) -> str:
-        body = " + ".join(f"{c}*e({t})" for t, c in sorted(self._terms.items()))
+        body = " + ".join(f"{c}*e({k}/{self.order})" for k, c in sorted(self._terms.items()))
         return f"RootSum({body or '0'})"

@@ -165,19 +165,21 @@ def format_phase(p: Phase) -> str:
 
 def parse_phase(text: str) -> Phase:
     text = text.strip()
+
+    def number(kind, part: str):
+        try:
+            return kind(part)
+        except ValueError:
+            raise RepError(f"bad phase literal {text!r}") from None
+
     if text.endswith("i"):
         body = text[:-1]
         split = max(body.rfind("+", 1), body.rfind("-", 1))
         if split <= 0:
             raise RepError(f"bad phase literal {text!r}")
-        return Phase.from_complex(complex(float(body[:split]), float(body[split:])))
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Phase.exact(int(num), int(den))
-    try:
-        return Phase.exact(int(text))
-    except ValueError:
-        raise RepError(f"bad phase literal {text!r}") from None
+        return Phase.from_complex(complex(number(float, body[:split]), number(float, body[split:])))
+    num, slash, den = text.partition("/")
+    return Phase.exact(number(int, num), number(int, den) if slash else 1)
 
 
 def parse_class_literal(text: str, matrix: TransitionMatrix | None = None) -> RepClass:
@@ -323,7 +325,8 @@ def apply_symbol(m: MatrixRealization, i: int, vec: Vector) -> Vector:
     for x, coeff in vec.items():
         y = edges.get(x)
         if y is not None:
-            _add_term(out, y, coeff * RootSum.from_phase(twists.get(x, ONE)))
+            twist = twists.get(x)
+            _add_term(out, y, coeff if twist is None else coeff * RootSum.from_phase(twist))
     return out
 
 
@@ -661,6 +664,18 @@ def phase_json(p: Phase) -> dict:
         return {"num": p.turns.numerator, "den": p.turns.denominator}
     z = p.as_complex()
     return {"re": z.real, "im": z.imag}
+
+
+def phase_from_json(data) -> Phase:
+    """Read the form `phase_json` writes; a missing phase is trivial."""
+    if data is None:
+        return ONE
+    try:
+        if "num" in data:
+            return Phase.exact(data["num"], data["den"])
+        return Phase.from_complex(complex(data["re"], data["im"]))
+    except (KeyError, TypeError):
+        raise RepError(f"bad phase {data!r}: need num/den integers or re/im numbers") from None
 
 
 def decomposition_json(d: Decomposition) -> dict:

@@ -5,12 +5,17 @@ minima are taken by base-N positional value over all rotations, periodicity
 by trying every proper divisor, and cyclic words by filtering the full
 cartesian product.  The axiom and component oracles are the direct
 definitions: every axiom at every point and symbol, and orbits by
-union-find over the edges.
+union-find over the edges.  The cyclotomic oracle is the earlier
+`RootSum`, which keys each term by its reduced rational turn and derives
+the order from the denominators at each zero test.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
+from fractions import Fraction
+from functools import lru_cache
 
 from ckrep.branching import (
     BranchingSystem,
@@ -19,6 +24,7 @@ from ckrep.branching import (
     ValidationReport,
     Violation,
 )
+from ckrep.phases import Phase, PhaseError
 from ckrep.reps import CKReport
 from ckrep.words import TransitionMatrix, Word, validate_matrix
 
@@ -262,3 +268,138 @@ def oracle_find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
                 continue
         out.append(ComponentSkeleton("unresolved", tuple(letters), tuple(points), basin))
     return tuple(out)
+
+
+def _oracle_poly_divmod(
+    num: list[Fraction], den: list[int]
+) -> tuple[list[Fraction], list[Fraction]]:
+    # Long division; `den` monic with integer coefficients, ascending order.
+    num = list(num)
+    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
+    for i in range(len(num) - len(den), -1, -1):
+        c = num[i + len(den) - 1]
+        if c:
+            q[i] = c
+            for k, d in enumerate(den):
+                num[i + k] -= c * d
+    while len(num) > 1 and num[-1] == 0:
+        num.pop()
+    return q, num
+
+
+@lru_cache(maxsize=None)
+def oracle_cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Coefficients of the n-th cyclotomic polynomial, ascending order."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n == 1:
+        return (-1, 1)
+    poly: list[Fraction] = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for d in range(1, n):
+        if n % d == 0:
+            poly, rem = _oracle_poly_divmod(poly, list(oracle_cyclotomic_polynomial(d)))
+            assert all(c == 0 for c in rem)
+    assert all(c.denominator == 1 for c in poly)
+    return tuple(int(c) for c in poly)
+
+
+def _oracle_lcm(a: int, b: int) -> int:
+    from math import gcd
+
+    return a // gcd(a, b) * b
+
+
+class OracleRootSum:
+    """A finite sum ``sum_t  c_t * exp(2*pi*i*t)`` with rational c_t, t.
+
+    Immutable by convention.  Equality and zero tests are exact, via
+    reduction modulo the cyclotomic polynomial at the common order.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: dict[Fraction, Fraction] | None = None):
+        cleaned: dict[Fraction, Fraction] = {}
+        for turn, coeff in (terms or {}).items():
+            if coeff:
+                key = turn % 1
+                cleaned[key] = cleaned.get(key, Fraction(0)) + coeff
+        self._terms = {t: c for t, c in cleaned.items() if c}
+
+    @staticmethod
+    def zero() -> OracleRootSum:
+        return OracleRootSum()
+
+    @staticmethod
+    def one() -> OracleRootSum:
+        return OracleRootSum({Fraction(0): Fraction(1)})
+
+    @staticmethod
+    def rational(q) -> OracleRootSum:
+        return OracleRootSum({Fraction(0): Fraction(q)})
+
+    @staticmethod
+    def from_phase(phase: Phase) -> OracleRootSum:
+        if not phase.is_exact:
+            raise PhaseError("exact arithmetic requires an exact phase")
+        return OracleRootSum({phase.turns: Fraction(1)})
+
+    @property
+    def terms(self) -> dict[Fraction, Fraction]:
+        return dict(self._terms)
+
+    def __add__(self, other: OracleRootSum) -> OracleRootSum:
+        merged = dict(self._terms)
+        for t, c in other._terms.items():
+            merged[t] = merged.get(t, Fraction(0)) + c
+        return OracleRootSum(merged)
+
+    def __neg__(self) -> OracleRootSum:
+        return OracleRootSum({t: -c for t, c in self._terms.items()})
+
+    def __sub__(self, other: OracleRootSum) -> OracleRootSum:
+        return self + (-other)
+
+    def __mul__(self, other: OracleRootSum) -> OracleRootSum:
+        out: dict[Fraction, Fraction] = {}
+        for t1, c1 in self._terms.items():
+            for t2, c2 in other._terms.items():
+                key = (t1 + t2) % 1
+                out[key] = out.get(key, Fraction(0)) + c1 * c2
+        return OracleRootSum(out)
+
+    def scaled(self, q) -> OracleRootSum:
+        q = Fraction(q)
+        return OracleRootSum({t: c * q for t, c in self._terms.items()})
+
+    def conjugate(self) -> OracleRootSum:
+        return OracleRootSum({(-t) % 1: c for t, c in self._terms.items()})
+
+    def is_zero(self) -> bool:
+        if not self._terms:
+            return True
+        order = 1
+        for t in self._terms:
+            order = _oracle_lcm(order, t.denominator)
+        coeffs = [Fraction(0)] * order
+        for t, c in self._terms.items():
+            coeffs[int(t * order)] += c
+        _, rem = _oracle_poly_divmod(coeffs, list(oracle_cyclotomic_polynomial(order)))
+        return all(c == 0 for c in rem)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OracleRootSum):
+            return NotImplemented
+        return (self - other).is_zero()
+
+    __hash__ = None
+
+    def as_complex(self) -> complex:
+        return sum(
+            (float(c) * cmath.exp(2j * cmath.pi * float(t)) for t, c in self._terms.items()),
+            0j,
+        )
+
+    def __repr__(self) -> str:
+        body = " + ".join(f"{c}*e({t})" for t, c in sorted(self._terms.items()))
+        return f"OracleRootSum({body or '0'})"

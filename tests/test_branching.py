@@ -520,3 +520,16 @@ class TestDump:
     def test_repeated_source_rejected(self):
         with pytest.raises(DumpFormatError, match="maps 'a' twice"):
             load_bfs("2 3\n1: a->b, a->c\n2: \n", FULL2)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x 3\n1: a->b\n", "bad header field 'x'"),
+            ("2 3.0\n1: a->b\n", "bad header field '3.0'"),
+            ("2 2\nq: a->b\n", "bad symbol 'q'"),
+            ("2 2\n1 a->b\n", "bad symbol '1 a->b'"),
+        ],
+    )
+    def test_non_integer_header_or_symbol_rejected(self, text, message):
+        with pytest.raises(DumpFormatError, match=re.escape(message)):
+            load_bfs(text, FULL2)

@@ -193,6 +193,61 @@ class TestContract:
         err = capsys.readouterr().err
         assert code == 1 and "maps 'a' twice" in err
 
+    @pytest.mark.parametrize("field", ["x 3", "3 y"])
+    def test_dump_with_bad_header_exits_1(self, capsys, a3_file, tmp_path, field):
+        dump = tmp_path / "sys.txt"
+        dump.write_text(f"{field}\n1: a->b\n")
+        code = main(["decompose-bfs", "--matrix", a3_file, "--bfs", str(dump)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: bad header field")
+
+    def test_dump_with_bad_symbol_exits_1(self, capsys, a3_file, tmp_path):
+        dump = tmp_path / "sys.txt"
+        dump.write_text("3 2\nq: 1->2\n")
+        code = main(["decompose-bfs", "--matrix", a3_file, "--bfs", str(dump)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: bad symbol 'q'")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["twist", "--class", "P(12)", "--gauge", "1/0,0"],
+            ["twist", "--class", "P(12)", "--gauge", "x/4,0"],
+            ["twist", "--class", "P(12)", "--gauge", "1/x,0"],
+            ["twist", "--class", "P(12)", "--gauge", "nan+0i,0"],
+            ["equiv", "--class", "P(1;1/0)", "--class", "P(1)"],
+            ["state", "--matrix", "A3", "--class", "P(12;1/0)", "--left", "1", "--right", "1"],
+        ],
+    )
+    def test_bad_phase_literal_exits_1(self, capsys, a3_file, argv):
+        code = main([a3_file if arg == "A3" else arg for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "stdin, message",
+        [
+            ("not json", "not JSON"),
+            ("{}", '"components" list'),
+            ('{"components": [{"kind": "finite"}]}', "string kind and word"),
+            ('{"components": [{"kind": "finite", "word": "1"}]}', "multiplicity"),
+            ('{"components": [{"kind": "finite", "word": "1", "multiplicity": 0}]}',
+             "multiplicity"),
+            ('{"matrix": 5, "components": []}', '"matrix"'),
+            ('{"components": [{"kind": "finite", "word": "1", "multiplicity": 1,'
+             ' "phase": {"num": 1, "den": 0}}]}', "zero denominator"),
+            ('{"components": [{"kind": "finite", "word": "1", "multiplicity": 1,'
+             ' "phase": {"num": 1}}]}', "bad phase"),
+        ],
+    )
+    def test_expand_bad_stdin_exits_1(self, capsys, monkeypatch, stdin, message):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code = main(["expand"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ") and message in err
+
     def test_usage_error_exits_1_with_help(self, capsys):
         code = main(["decompose-standard"])  # missing --matrix
         err = capsys.readouterr().err

@@ -2,7 +2,10 @@ import cmath
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import OracleRootSum, oracle_cyclotomic_polynomial
 from ckrep.phases import Phase, PhaseError, RootSum, cyclotomic_polynomial, phases_equal
 
 
@@ -21,12 +24,22 @@ def test_phase_arithmetic_is_exact():
     assert Phase.exact(0).root(3).turns == 0
 
 
+def test_zero_denominator_is_a_phase_error():
+    with pytest.raises(PhaseError, match="zero denominator"):
+        Phase.exact(1, 0)
+
+
 def test_approx_phase_tolerance():
     z = Phase.from_complex(cmath.exp(1j))
     assert not z.is_exact
     assert phases_equal(z, Phase.from_complex(cmath.exp(1j)))
     with pytest.raises(PhaseError):
         Phase.from_complex(1.1)
+
+
+def test_nan_is_not_a_phase():
+    with pytest.raises(PhaseError):
+        Phase.from_complex(complex(float("nan"), 0.0))
 
 
 def test_phases_equal_across_kinds():
@@ -41,6 +54,11 @@ def test_cyclotomic_polynomials_known_values():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_polynomials_match_oracle():
+    for n in range(1, 61):
+        assert cyclotomic_polynomial(n) == oracle_cyclotomic_polynomial(n)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 8, 12])
@@ -79,3 +97,63 @@ def test_rootsum_matches_floating_point():
 def test_exact_arithmetic_refuses_approximate_phases():
     with pytest.raises(PhaseError):
         RootSum.from_phase(Phase.from_complex(cmath.exp(0.5j)))
+
+
+# Differential test against the Fraction-keyed oracle: both are built from
+# the same terms c * zeta_n^k, then every operation's result must agree on
+# the zero test, numerically, and exactly (the oracle's terms read back).
+
+COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _both(terms):
+    new, old = RootSum.zero(), OracleRootSum.zero()
+    for n, k, c in terms:
+        new = new + RootSum(n, {k % n: c})
+        old = old + OracleRootSum({Fraction(k, n): c})
+    return new, old
+
+
+def _from_oracle(old: OracleRootSum) -> RootSum:
+    total = RootSum.zero()
+    for t, c in old.terms.items():
+        total = total + RootSum.from_phase(Phase(turns=t)).scaled(c)
+    return total
+
+
+def _agree(new: RootSum, old: OracleRootSum) -> None:
+    assert new.is_zero() == old.is_zero()
+    assert abs(new.as_complex() - old.as_complex()) < 1e-9
+    assert new == _from_oracle(old)
+
+
+@st.composite
+def _cases(draw):
+    orders = draw(st.lists(st.integers(1, 30), min_size=1, max_size=2))
+    term = st.tuples(st.sampled_from(orders), st.integers(0, 29), COEFFS)
+    a, b, x = (_both(draw(st.lists(term, max_size=4))) for _ in range(3))
+    q = draw(COEFFS)
+    p = max(2, orders[-1])
+    # x * (zeta_p + ... + zeta_p^p) vanishes; adding r * zeta_p (r != 0) does not.
+    roots = _both([(p, j, 1) for j in range(1, p + 1)])
+    off = _both([(p, 1, draw(COEFFS.filter(bool)))])
+    return a, b, x, q, roots, off
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_cases())
+def test_rootsum_agrees_with_fraction_keyed_oracle(case):
+    (a, oa), (b, ob), (x, ox), q, (roots, oroots), (off, ooff) = case
+    for new, old in [(a, oa), (b, ob), (a + b, oa + ob), (a - b, oa - ob), (a * b, oa * ob),
+                     (-a, -oa), (a.conjugate(), oa.conjugate()), (a.scaled(q), oa.scaled(q))]:
+        _agree(new, old)
+    assert (a == b) == (oa == ob)
+    assert (a * b == b * a) and (oa * ob == ob * oa)
+    zero, ozero = x * roots, ox * oroots
+    assert zero.is_zero() and ozero.is_zero()
+    assert a + zero == a and oa + ozero == oa
+    nonzero, ononzero = zero + off, ozero + ooff
+    assert not nonzero.is_zero() and not ononzero.is_zero()
+    assert a + nonzero != a and oa + ononzero != oa
+    _agree(a * zero + b, oa * ozero + ob)
+

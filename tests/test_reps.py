@@ -540,6 +540,43 @@ class TestJsonSchema:
         assert set(payload) == {"re", "im"}
         assert abs(complex(payload["re"], payload["im"]) - z.as_complex()) < 1e-12
 
+    def test_phase_json_round_trip(self):
+        import cmath
+
+        from ckrep.phases import phases_equal
+        from ckrep.reps import phase_from_json, phase_json
+
+        assert phase_from_json(None) == ONE
+        for z in [ONE, Phase.exact(2, 3), Phase.exact(5, 12), Phase.from_complex(cmath.exp(0.7j))]:
+            assert phases_equal(phase_from_json(phase_json(z)), z)
+        assert phase_from_json(phase_json(Phase.exact(5, 12))) == Phase.exact(5, 12)
+
+    @pytest.mark.parametrize(
+        "data", [{"num": 1}, {"re": 1.0}, {"num": 0.5, "den": 2}, {"num": "1", "den": 2}, 5, "x"]
+    )
+    def test_malformed_phase_json_is_a_rep_error(self, data):
+        from ckrep.reps import RepError, phase_from_json
+
+        with pytest.raises(RepError, match="bad phase"):
+            phase_from_json(data)
+
+    @pytest.mark.parametrize("text", ["x/4", "1/x", "1/", "1/2/3", "x", "x+1i", "1+yi", "1.5/2"])
+    def test_malformed_phase_literal_is_a_rep_error(self, text):
+        from ckrep.reps import RepError, parse_phase
+
+        with pytest.raises(RepError, match="bad phase literal"):
+            parse_phase(text)
+
+    def test_phase_literal_parts(self):
+        from ckrep.phases import PhaseError
+        from ckrep.reps import parse_phase
+
+        assert parse_phase(" 3/4 ") == Phase.exact(3, 4)
+        assert parse_phase("-1/4") == Phase.exact(3, 4)
+        assert parse_phase("2") == ONE
+        with pytest.raises(PhaseError, match="zero denominator"):
+            parse_phase("1/0")
+
 
 class TestIntegralUniqueness:
     def test_random_tails_collide_iff_equivalent(self):
