@@ -33,6 +33,7 @@ from .words import (
     TailWord,
     TransitionMatrix,
     Word,
+    _cycle_words,
     canonical_rotation,
     enumerate_cyclic_classes,
     format_tail,
@@ -41,7 +42,6 @@ from .words import (
     is_periodic,
     power,
     primitive_root,
-    pspec_summary,
     tail_canonical,
     tail_is_admissible,
 )
@@ -646,7 +646,7 @@ def decompose_shift(a: TransitionMatrix, max_period: int) -> Decomposition:
     for word, periodic in enumerate_cyclic_classes(a, max_period):
         if not periodic:
             out.add(finite_class(word, ONE, a), 1)
-    out.tail_marker = not pspec_summary(a, max_period).finite
+    out.tail_marker = _cycle_words(a) is None
     return out
 
 

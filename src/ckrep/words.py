@@ -12,6 +12,7 @@ index.  Everything here is a pure function of immutable values.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -328,18 +329,36 @@ def enumerate_cyclic_classes(a: TransitionMatrix, max_len: int) -> list[tuple[Wo
     One representative per rotation class, each flagged (word, periodic).
     Ordering is by (length, base-N value); the non-periodic sublist is the
     primitive class list up to max_len.
+
+    The representatives are the cyclically admissible necklaces, generated
+    as admissible prenecklaces (the FKM algorithm with the zeros of A as
+    forbidden 2-factors; Ruskey & Sawada, COCOON 2000).  A prenecklace w of
+    length t whose longest Lyndon prefix has length p extends by a
+    successor j of its last letter iff j >= w[t-p] (0-based); p stays when
+    j equals that letter and becomes t+1 when j is larger.  w is a necklace
+    iff p divides t, and then it is periodic iff p < t.  The depth-first
+    walk keeps an explicit stack and visits children in ascending order, so
+    each length comes out in base-N order.
     """
     if max_len < 1:
         raise WordError("max_len must be >= 1")
-    out: list[tuple[Word, bool]] = []
-    words: list[Word] = [(i,) for i in range(1, a.n + 1)]
-    for k in range(1, max_len + 1):
-        for w in words:
-            if a.entry(w[-1], w[0]) and canonical_rotation(w) == w:
-                out.append((w, is_periodic(w)))
-        if k < max_len:
-            words = [w + (j,) for w in words for j in a.successors(w[-1])]
-    return out
+    rows = a.rows
+    succ = a._successor_table
+    by_len: list[list[tuple[Word, bool]]] = [[] for _ in range(max_len + 1)]
+    stack: list[tuple[Word, int]] = [((i,), 1) for i in range(a.n, 0, -1)]
+    while stack:
+        w, p = stack.pop()
+        t = len(w)
+        if t % p == 0 and rows[w[-1] - 1][w[0] - 1]:
+            by_len[t].append((w, p < t))
+        if t < max_len:
+            c = w[t - p]
+            for j in reversed(succ[w[-1] - 1]):
+                if j > c:
+                    stack.append((w + (j,), t + 1))
+                elif j == c:
+                    stack.append((w + (j,), p))
+    return [entry for level in by_len for entry in level]
 
 
 @dataclass(frozen=True)
@@ -379,38 +398,47 @@ def tree(a: TransitionMatrix, j: int, depth: int, side: str) -> TreeNodeSet:
 
 
 def _strongly_connected_components(a: TransitionMatrix) -> list[list[int]]:
-    # Tarjan, on vertices 1..N with edges i -> j where a_ij = 1.
+    # Tarjan, on vertices 1..N with edges i -> j where a_ij = 1.  The
+    # depth-first walk keeps (vertex, successor iterator) pairs on its own
+    # stack, so its depth is not bounded by the interpreter's recursion limit.
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
     stack: list[int] = []
     out: list[list[int]] = []
-    counter = [0]
+    work: list[tuple[int, Iterator[int]]] = []
 
-    def strong(v: int) -> None:
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
+    def visit(v: int) -> None:
+        index[v] = low[v] = len(index)
         stack.append(v)
         on_stack.add(v)
-        for w in a.successors(v):
-            if w not in index:
-                strong(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp.append(w)
-                if w == v:
-                    break
-            out.append(sorted(comp))
+        work.append((v, iter(a.successors(v))))
 
-    for v in range(1, a.n + 1):
-        if v not in index:
-            strong(v)
+    for root in range(1, a.n + 1):
+        if root not in index:
+            visit(root)
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if w not in index:
+                    visit(w)
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(sorted(comp))
     return out
 
 
@@ -437,6 +465,21 @@ def _simple_cycle_word(a: TransitionMatrix, comp: list[int]) -> Word | None:
     return tuple(word)
 
 
+def _cycle_words(a: TransitionMatrix) -> tuple[Word, ...] | None:
+    """The structural spectrum verdict: the simple cycle words of A in
+    (length, base-N) order when every nontrivial strongly connected
+    component is a bare cycle, else None (infinitely many classes)."""
+    cycle_words: list[Word] = []
+    for comp in _strongly_connected_components(a):
+        if len(comp) == 1 and not a.entry(comp[0], comp[0]):
+            continue  # trivial component, no cycle through it
+        word = _simple_cycle_word(a, comp)
+        if word is None:
+            return None
+        cycle_words.append(word)
+    return tuple(sorted(cycle_words, key=lambda w: (len(w), w)))
+
+
 @dataclass(frozen=True)
 class PSpecSummary:
     """Finite/infinite verdict and bounded enumeration of primitive classes.
@@ -456,40 +499,46 @@ class PSpecSummary:
 
 
 def pspec_summary(a: TransitionMatrix, max_len: int) -> PSpecSummary:
-    """Summary of the irreducible permutative classes of the algebra of A."""
-    entries = enumerate_cyclic_classes(a, max_len)
-    primitive = [w for w, periodic in entries if not periodic]
-    counts = tuple(
-        sum(1 for w in primitive if len(w) == k) for k in range(1, max_len + 1)
-    )
+    """Summary of the irreducible permutative classes of the algebra of A.
 
-    cycle_words: list[Word] = []
-    finite = True
-    for comp in _strongly_connected_components(a):
-        if len(comp) == 1 and not a.entry(comp[0], comp[0]):
-            continue  # trivial component, no cycle through it
-        word = _simple_cycle_word(a, comp)
-        if word is None:
-            finite = False
-        else:
-            cycle_words.append(word)
+    With q_k the number of primitive cyclic classes of length k (by the
+    trace formula, (1/k) * sum over d | k of mu(k/d) * tr(A^d)), the
+    structural verdict is finite iff q_k = 0 for N < k <= 2N.  Proof: a
+    closed walk stays inside one strongly connected component.  If every
+    nontrivial component is a bare cycle, a primitive closed walk goes
+    once round one of them, so q_k = 0 for every k > N.  Otherwise some
+    vertex v of a component S has two successors u1 != u2 in S (if each
+    vertex had one, counting edges would make S a bare cycle).  Closing
+    v -> u1 and v -> u2 by shortest paths back to v gives closed walks x
+    and y at v of lengths l1, l2 in [1, N] in which v occurs only first,
+    and x != y.  In the cyclic word x^i y (i >= 1) the occurrences of v
+    cut it into i blocks x and one block y; a rotation fixing the word
+    would shift that block sequence nontrivially, which the single y
+    forbids, so x^i y is primitive.  Its lengths l2 + i*l1 start at most
+    2N and rise in steps of l1 <= N, so one lies in (N, 2N].
+    """
+    counts = [0] * max_len
+    primitive: set[Word] = set()
+    for w, periodic in enumerate_cyclic_classes(a, max_len):
+        if not periodic:
+            counts[len(w) - 1] += 1
+            primitive.add(w)
 
-    if finite:
-        expected = {w for w in cycle_words if len(w) <= max_len}
-        cross_ok = set(primitive) == expected
+    cycle_words = _cycle_words(a)
+    if cycle_words is not None:
         return PSpecSummary(
             finite=True,
             class_count=len(cycle_words),
             tails_empty=True,
-            counts_by_length=counts,
-            cycle_words=tuple(sorted(cycle_words, key=lambda w: (len(w), w))),
-            cross_check_ok=cross_ok,
+            counts_by_length=tuple(counts),
+            cycle_words=cycle_words,
+            cross_check_ok=primitive == {w for w in cycle_words if len(w) <= max_len},
         )
     return PSpecSummary(
         finite=False,
         class_count=None,
         tails_empty=False,
-        counts_by_length=counts,
+        counts_by_length=tuple(counts),
         cycle_words=(),
         cross_check_ok=True,
     )

@@ -7,13 +7,17 @@ cartesian product.  The axiom and component oracles are the direct
 definitions: every axiom at every point and symbol, and orbits by
 union-find over the edges.  The cyclotomic oracle is the earlier
 `RootSum`, which keys each term by its reduced rational turn and derives
-the order from the denominators at each zero test.
+the order from the denominators at each zero test.  The enumeration
+oracle is the earlier grow-and-filter enumeration, which keeps each
+cyclically admissible word that equals its Booth rotation; the class
+counts per length come independently from the trace formula.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,7 +30,14 @@ from ckrep.branching import (
 )
 from ckrep.phases import Phase, PhaseError
 from ckrep.reps import CKReport
-from ckrep.words import TransitionMatrix, Word, validate_matrix
+from ckrep.words import (
+    TransitionMatrix,
+    Word,
+    WordError,
+    canonical_rotation,
+    is_periodic,
+    validate_matrix,
+)
 
 # The seven 2x2 matrices without zero rows or columns.
 ALL_2X2 = [
@@ -123,6 +134,76 @@ def brute_spectrum_finite(a: TransitionMatrix) -> bool:
             return False
         seen.update(cyc)
     return True
+
+
+def all_valid_matrices(n: int) -> list[TransitionMatrix]:
+    """Every n x n 0/1 matrix without a zero row or column."""
+    out = []
+    for bits in itertools.product((0, 1), repeat=n * n):
+        try:
+            out.append(validate_matrix([bits[i * n : (i + 1) * n] for i in range(n)]))
+        except WordError:
+            pass
+    return out
+
+
+def random_matrices(n: int, count: int, seed: int) -> list[TransitionMatrix]:
+    """`count` seeded random n x n matrices without a zero row or column."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        try:
+            out.append(validate_matrix([[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]))
+        except WordError:
+            pass
+    return out
+
+
+def oracle_enumerate_cyclic_classes(a: TransitionMatrix, max_len: int) -> list[tuple[Word, bool]]:
+    """Grow every admissible word up to max_len and keep the cyclically
+    admissible ones that equal their canonical rotation, flagged periodic."""
+    out: list[tuple[Word, bool]] = []
+    words: list[Word] = [(i,) for i in range(1, a.n + 1)]
+    for k in range(1, max_len + 1):
+        for w in words:
+            if a.entry(w[-1], w[0]) and canonical_rotation(w) == w:
+                out.append((w, is_periodic(w)))
+        if k < max_len:
+            words = [w + (j,) for w in words for j in a.successors(w[-1])]
+    return out
+
+
+def _mobius(n: int) -> int:
+    result, m, d = 1, n, 2
+    while d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return 0
+            result = -result
+        d += 1
+    return -result if m > 1 else result
+
+
+def trace_formula_counts(a: TransitionMatrix, max_len: int) -> list[int]:
+    """q_1..q_max_len, the number of primitive cyclic classes of each
+    length: q_k = (1/k) * sum over d | k of mu(k/d) * tr(A^d), with exact
+    integer matrix powers."""
+    rows = [list(row) for row in a.rows]
+    n = len(rows)
+    traces = [0]
+    power = rows
+    for _ in range(max_len):
+        traces.append(sum(power[i][i] for i in range(n)))
+        power = [
+            [sum(power[i][m] * rows[m][j] for m in range(n)) for j in range(n)] for i in range(n)
+        ]
+    counts = []
+    for k in range(1, max_len + 1):
+        total = sum(_mobius(k // d) * traces[d] for d in range(1, k + 1) if k % d == 0)
+        assert total % k == 0
+        counts.append(total // k)
+    return counts
 
 
 def _edge_checks(f: BranchingSystem, overlaps: bool) -> list[Violation]:

@@ -248,6 +248,41 @@ class TestContract:
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["pspec", "--max-len", "3"],
+                "verdict: finite\nprimitive classes: 1\n"
+                f"cycle words: {','.join(str(i) for i in range(1, 1101))}\n"
+                "tail classes: empty\nprimitive counts by length: 1:0 2:0 3:0\n"
+                "enumeration cross-check: ok\n",
+            ),
+            (
+                ["decompose-shift", "--max-period", "3"],
+                "(empty)\nnon-eventually-periodic classes: none\n",
+            ),
+        ],
+        ids=["pspec", "decompose-shift"],
+    )
+    def test_matrix_with_a_long_cycle_exits_0(self, capsys, tmp_path, argv, expected):
+        n = 1100
+        path = tmp_path / "cycle.txt"
+        path.write_text("".join("0" * ((i + 1) % n) + "1" + "0" * (n - 1 - (i + 1) % n) + "\n"
+                                for i in range(n)))
+        code, out = run(capsys, *argv, "--matrix", str(path))
+        assert code == 0 and out == expected
+
+    def test_pspec_at_length_3000_exits_0(self, capsys, tmp_path):
+        path = tmp_path / "swap.txt"
+        path.write_text("01\n10\n")
+        code, out = run(capsys, "pspec", "--matrix", str(path), "--max-len", "3000")
+        counts = " ".join(f"{k}:{int(k == 2)}" for k in range(1, 3001))
+        assert code == 0 and out == (
+            "verdict: finite\nprimitive classes: 1\ncycle words: 12\ntail classes: empty\n"
+            f"primitive counts by length: {counts}\nenumeration cross-check: ok\n"
+        )
+
     def test_usage_error_exits_1_with_help(self, capsys):
         code = main(["decompose-standard"])  # missing --matrix
         err = capsys.readouterr().err

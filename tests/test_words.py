@@ -10,12 +10,16 @@ from conftest import (
     A2_ROWS,
     A3_ROWS,
     ALL_2X2,
+    all_valid_matrices,
     brute_cyclic_words,
     brute_is_periodic,
     brute_min_rotation,
     brute_spectrum_finite,
     corpus,
     full_matrix,
+    oracle_enumerate_cyclic_classes,
+    random_matrices,
+    trace_formula_counts,
 )
 from ckrep import words
 from ckrep.words import (
@@ -53,6 +57,9 @@ from ckrep.words import (
 A1 = validate_matrix(A1_ROWS)
 A2 = validate_matrix(A2_ROWS)
 A3 = validate_matrix(A3_ROWS)
+
+# Every valid 2x2 and 3x3 matrix, plus seeded random 4x4 ones.
+SPECTRUM_CORPUS = all_valid_matrices(2) + all_valid_matrices(3) + random_matrices(4, 20, seed=4)
 
 short_words = st.lists(st.integers(1, 3), min_size=1, max_size=12).map(tuple)
 
@@ -299,6 +306,10 @@ class TestEnumeration:
                             len(r) == len(w) and words_equivalent_finite(r, w) for r in reps
                         ), f"{w} not represented"
 
+    def test_matches_grow_and_filter_oracle(self):
+        for a in SPECTRUM_CORPUS:
+            assert enumerate_cyclic_classes(a, 8) == oracle_enumerate_cyclic_classes(a, 8), a.rows
+
 
 class TestTrees:
     def test_in_side_a3(self):
@@ -357,6 +368,23 @@ class TestPSpec:
             s8 = pspec_summary(a, 8)
             stabilized = sum(s8.counts_by_length[a.n :]) == 0
             assert s8.finite == stabilized
+
+    def test_counts_match_trace_formula(self):
+        for a in SPECTRUM_CORPUS:
+            max_len = max(12, 2 * a.n)
+            got = pspec_summary(a, max_len).counts_by_length
+            assert got == tuple(trace_formula_counts(a, max_len)), a.rows
+
+    def test_full_2x2_at_length_20(self):
+        full = full_matrix(2)
+        assert pspec_summary(full, 20).counts_by_length[19] == 52377
+        assert trace_formula_counts(full, 20)[19] == 52377
+
+    def test_verdict_is_the_trace_rule(self):
+        # finite iff no primitive class has length in (N, 2N]
+        for a in SPECTRUM_CORPUS:
+            q = trace_formula_counts(a, 2 * a.n)
+            assert pspec_summary(a, 1).finite == (sum(q[a.n :]) == 0), a.rows
 
 
 class TestClosedFormsForA1:
