@@ -32,7 +32,6 @@ from .words import (
     format_word,
     is_cyclically_admissible,
     tail_is_admissible,
-    tree,
     _border_length,
 )
 
@@ -392,54 +391,76 @@ def direct_sum(*systems: BranchingSystem) -> BranchingSystem:
     )
 
 
+def _separator(n: int) -> str:
+    """The label rule for points named by a word over n symbols.
+
+    The label of a word is its symbols joined by `_separator(n)`: nothing
+    when n <= 9 (the word literal), "." when n >= 10.  Distinct words get
+    distinct labels, and no label contains a dump separator.
+    """
+    return "" if n <= 9 else "."
+
+
+def _grow_trees(
+    a: TransitionMatrix,
+    level: list[tuple[int, str]],
+    depth: int,
+    carrier: list[Label],
+    maps: dict[int, dict[Label, Label]],
+) -> set[Label]:
+    """Append the branch points `level`, pairs (first symbol, label), and
+    their feeding trees to tree depth `depth` to `carrier` and `maps`.
+
+    Each child (i,)+w is created with its edge f_i(w) and the label of w
+    prefixed by symbol i; returns the points at the depth bound, whose
+    images lie outside the truncation.
+    """
+    sep = _separator(a.n)
+    prefix = [f"{i}{sep}" for i in range(a.n + 1)]
+    carrier.extend(x for _, x in level)
+    for _ in range(depth):
+        children: list[tuple[int, str]] = []
+        for s, x in level:
+            for i in a.predecessors(s):
+                maps[i][x] = y = prefix[i] + x
+                children.append((i, y))
+        carrier.extend(y for _, y in children)
+        level = children
+    assert len(set(carrier)) == len(carrier)
+    return {x for _, x in level}
+
+
 def build_cycle_system(a: TransitionMatrix, word: Word, depth: int) -> BranchingSystem:
     """The cycle carrier for a cyclically admissible word.
 
-    Carrier points are multiindices: the suffixes of `word` (the cycle),
-    the one-letter side branches that are not cycle edges, and the
-    feeding trees on those branches, truncated to tree depth `depth`.
-    Maps prepend their symbol, except the single wrap edge sending the
-    full word to its last suffix.  Tree leaves at the depth bound are
-    frontier.
+    Carrier points are multiindices: the suffixes of `word` (the cycle,
+    the full word first), the one-letter side branches that are not cycle
+    edges, and the feeding trees on those branches, truncated to tree
+    depth `depth`.  Maps prepend their symbol, except the single wrap edge
+    sending the full word to its last suffix.  Tree leaves at the depth
+    bound are frontier.
     """
     if not word or not is_cyclically_admissible(a, word):
         raise NotCyclicallyAdmissibleError(f"{format_word(word)} is not cyclically admissible")
     if depth < 0:
         raise BranchingError("depth must be >= 0")
-    k = len(word)
-    suffixes = [word[l:] for l in range(k)]  # suffix l starts at letter l+1
-    lambda2: list[Word] = []
-    for l in range(k):
-        prev = word[l - 1]  # letter before position l+1, cyclically
-        for j in a.predecessors(word[l]):
-            if j != prev:
-                lambda2.append((j,) + suffixes[l])
-    lambda3: list[Word] = []
-    for branch in lambda2:
-        for x in tree(a, branch[0], depth, "in").words:
-            lambda3.append(x + branch)
-    points: list[Word] = suffixes + lambda2 + lambda3
-    assert len(set(points)) == len(points)
-
-    labels = {w: format_word(w) for w in points}
-    point_set = set(points)
-    carrier = tuple(labels[w] for w in points)
+    sep = _separator(a.n)
+    suffixes = [sep.join(map(str, word[l:])) for l in range(len(word))]
     maps: dict[int, dict[Label, Label]] = {i: {} for i in range(1, a.n + 1)}
-    frontier: set[Label] = set()
-    wrap_source, wrap_symbol, wrap_target = word, word[-1], suffixes[-1]
-    for w in points:
-        for i in a.predecessors(w[0]):
-            if w == wrap_source and i == wrap_symbol:
-                target: Word = wrap_target
+    branches: list[tuple[int, str]] = []
+    for l, x in enumerate(suffixes):
+        prev = word[l - 1]  # letter before position l+1, cyclically
+        for i in a.predecessors(word[l]):
+            if i == prev:  # at l = 0 the wrap edge to the last suffix
+                maps[i][x] = suffixes[l - 1]
             else:
-                target = (i,) + w
-            if target in point_set:
-                maps[i][labels[w]] = labels[target]
-            else:
-                frontier.add(labels[w])
+                maps[i][x] = y = f"{i}{sep}{x}"
+                branches.append((i, y))
+    carrier: list[Label] = list(suffixes)
+    frontier = _grow_trees(a, branches, depth, carrier, maps)
     return BranchingSystem(
         matrix=a,
-        carrier=carrier,
+        carrier=tuple(carrier),
         maps=maps,
         frontier=frozenset(frontier),
         origin="cycle",
@@ -479,38 +500,18 @@ def build_chain_system(
     if depth < 0:
         raise BranchingError("depth must be >= 0")
     letters = _chain_letters(a, source, chain_len)
-
-    def side_label(w: Word, m: int) -> str:
-        return f"{format_word(w)}@{m}"
-
     carrier: list[Label] = list(range(1, chain_len + 1))
-    side_words: list[tuple[Word, int]] = []
-    for m in range(1, chain_len + 1):
-        for j in a.predecessors(letters[m - 1]):
-            if m == 1 or j != letters[m - 2]:
-                side_words.append(((j,), m))
-    branches = list(side_words)
-    for (branch, m) in branches:
-        for x in tree(a, branch[0], depth, "in").words:
-            side_words.append((x + branch, m))
-    carrier.extend(side_label(w, m) for (w, m) in side_words)
-
-    side_set = {(w, m) for (w, m) in side_words}
     maps: dict[int, dict[Label, Label]] = {i: {} for i in range(1, a.n + 1)}
-    frontier: set[Label] = {chain_len}  # its coding preimage is chain_len + 1
+    branches: list[tuple[int, str]] = []
     for m in range(1, chain_len + 1):
         for i in a.predecessors(letters[m - 1]):
             if m >= 2 and i == letters[m - 2]:
                 maps[i][m] = m - 1
             else:
-                maps[i][m] = side_label((i,), m)
-    for (w, m) in side_words:
-        for i in a.predecessors(w[0]):
-            target = ((i,) + w, m)
-            if target in side_set:
-                maps[i][side_label(w, m)] = side_label(*target)
-            else:
-                frontier.add(side_label(w, m))
+                maps[i][m] = y = f"{i}@{m}"
+                branches.append((i, y))
+    frontier = _grow_trees(a, branches, depth, carrier, maps)
+    frontier.add(chain_len)  # its coding preimage is chain_len + 1
     return BranchingSystem(
         matrix=a,
         carrier=tuple(carrier),
@@ -646,26 +647,25 @@ def shift_bfs(a: TransitionMatrix, word_len: int) -> BranchingSystem:
     """
     if word_len < 2:
         raise BranchingError("word_len must be >= 2")
-    points = admissible_words(a, word_len)
-    point_set = set(points)
+    sep = _separator(a.n)
+    label = {w: sep.join(map(str, w)) for w in admissible_words(a, word_len)}
     maps: dict[int, dict[Label, Label]] = {i: {} for i in range(1, a.n + 1)}
     backward_defined: set[Word] = set()
-    for y in points:
+    for y in label:
         rest = y[1:]
         ext = _periodic_extension(rest)
         if a.entry(y[-1], ext):
             x = rest + (ext,)
-            assert x in point_set
-            maps[y[0]][format_word(x)] = format_word(y)
+            maps[y[0]][label[x]] = label[y]
             backward_defined.add(y)
     frontier = {
-        format_word(w)
-        for w in points
+        label[w]
+        for w in label
         if not (w in backward_defined and _periodic_extension(w[:-1]) == w[-1])
     }
     return BranchingSystem(
         matrix=a,
-        carrier=tuple(format_word(w) for w in points),
+        carrier=tuple(label.values()),
         maps=maps,
         frontier=frozenset(frontier),
         origin="shift",

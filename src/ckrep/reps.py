@@ -558,9 +558,9 @@ def gp_vector_check(a: TransitionMatrix, word: Word, p: int, depth: int = 2) -> 
     if is_periodic(word):
         raise RepError("the power-splitting check needs a non-periodic word")
     k = len(word)
-    summands = [build_cycle_system(a, word, depth) for _ in range(p)]
-    total = direct_sum(*summands)
-    anchor = format_word(word)
+    summand = build_cycle_system(a, word, depth)
+    total = direct_sum(*[summand] * p)
+    anchor = summand.carrier[0]  # the full word
     wrap = word[-1]
     phases = {(wrap, f"{j - 1}:{anchor}"): Phase.exact(j, p) for j in range(1, p + 1)}
     m = realize(total, phases)

@@ -546,12 +546,13 @@ def pspec_summary(a: TransitionMatrix, max_len: int) -> PSpecSummary:
 
 def format_word(word: Word) -> str:
     """Word literal: digit string when all symbols fit one digit, else
-    comma separated; the unit is "0"."""
+    comma separated, with a trailing comma when there is one symbol
+    ("11," is the word (11,), "11" the word (1, 1)); the unit is "0"."""
     if not word:
         return "0"
     if max(word) <= 9:
         return "".join(str(s) for s in word)
-    return ",".join(str(s) for s in word)
+    return ",".join(str(s) for s in word) + ("," if len(word) == 1 else "")
 
 
 def parse_word(text: str) -> Word:
@@ -561,6 +562,8 @@ def parse_word(text: str) -> Word:
         return EMPTY_WORD
     if "," in text:
         parts = [p.strip() for p in text.split(",")]
+        if len(parts) == 2 and not parts[1]:
+            parts.pop()  # "11,": one symbol
     else:
         parts = list(text)
     try:

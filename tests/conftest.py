@@ -10,7 +10,10 @@ union-find over the edges.  The cyclotomic oracle is the earlier
 the order from the denominators at each zero test.  The enumeration
 oracle is the earlier grow-and-filter enumeration, which keeps each
 cyclically admissible word that equals its Booth rotation; the class
-counts per length come independently from the trace formula.
+counts per length come independently from the trace formula.  The
+carrier oracles are the earlier cycle, chain and shift constructors,
+which list every point word first (the trees from `words.tree`) and then
+find each point's edges and frontier status by membership in that list.
 """
 
 from __future__ import annotations
@@ -20,22 +23,33 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from ckrep.branching import (
+    BranchingError,
     BranchingSystem,
     ComponentSkeleton,
     InvalidSystemError,
+    Label,
+    TailSource,
     ValidationReport,
     Violation,
+    _chain_letters,
+    _periodic_extension,
 )
 from ckrep.phases import Phase, PhaseError
 from ckrep.reps import CKReport
 from ckrep.words import (
+    NotCyclicallyAdmissibleError,
     TransitionMatrix,
     Word,
     WordError,
+    admissible_words,
     canonical_rotation,
+    format_word,
+    is_cyclically_admissible,
     is_periodic,
+    tree,
     validate_matrix,
 )
 
@@ -349,6 +363,137 @@ def oracle_find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
                 continue
         out.append(ComponentSkeleton("unresolved", tuple(letters), tuple(points), basin))
     return tuple(out)
+
+
+def oracle_build_cycle_system(
+    a: TransitionMatrix, word: Word, depth: int, name: Callable[[Word], str] = format_word
+) -> BranchingSystem:
+    """The cycle carrier by listing: suffixes, side branches, then every
+    tree word per branch; each point's edges by membership.  `name` labels
+    a point by its word."""
+    if not word or not is_cyclically_admissible(a, word):
+        raise NotCyclicallyAdmissibleError(f"{format_word(word)} is not cyclically admissible")
+    if depth < 0:
+        raise BranchingError("depth must be >= 0")
+    k = len(word)
+    suffixes = [word[l:] for l in range(k)]
+    lambda2: list[Word] = []
+    for l in range(k):
+        prev = word[l - 1]
+        for j in a.predecessors(word[l]):
+            if j != prev:
+                lambda2.append((j,) + suffixes[l])
+    lambda3: list[Word] = []
+    for branch in lambda2:
+        for x in tree(a, branch[0], depth, "in").words:
+            lambda3.append(x + branch)
+    points: list[Word] = suffixes + lambda2 + lambda3
+    assert len(set(points)) == len(points)
+
+    labels = {w: name(w) for w in points}
+    point_set = set(points)
+    maps: dict[int, dict[Label, Label]] = {i: {} for i in range(1, a.n + 1)}
+    frontier: set[Label] = set()
+    for w in points:
+        for i in a.predecessors(w[0]):
+            target = suffixes[-1] if w == word and i == word[-1] else (i,) + w
+            if target in point_set:
+                maps[i][labels[w]] = labels[target]
+            else:
+                frontier.add(labels[w])
+    return BranchingSystem(
+        matrix=a,
+        carrier=tuple(labels[w] for w in points),
+        maps=maps,
+        frontier=frozenset(frontier),
+        origin="cycle",
+    )
+
+
+def oracle_build_chain_system(
+    a: TransitionMatrix,
+    source: TailSource,
+    chain_len: int,
+    depth: int,
+    name: Callable[[Word], str] = format_word,
+) -> BranchingSystem:
+    """The chain carrier by listing: spine, side branches "<word>@m", then
+    every tree word per branch; each point's edges by membership."""
+    if chain_len < 2:
+        raise BranchingError("chain_len must be >= 2")
+    if depth < 0:
+        raise BranchingError("depth must be >= 0")
+    letters = _chain_letters(a, source, chain_len)
+
+    def side_label(w: Word, m: int) -> str:
+        return f"{name(w)}@{m}"
+
+    carrier: list[Label] = list(range(1, chain_len + 1))
+    side_words: list[tuple[Word, int]] = []
+    for m in range(1, chain_len + 1):
+        for j in a.predecessors(letters[m - 1]):
+            if m == 1 or j != letters[m - 2]:
+                side_words.append(((j,), m))
+    for branch, m in list(side_words):
+        for x in tree(a, branch[0], depth, "in").words:
+            side_words.append((x + branch, m))
+    carrier.extend(side_label(w, m) for w, m in side_words)
+
+    side_set = set(side_words)
+    maps: dict[int, dict[Label, Label]] = {i: {} for i in range(1, a.n + 1)}
+    frontier: set[Label] = {chain_len}
+    for m in range(1, chain_len + 1):
+        for i in a.predecessors(letters[m - 1]):
+            if m >= 2 and i == letters[m - 2]:
+                maps[i][m] = m - 1
+            else:
+                maps[i][m] = side_label((i,), m)
+    for w, m in side_words:
+        for i in a.predecessors(w[0]):
+            if ((i,) + w, m) in side_set:
+                maps[i][side_label(w, m)] = side_label((i,) + w, m)
+            else:
+                frontier.add(side_label(w, m))
+    return BranchingSystem(
+        matrix=a,
+        carrier=tuple(carrier),
+        maps=maps,
+        frontier=frozenset(frontier),
+        origin="chain",
+        declared_tails={1: source},
+    )
+
+
+def oracle_shift_bfs(
+    a: TransitionMatrix, word_len: int, name: Callable[[Word], str] = format_word
+) -> BranchingSystem:
+    """The fixed-width shift stand-in, naming a point at each use."""
+    if word_len < 2:
+        raise BranchingError("word_len must be >= 2")
+    points = admissible_words(a, word_len)
+    point_set = set(points)
+    maps: dict[int, dict[Label, Label]] = {i: {} for i in range(1, a.n + 1)}
+    backward_defined: set[Word] = set()
+    for y in points:
+        rest = y[1:]
+        ext = _periodic_extension(rest)
+        if a.entry(y[-1], ext):
+            x = rest + (ext,)
+            assert x in point_set
+            maps[y[0]][name(x)] = name(y)
+            backward_defined.add(y)
+    frontier = {
+        name(w)
+        for w in points
+        if not (w in backward_defined and _periodic_extension(w[:-1]) == w[-1])
+    }
+    return BranchingSystem(
+        matrix=a,
+        carrier=tuple(name(w) for w in points),
+        maps=maps,
+        frontier=frozenset(frontier),
+        origin="shift",
+    )
 
 
 def _oracle_poly_divmod(

@@ -10,9 +10,13 @@ from conftest import (
     ALL_2X2,
     NAIVE1_ROWS,
     brute_cyclic_words,
+    random_matrices,
     corpus,
     full_matrix,
+    oracle_build_chain_system,
+    oracle_build_cycle_system,
     oracle_find_components,
+    oracle_shift_bfs,
     oracle_validate_bfs,
     oracle_verify_ck_relations,
 )
@@ -186,6 +190,52 @@ class TestAgainstOracles:
             "DomainFail",
             "CompletenessFail",
         }
+
+
+class TestAgainstListingOracles:
+    """The grown cycle and chain carriers and the shift stand-in equal the
+    earlier list-and-filter constructors: label for label when N <= 9,
+    and word for word when N >= 10, where the oracles name each point by
+    its symbols joined with "." (their comma labels are not injective:
+    (11,) and (1, 1) are both "11")."""
+
+    @staticmethod
+    def assert_same(f, g, head):
+        assert len(f.carrier) == len(g.carrier) and set(f.carrier) == set(g.carrier)
+        assert f.carrier[:head] == g.carrier[:head]  # cycle suffixes or chain spine first
+        assert f.maps == g.maps and f.frontier == g.frontier
+        assert f.declared_tails == g.declared_tails and f.origin == g.origin
+        assert dump_bfs(f) == dump_bfs(g)
+
+    def check_matrix(self, a, depths, word_lens, rng):
+        name = format_word if a.n <= 9 else (lambda w: ".".join(map(str, w)))
+        classes = sorted({canonical_rotation(w) for k in (1, 2, 3) for w in brute_cyclic_words(a, k)})
+        words = classes[:4] + [w[1:] + w[:1] for w in classes[-2:]]  # and two rotations
+        for depth in depths:
+            for w in words:
+                f = build_cycle_system(a, w, depth)
+                self.assert_same(f, oracle_build_cycle_system(a, w, depth, name), len(w))
+            pre = [rng.choice(a.predecessors(classes[-1][0]))]
+            pre.insert(0, rng.choice(a.predecessors(pre[0])))
+            walk = [rng.randint(1, a.n)]
+            for _ in range(4):
+                walk.append(rng.choice(a.successors(walk[-1])))
+            tails = [TailWord((), classes[0]), TailWord(tuple(pre), classes[-1])]
+            for source in tails + [lambda m, _walk=walk: _walk[m - 1]]:
+                f = build_chain_system(a, source, 5, depth)
+                self.assert_same(f, oracle_build_chain_system(a, source, 5, depth, name), 5)
+        for word_len in word_lens:
+            self.assert_same(shift_bfs(a, word_len), oracle_shift_bfs(a, word_len, name), 0)
+
+    def test_small_alphabets(self):
+        rng = random.Random(20261018)
+        for a in corpus() + random_matrices(4, 20, seed=11):
+            self.check_matrix(a, range(5), range(2, 7), rng)
+
+    def test_wide_alphabets(self):
+        rng = random.Random(20261019)
+        for a in [full_matrix(10), *random_matrices(11, 2, seed=3), *random_matrices(12, 2, seed=4)]:
+            self.check_matrix(a, range(3), (2, 3), rng)
 
 
 class TestCodingMap:

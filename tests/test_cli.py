@@ -22,6 +22,13 @@ def a3_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def full10_file(tmp_path):
+    path = tmp_path / "full10.txt"
+    path.write_text("1111111111\n" * 10)
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -313,9 +320,14 @@ class TestContract:
         import subprocess
         import sys
 
+        import ckrep
+
+        # the child imports the same package as this process
+        src = os.path.dirname(os.path.dirname(ckrep.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         outs = set()
         for seed in ("0", "424242"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
             for argv in (
                 ["decompose-standard", "--matrix", a3_file, "--json"],
                 ["decompose-shift", "--matrix", a3_file, "--max-period", "4"],
@@ -346,3 +358,51 @@ class TestContract:
     def test_infinite_multiplicity_render_string(self, capsys, a1_file):
         _, out = run(capsys, "decompose-standard", "--matrix", a1_file)
         assert out == "P(1) (+) P(2)^(inf)\n"
+
+
+class TestWideAlphabet:
+    """Matrices with ten or more symbols: dumps of every word-labelled
+    system load back, and word literals round-trip through the CLI."""
+
+    @pytest.mark.parametrize(
+        "argv, decomposed",
+        [
+            (["verify-relations", "--system", "cycle", "--word", "10,1", "--depth", "1"], "P(1,10)\n"),
+            (["verify-relations", "--system", "cycle", "--word", "10,", "--depth", "1"], "P(10,)\n"),
+            (["verify-relations", "--system", "chain", "--tail", "1|(2,10)", "--chain-len", "4",
+              "--depth", "1"], None),
+            (["verify-relations", "--system", "shift", "--word-len", "2"], None),
+            (["decompose-shift", "--max-period", "1"], None),
+        ],
+        ids=["cycle", "one-letter-cycle", "chain", "shift", "decompose-shift"],
+    )
+    def test_dumps_load_back(self, capsys, full10_file, tmp_path, argv, decomposed):
+        dump = tmp_path / "sys.txt"
+        code, _ = run(capsys, argv[0], "--matrix", full10_file, *argv[1:], "--dump-bfs", str(dump))
+        assert code == 0
+        code, out = run(capsys, "decompose-bfs", "--matrix", full10_file, "--bfs", str(dump))
+        assert code == 0
+        if decomposed is not None:
+            assert out == decomposed
+
+    def test_one_letter_class_survives_expand(self, capsys, monkeypatch, tmp_path):
+        import io
+
+        # the min-successor map runs every symbol into 11, a delta row
+        rows = [[0] * 11 for _ in range(11)]
+        rows[0][10] = rows[9][9] = rows[10][10] = 1
+        for i in range(1, 10):
+            rows[i][i - 1] = 1
+        path = tmp_path / "a11.txt"
+        path.write_text("".join("".join(map(str, row)) + "\n" for row in rows))
+        code, out = run(capsys, "decompose-standard", "--matrix", str(path), "--json")
+        assert code == 0 and json.loads(out)["components"][0]["word"] == "11,"
+        monkeypatch.setattr("sys.stdin", io.StringIO(out))
+        code, out = run(capsys, "expand")
+        assert code == 0 and out == "P(11,)^(inf)\n"
+
+    def test_gp_check_with_a_two_digit_symbol(self, capsys, full10_file):
+        code, out = run(
+            capsys, "gp-check", "--matrix", full10_file, "--word", "1,10", "--power", "3", "--depth", "1"
+        )
+        assert code == 0 and out.endswith("decomposition match: ok\n")

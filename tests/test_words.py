@@ -30,6 +30,7 @@ from ckrep.words import (
     NotAdmissibleError,
     SymbolOutOfRangeError,
     TailWord,
+    WordError,
     ZeroColumnError,
     ZeroRowError,
     canonical_rotation,
@@ -421,6 +422,17 @@ class TestLiterals:
         w = (1, 10, 2)
         assert format_word(w) == "1,10,2"
         assert parse_word("1,10,2") == w
+
+    def test_every_word_over_twelve_symbols_round_trips(self):
+        for length in (1, 2, 3):
+            for w in itertools.product(range(1, 13), repeat=length):
+                text = format_word(w)
+                assert parse_word(text) == w, (w, text)
+                if max(w) <= 9:
+                    assert text == "".join(map(str, w))
+        assert format_word((11,)) == "11," and parse_word("11") == (1, 1)
+        with pytest.raises(WordError):
+            parse_word(",")
 
     def test_tail_round_trip(self):
         for t in [TailWord((), (1, 2)), TailWord((1,), (2,))]:
