@@ -522,27 +522,6 @@ def build_chain_system(
     )
 
 
-@dataclass(frozen=True)
-class ACoordinate:
-    """Per-row data (B_i, M_i, q_i) of the standard system.
-
-    q_i ranks the members of B_i = {j : a_ij = 1}; it is the order
-    isomorphism onto {1..M_i}.
-    """
-
-    b_sets: tuple[tuple[int, ...], ...]
-
-    def m(self, i: int) -> int:
-        return len(self.b_sets[i - 1])
-
-    def q(self, i: int, j: int) -> int:
-        return self.b_sets[i - 1].index(j) + 1
-
-
-def a_coordinate(a: TransitionMatrix) -> ACoordinate:
-    return ACoordinate(tuple(a.successors(i) for i in range(1, a.n + 1)))
-
-
 def standard_bfs(a: TransitionMatrix, truncation: int) -> BranchingSystem:
     """The standard system on {1..B}: f_i(N(m-1)+j) = N(M_i(m-1)+q_i(j)-1)+i.
 

@@ -3,6 +3,10 @@
 Thin adapters only: every verb parses arguments, calls the library, and
 prints a deterministic text or JSON report.  Exit codes: 0 on success,
 1 on any validation problem (including usage), 2 on an internal error.
+
+Only `words` is imported up front; each verb imports `reps` or
+`branching` when it runs, and calls them through the module, so a verb
+that reads words alone never compiles the rest of the package.
 """
 
 from __future__ import annotations
@@ -10,11 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from . import branching, reps, words
-from .phases import PhaseError
-from .reps import INFINITY, Decomposition
+from . import words
+
+TYPE_CHECKING = False  # typing's flag, without importing typing
+if TYPE_CHECKING:
+    from . import branching, reps
 
 DEFAULT_TRUNCATION = 256
 DEFAULT_DEPTH = 4
@@ -31,16 +36,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n\n{self.format_help()}")
 
 
+def _read_text(path: str) -> str:
+    """The text of a file, or of stdin for "-"; every input the CLI reads
+    goes through here, and unreadable input is a usage error."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def _load_matrix(path: str) -> words.TransitionMatrix:
-    return words.TransitionMatrix.from_text(Path(path).read_text())
+    return words.TransitionMatrix.from_text(_read_text(path))
 
 
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def render_report(d: Decomposition, fmt: str = "text") -> str:
+def render_report(d: reps.Decomposition, fmt: str = "text") -> str:
     """Deterministic rendering of a decomposition; classes sort by literal."""
+    from . import reps
+
     if fmt == "json":
         return json.dumps(reps.decomposition_json(d), indent=2, sort_keys=True)
     parts = []
@@ -48,7 +67,7 @@ def render_report(d: Decomposition, fmt: str = "text") -> str:
         lit = reps.class_literal(c)
         if mult == 1:
             parts.append(lit)
-        elif mult == INFINITY:
+        elif mult == reps.INFINITY:
             parts.append(f"{lit}^(inf)")
         else:
             parts.append(f"{lit}^({mult})")
@@ -63,13 +82,22 @@ def render_report(d: Decomposition, fmt: str = "text") -> str:
     return "\n".join(lines)
 
 
-def _print_decomposition(d: Decomposition, as_json: bool) -> None:
+def _print_decomposition(d: reps.Decomposition, as_json: bool) -> None:
     print(render_report(d, "json" if as_json else "text"))
 
 
 def _maybe_dump(system: branching.BranchingSystem, path: str | None) -> None:
+    """Write the dump of `system` to `path`, if given; every file the CLI
+    writes goes through here, and an unwritable path is a usage error."""
+    from . import branching
+
     if path:
-        Path(path).write_text(branching.dump_bfs(system))
+        text = branching.dump_bfs(system)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _cmd_classify_word(args) -> int:
@@ -125,6 +153,8 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from . import reps
+
     a = _load_matrix(args.matrix) if args.matrix else None
     if len(args.cls) != 2:
         raise UsageError("equiv needs exactly two --class arguments")
@@ -139,6 +169,8 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_decompose_standard(args) -> int:
+    from . import branching, reps
+
     a = _load_matrix(args.matrix)
     d = reps.decompose_standard(a)
     system = branching.standard_bfs(a, args.truncate)
@@ -149,17 +181,23 @@ def _cmd_decompose_standard(args) -> int:
 
 
 def _cmd_decompose_shift(args) -> int:
+    from . import reps
+
     a = _load_matrix(args.matrix)
     d = reps.decompose_shift(a, args.max_period)
     if args.dump_bfs:
+        from . import branching
+
         _maybe_dump(branching.shift_bfs(a, max(2, args.max_period * 2)), args.dump_bfs)
     _print_decomposition(d, args.json)
     return 0
 
 
 def _cmd_decompose_bfs(args) -> int:
+    from . import branching, reps
+
     a = _load_matrix(args.matrix)
-    text = sys.stdin.read() if args.bfs == "-" else Path(args.bfs).read_text()
+    text = _read_text(args.bfs)
     system = branching.load_bfs(text, a)
     d = reps.decompose(system)
     _print_decomposition(d, args.json)
@@ -167,18 +205,20 @@ def _cmd_decompose_bfs(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    from . import reps
+
     a = _load_matrix(args.matrix) if args.matrix else None
-    d = Decomposition(matrix=a)
+    d = reps.Decomposition(matrix=a)
     if args.cls:
         for lit in args.cls:
             d.add(reps.parse_class_literal(lit, a))
     else:
-        payload = _read_report(sys.stdin.read())
+        payload = _read_report(_read_text("-"))
         if a is None and payload.get("matrix"):
             a = words.validate_matrix(payload["matrix"])
             d.matrix = a
         for comp in payload["components"]:
-            mult = INFINITY if comp["multiplicity"] == "inf" else comp["multiplicity"]
+            mult = reps.INFINITY if comp["multiplicity"] == "inf" else comp["multiplicity"]
             if comp["kind"] == "finite":
                 phase = reps.phase_from_json(comp.get("phase"))
                 d.add(reps.finite_class(words.parse_word(comp["word"]), phase, a), mult)
@@ -216,6 +256,8 @@ def _read_report(text: str) -> dict:
 
 
 def _build_system(args, a: words.TransitionMatrix) -> branching.BranchingSystem:
+    from . import branching
+
     kind = args.system
     if kind == "standard":
         return branching.standard_bfs(a, args.truncate)
@@ -235,6 +277,8 @@ def _build_system(args, a: words.TransitionMatrix) -> branching.BranchingSystem:
 
 
 def _cmd_verify_relations(args) -> int:
+    from . import reps
+
     a = _load_matrix(args.matrix)
     system = _build_system(args, a)
     _maybe_dump(system, args.dump_bfs)
@@ -265,6 +309,8 @@ def _cmd_verify_relations(args) -> int:
 
 
 def _cmd_state(args) -> int:
+    from . import reps
+
     a = _load_matrix(args.matrix)
     c = reps.parse_class_literal(args.cls, a)
     value = reps.state_value(a, c, words.parse_word(args.left), words.parse_word(args.right))
@@ -304,6 +350,8 @@ def _cmd_pspec(args) -> int:
 
 
 def _cmd_gp_check(args) -> int:
+    from . import reps
+
     a = _load_matrix(args.matrix)
     report = reps.gp_vector_check(a, words.parse_word(args.word), args.power, depth=args.depth)
     if args.json:
@@ -330,6 +378,8 @@ def _cmd_gp_check(args) -> int:
 
 
 def _cmd_twist(args) -> int:
+    from . import reps
+
     a = _load_matrix(args.matrix) if args.matrix else None
     c = reps.parse_class_literal(args.cls, a)
     gauge = tuple(reps.parse_phase(p) for p in args.gauge.split(","))
@@ -434,13 +484,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_USER_ERRORS = (
-    words.WordError,
-    branching.BranchingError,
-    reps.RepError,
-    PhaseError,
-    FileNotFoundError,
-)
+# The typed user errors, by module.  A module that was never imported
+# raised none of them, so the check on the error path imports nothing.
+_USER_ERRORS = {
+    "ckrep.words": "WordError",
+    "ckrep.branching": "BranchingError",
+    "ckrep.reps": "RepError",
+    "ckrep.phases": "PhaseError",
+}
+
+
+def _is_user_error(exc: Exception) -> bool:
+    return isinstance(exc, UsageError) or any(
+        isinstance(exc, getattr(sys.modules[module], name))
+        for module, name in _USER_ERRORS.items()
+        if module in sys.modules
+    )
 
 
 def main(argv=None) -> int:
@@ -448,16 +507,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         return 1
-    except Exception as exc:  # internal invariant violation
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except Exception as exc:
+        if _is_user_error(exc):
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)  # invariant violation
         return 2
 
 

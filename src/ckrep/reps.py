@@ -6,27 +6,16 @@ infinite word K (a chain), and the direct-integral class into which an
 eventually periodic chain splits.  This module realizes branching systems
 as sparse phase-weighted partial permutations, verifies the two defining
 relations of the algebra, classifies components, and produces cyclic and
-irreducible-level decomposition reports.
+irreducible-level decomposition reports.  The functions that build or
+scan a branching system import `branching` when they run, so the class
+calculus alone loads without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-from .branching import (
-    BranchingSystem,
-    ComponentSkeleton,
-    Label,
-    Violation,
-    _axiom_scan,
-    build_cycle_system,
-    direct_sum,
-    a_cycle_set,
-    find_components,
-    standard_bfs,
-    validate_bfs,
-)
 from .phases import ONE, Phase, RootSum, phases_equal
 from .words import (
     EMPTY_WORD,
@@ -45,6 +34,11 @@ from .words import (
     tail_canonical,
     tail_is_admissible,
 )
+
+if TYPE_CHECKING:
+    from .branching import BranchingSystem, ComponentSkeleton, Label, Violation
+
+    Vector = dict[Label, RootSum]
 
 INFINITY = float("inf")
 
@@ -306,9 +300,6 @@ def realize(
     return MatrixRealization(system=f, weights=weights)
 
 
-Vector = dict[Label, RootSum]
-
-
 def basis_vector(label: Label) -> Vector:
     return {label: RootSum.one()}
 
@@ -376,6 +367,8 @@ def verify_ck_relations(m: MatrixRealization) -> CKReport:
     """Both relations at every non-frontier basis point, from the same
     axiom scan as `validate_bfs`: the weights have unit modulus, so no
     weight enters either relation."""
+    from .branching import Violation, _axiom_scan
+
     f = m.system
     checked, edge_violations, suspects = _axiom_scan(f)
     violations = [v for v in edge_violations if v.kind == "InjectivityFail"]
@@ -434,6 +427,8 @@ def decompose(
     multiplicity; their observed counts corroborate that and the reported
     multiplicity is the structural "inf".
     """
+    from .branching import a_cycle_set, find_components, validate_bfs
+
     report = validate_bfs(f)
     if not report.ok:
         raise RepError(f"system fails validation: {report.violations[0]}")
@@ -553,6 +548,8 @@ def gp_vector_check(a: TransitionMatrix, word: Word, p: int, depth: int = 2) -> 
     partial-orbit vectors have Gram matrix p * identity, (iii) decomposing
     the sum reproduces the irreducible expansion of P(word^p).
     """
+    from .branching import build_cycle_system, direct_sum
+
     if p < 1:
         raise RepError("p must be >= 1")
     if is_periodic(word):
@@ -605,6 +602,8 @@ def decompose_standard(
     truncation bound the symbolic answer is checked against an actual
     truncated system.
     """
+    from .branching import a_cycle_set, standard_bfs
+
     cycles = a_cycle_set(a)
     out = Decomposition(matrix=a)
     for word in cycles.once:
@@ -651,10 +650,14 @@ def decompose_shift(a: TransitionMatrix, max_period: int) -> Decomposition:
 
 
 def standard_is_multiplicity_free(a: TransitionMatrix) -> bool:
+    from .branching import a_cycle_set
+
     return not a_cycle_set(a).infinite
 
 
 def standard_is_irreducible(a: TransitionMatrix) -> bool:
+    from .branching import a_cycle_set
+
     cycles = a_cycle_set(a)
     return not cycles.infinite and len(cycles.once) == 1
 

@@ -58,10 +58,6 @@ class EmptyWordError(WordError):
     pass
 
 
-class LengthMismatchError(WordError):
-    pass
-
-
 class NotAdmissibleError(WordError):
     pass
 
@@ -161,34 +157,11 @@ def is_cyclically_admissible(a: TransitionMatrix, word: Word) -> bool:
     return is_admissible(a, word) and bool(a.entry(word[-1], word[0]))
 
 
-def concat(left: Word, right: Word) -> Word:
-    return tuple(left) + tuple(right)
-
-
 def power(word: Word, p: int) -> Word:
     """p-fold self-concatenation; p = 0 yields the unit (empty word)."""
     if p < 0:
         raise WordError("power needs p >= 0")
     return tuple(word) * p
-
-
-def rotate(word: Word, r: int) -> Word:
-    """The r-step cyclic rotation (symbols move r places to the left)."""
-    if not word:
-        raise EmptyWordError("cannot rotate the empty word")
-    r %= len(word)
-    return word[r:] + word[:r]
-
-
-def precedes(first: Word, second: Word) -> bool:
-    """Base-N positional order on words of equal length.
-
-    With symbols in 1..N the positional value order coincides with tuple
-    order, so no alphabet size is needed.
-    """
-    if len(first) != len(second):
-        raise LengthMismatchError(f"lengths {len(first)} != {len(second)}")
-    return first <= second
 
 
 def _border_length(word: Word) -> int:
@@ -359,42 +332,6 @@ def enumerate_cyclic_classes(a: TransitionMatrix, max_len: int) -> list[tuple[Wo
                 elif j == c:
                     stack.append((w + (j,), p))
     return [entry for level in by_len for entry in level]
-
-
-@dataclass(frozen=True)
-class TreeNodeSet:
-    """Truncation of the tree of admissible words hanging off one symbol."""
-
-    root: int
-    depth: int
-    side: str  # "in": words that may precede root; "out": words root may precede
-    words: tuple[Word, ...]
-
-
-def tree(a: TransitionMatrix, j: int, depth: int, side: str) -> TreeNodeSet:
-    """Words of length 1..depth feeding into j (side="in", a_{last,j}=1)
-    or flowing out of j (side="out", a_{j,first}=1)."""
-    if not 1 <= j <= a.n:
-        raise SymbolOutOfRangeError(f"symbol {j} outside 1..{a.n}")
-    if side not in ("in", "out"):
-        raise WordError(f"side must be 'in' or 'out', got {side!r}")
-    levels: list[list[Word]] = []
-    if depth >= 1:
-        if side == "in":
-            current = [(i,) for i in a.predecessors(j)]
-        else:
-            current = [(i,) for i in a.successors(j)]
-        levels.append(current)
-        for _ in range(depth - 1):
-            if side == "in":
-                # grow to the left so the last letter keeps feeding j
-                current = [(i,) + w for w in current for i in a.predecessors(w[0])]
-            else:
-                current = [w + (i,) for w in current for i in a.successors(w[-1])]
-            current.sort()
-            levels.append(current)
-    members = tuple(w for level in levels for w in sorted(level))
-    return TreeNodeSet(root=j, depth=depth, side=side, words=members)
 
 
 def _strongly_connected_components(a: TransitionMatrix) -> list[list[int]]:

@@ -12,7 +12,7 @@ oracle is the earlier grow-and-filter enumeration, which keeps each
 cyclically admissible word that equals its Booth rotation; the class
 counts per length come independently from the trace formula.  The
 carrier oracles are the earlier cycle, chain and shift constructors,
-which list every point word first (the trees from `words.tree`) and then
+which list every point word first (the trees from `tree` below) and then
 find each point's edges and frontier status by membership in that list.
 """
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -40,7 +41,9 @@ from ckrep.branching import (
 from ckrep.phases import Phase, PhaseError
 from ckrep.reps import CKReport
 from ckrep.words import (
+    EmptyWordError,
     NotCyclicallyAdmissibleError,
+    SymbolOutOfRangeError,
     TransitionMatrix,
     Word,
     WordError,
@@ -49,7 +52,6 @@ from ckrep.words import (
     format_word,
     is_cyclically_admissible,
     is_periodic,
-    tree,
     validate_matrix,
 )
 
@@ -94,6 +96,14 @@ def full_matrix(n: int) -> TransitionMatrix:
 
 def all_words(n: int, length: int):
     return itertools.product(range(1, n + 1), repeat=length)
+
+
+def rotate(word: Word, r: int) -> Word:
+    """The r-step cyclic rotation (symbols move r places to the left)."""
+    if not word:
+        raise EmptyWordError("cannot rotate the empty word")
+    r %= len(word)
+    return word[r:] + word[:r]
 
 
 def brute_min_rotation(word: Word, n: int) -> Word:
@@ -363,6 +373,42 @@ def oracle_find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
                 continue
         out.append(ComponentSkeleton("unresolved", tuple(letters), tuple(points), basin))
     return tuple(out)
+
+
+@dataclass(frozen=True)
+class TreeNodeSet:
+    """Truncation of the tree of admissible words hanging off one symbol."""
+
+    root: int
+    depth: int
+    side: str  # "in": words that may precede root; "out": words root may precede
+    words: tuple[Word, ...]
+
+
+def tree(a: TransitionMatrix, j: int, depth: int, side: str) -> TreeNodeSet:
+    """Words of length 1..depth feeding into j (side="in", a_{last,j}=1)
+    or flowing out of j (side="out", a_{j,first}=1)."""
+    if not 1 <= j <= a.n:
+        raise SymbolOutOfRangeError(f"symbol {j} outside 1..{a.n}")
+    if side not in ("in", "out"):
+        raise WordError(f"side must be 'in' or 'out', got {side!r}")
+    levels: list[list[Word]] = []
+    if depth >= 1:
+        if side == "in":
+            current = [(i,) for i in a.predecessors(j)]
+        else:
+            current = [(i,) for i in a.successors(j)]
+        levels.append(current)
+        for _ in range(depth - 1):
+            if side == "in":
+                # grow to the left so the last letter keeps feeding j
+                current = [(i,) + w for w in current for i in a.predecessors(w[0])]
+            else:
+                current = [w + (i,) for w in current for i in a.successors(w[-1])]
+            current.sort()
+            levels.append(current)
+    members = tuple(w for level in levels for w in sorted(level))
+    return TreeNodeSet(root=j, depth=depth, side=side, words=members)
 
 
 def oracle_build_cycle_system(

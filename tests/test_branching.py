@@ -27,7 +27,6 @@ from ckrep.branching import (
     InvalidSystemError,
     MatrixMismatchError,
     UnresolvedPointError,
-    a_coordinate,
     a_cycle_set,
     build_chain_system,
     build_cycle_system,
@@ -335,23 +334,6 @@ class TestChainSystems:
             build_chain_system(A1, lambda m: 7, 4, 1)
         with pytest.raises(NotAdmissibleError):
             build_chain_system(A1, lambda m: 2 if m == 1 else 1, 4, 1)  # 2->1 forbidden
-
-
-class TestACoordinate:
-    def test_full(self):
-        coord = a_coordinate(FULL2)
-        assert coord.b_sets == ((1, 2), (1, 2))
-        assert coord.q(1, 1) == 1 and coord.q(1, 2) == 2
-
-    def test_a1(self):
-        coord = a_coordinate(A1)
-        assert coord.b_sets[0] == (1, 2) and coord.b_sets[1] == (2,)
-        assert coord.m(2) == 1 and coord.q(2, 2) == 1
-
-    def test_a3(self):
-        coord = a_coordinate(A3)
-        assert coord.b_sets[0] == (2, 3)
-        assert coord.q(1, 2) == 1 and coord.q(1, 3) == 2
 
 
 class TestStandardSystem:

@@ -232,6 +232,25 @@ class TestContract:
         assert code == 1 and err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pspec", "--matrix", "NOT_UTF8"],
+            ["pspec", "--matrix", "."],
+            ["decompose-bfs", "--matrix", "A3", "--bfs", "NOT_UTF8"],
+            ["decompose-bfs", "--matrix", "A3", "--bfs", "."],
+            ["decompose-standard", "--matrix", "A3", "--dump-bfs", "."],
+        ],
+        ids=["matrix-not-utf8", "matrix-dir", "bfs-not-utf8", "bfs-dir", "dump-to-dir"],
+    )
+    def test_unreadable_or_unwritable_file_exits_1(self, capsys, a3_file, tmp_path, argv):
+        not_utf8 = tmp_path / "latin1.txt"
+        not_utf8.write_bytes(b"\xff1\n11\n")
+        files = {"A3": a3_file, "NOT_UTF8": str(not_utf8)}
+        code = main([files.get(arg, arg) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: cannot ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "stdin, message",
         [
             ("not json", "not JSON"),
@@ -303,7 +322,7 @@ class TestContract:
         def boom(*_args, **_kwargs):
             raise RuntimeError("invariant broken")
 
-        monkeypatch.setattr("ckrep.cli.reps.decompose_standard", boom)
+        monkeypatch.setattr("ckrep.reps.decompose_standard", boom)
         code = main(["decompose-standard", "--matrix", a1_file])
         err = capsys.readouterr().err
         assert code == 2 and "internal error" in err

@@ -1,0 +1,142 @@
+"""The start-up budget and the export surface of the lazy package.
+
+`import ckrep` loads no submodule, and a `ck` verb loads only the modules
+it runs; each budget is checked in a fresh interpreter, because this
+process has long since imported everything.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import ckrep
+
+SUBMODULES = ("branching", "cli", "phases", "reps", "words")
+
+EXPORTED = """
+    ACycleSet BranchingError BranchingSystem CodingMap ComponentSkeleton Decomposition
+    FiniteClass GPReport INFINITY IntegralClass MatrixMismatchError MatrixRealization ONE
+    OpaqueTailClass PSpecSummary Phase PhaseError RepClass RepError RootSum TailClass TailWord
+    TransitionMatrix UnresolvedPointError ValidationReport Violation Word WordError a_cycle_set
+    build_chain_system build_cycle_system canonical_rotation class_literal classify_component
+    coding_map cross_check_standard decompose decompose_shift decompose_standard
+    decomposition_json direct_sum dump_bfs enumerate_cyclic_classes equivalent
+    expand_irreducible find_components finite_class format_tail format_word gp_vector_check
+    integral_class is_admissible is_cyclically_admissible is_irreducible is_periodic is_pure
+    load_bfs parse_class_literal parse_tail parse_word phases_equal phi_map power
+    primitive_root pspec_summary realize shift_bfs standard_bfs standard_is_irreducible
+    standard_is_multiplicity_free state_value tail_canonical tail_class truncated_from_rules
+    twist_by_gauge validate_bfs validate_matrix verify_ck_relations words_equivalent_finite
+    words_equivalent_infinite
+""".split()
+
+WORDS_ONLY = ["ckrep", "ckrep.cli", "ckrep.words"]
+
+
+def run_python(code: str, *args: str) -> str:
+    """Stdout of a fresh interpreter that imports this process's ckrep."""
+    src = os.path.dirname(os.path.dirname(ckrep.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+    )
+    return proc.stdout
+
+
+LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'ckrep')"
+
+VERB_PROBE = f"""
+import contextlib, io, json, sys
+import ckrep.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ckrep.cli.main(sys.argv[1:])
+print(json.dumps([code, {LOADED}]))
+"""
+
+
+@pytest.fixture
+def a3_file(tmp_path):
+    path = tmp_path / "a3.txt"
+    path.write_text("011\n101\n110\n")
+    return str(path)
+
+
+def loaded_by(argv: list[str]) -> list[str]:
+    code, modules = json.loads(run_python(VERB_PROBE, *argv))
+    assert code == 0, argv
+    return modules
+
+
+class TestStartUpBudget:
+    def test_import_ckrep_loads_no_submodule(self):
+        out = run_python(f"import json, sys, ckrep; print(json.dumps({LOADED}))")
+        assert json.loads(out) == ["ckrep"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["canon", "--word", "211"],
+            ["classify-word", "--matrix", "A3", "--word", "121"],
+            ["pspec", "--matrix", "A3"],
+        ],
+        ids=["canon", "classify-word", "pspec"],
+    )
+    def test_word_verbs_load_words_alone(self, a3_file, argv):
+        assert loaded_by([a3_file if arg == "A3" else arg for arg in argv]) == WORDS_ONLY
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose-shift", "--matrix", "A3", "--max-period", "4"],
+            ["expand", "--class", "P(1212)"],
+            ["twist", "--class", "P(12)", "--gauge", "1/4,1/4"],
+            ["equiv", "--class", "P(12;1)", "--class", "P(21;1)"],
+            ["state", "--matrix", "A3", "--class", "P(12)", "--left", "1", "--right", "1"],
+        ],
+        ids=["decompose-shift", "expand", "twist", "equiv", "state"],
+    )
+    def test_class_verbs_skip_branching(self, a3_file, argv):
+        modules = loaded_by([a3_file if arg == "A3" else arg for arg in argv])
+        assert "ckrep.reps" in modules and "ckrep.branching" not in modules
+
+
+class TestExportSurface:
+    def test_exports_are_the_listed_names(self):
+        assert ckrep.__all__ == sorted(EXPORTED)
+
+    def test_from_import_and_dir(self):
+        modules = [vars(importlib.import_module(f"ckrep.{m}")) for m in SUBMODULES]
+        listed = dir(ckrep)
+        for name in EXPORTED:
+            namespace: dict = {}
+            exec(f"from ckrep import {name}", namespace)
+            assert any(ns.get(name) is namespace[name] for ns in modules), name
+            assert name in listed, name
+
+    def test_submodules_load_on_attribute_access(self):
+        # the traced benchmark reaches the layers as attributes of the package
+        out = run_python(
+            "import sys, ckrep\n"
+            f"mods = [getattr(ckrep, m) for m in {SUBMODULES!r}]\n"
+            "print(all(mod is sys.modules[f'ckrep.{m}'] for mod, m in zip(mods, "
+            f"{SUBMODULES!r})))"
+        )
+        assert out.strip() == "True"
+        assert set(SUBMODULES) <= set(dir(ckrep))
+
+    @pytest.mark.parametrize(
+        "name", ["ACoordinate", "a_coordinate", "TreeNodeSet", "tree", "concat", "rotate", "precedes", "nope"]
+    )
+    def test_unknown_name_raises_attribute_error(self, name):
+        with pytest.raises(AttributeError, match=name):
+            getattr(ckrep, name)
+        with pytest.raises(ImportError):
+            exec(f"from ckrep import {name}", {})

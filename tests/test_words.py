@@ -19,12 +19,13 @@ from conftest import (
     full_matrix,
     oracle_enumerate_cyclic_classes,
     random_matrices,
+    rotate,
     trace_formula_counts,
+    tree,
 )
 from ckrep import words
 from ckrep.words import (
     EmptyWordError,
-    LengthMismatchError,
     MatrixTooSmallError,
     NonBinaryEntryError,
     NotAdmissibleError,
@@ -34,7 +35,6 @@ from ckrep.words import (
     ZeroColumnError,
     ZeroRowError,
     canonical_rotation,
-    concat,
     enumerate_cyclic_classes,
     format_tail,
     format_word,
@@ -44,12 +44,9 @@ from ckrep.words import (
     parse_tail,
     parse_word,
     power,
-    precedes,
     primitive_root,
     pspec_summary,
-    rotate,
     tail_canonical,
-    tree,
     validate_matrix,
     words_equivalent_finite,
     words_equivalent_infinite,
@@ -121,7 +118,7 @@ class TestAdmissibility:
            st.lists(st.integers(1, 2), min_size=1, max_size=6).map(tuple))
     def test_concat_admissibility_law(self, left, right):
         for a in (A1, A2):
-            joint = is_admissible(a, concat(left, right))
+            joint = is_admissible(a, left + right)
             split = (
                 is_admissible(a, left)
                 and is_admissible(a, right)
@@ -131,11 +128,9 @@ class TestAdmissibility:
 
 
 class TestWordOps:
-    def test_concat_power_unit(self):
-        assert concat((1, 3), (2,)) == (1, 3, 2)
+    def test_power_unit(self):
         assert power((1, 2), 2) == (1, 2, 1, 2)
         assert power((1,), 0) == ()
-        assert concat((), (1,)) == (1,)
 
     def test_rotate(self):
         assert rotate((1, 2, 3), 1) == (2, 3, 1)
@@ -143,27 +138,6 @@ class TestWordOps:
         assert rotate(rotate((1, 2), 1), 1) == (1, 2)
         with pytest.raises(EmptyWordError):
             rotate((), 1)
-
-    def test_precedes_examples(self):
-        assert precedes((1, 1, 2), (2, 1, 1))
-        assert precedes((1, 2), (1, 2))
-        assert not precedes((2, 1), (1, 2))
-        with pytest.raises(LengthMismatchError):
-            precedes((1,), (1, 2))
-
-    def test_precedes_total_order_exhaustive(self):
-        # antisymmetric up to equality, transitive, total: length <= 4, N <= 3
-        for k in range(1, 5):
-            slice_ = list(itertools.product(range(1, 4), repeat=k))
-            for u, v in itertools.product(slice_, repeat=2):
-                assert precedes(u, v) or precedes(v, u)
-                if precedes(u, v) and precedes(v, u):
-                    assert u == v
-            for u, v, w in random.Random(1).sample(
-                list(itertools.product(slice_, repeat=3)), min(500, len(slice_) ** 3)
-            ):
-                if precedes(u, v) and precedes(v, w):
-                    assert precedes(u, w)
 
 
 class TestPeriodicity:
@@ -313,6 +287,8 @@ class TestEnumeration:
 
 
 class TestTrees:
+    """The tree oracle in conftest, which the carrier oracles list points by."""
+
     def test_in_side_a3(self):
         assert tree(A3, 1, 1, "in").words == ((2,), (3,))
 
