@@ -17,10 +17,10 @@ non-frontier part; nothing is ever guessed past the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Callable, Container, Iterable, Sequence
 from functools import cached_property
 from itertools import filterfalse, repeat
-from typing import Callable, Container, Iterable, Sequence, Union
 
 from .words import (
     NotAdmissibleError,
@@ -35,12 +35,12 @@ from .words import (
     _border_length,
 )
 
-Label = Union[int, str]
+Label = int | str
 
 #: A source of chain letters: an eventually periodic tail, or an arbitrary
 #: generator mapping 1-based positions to symbols (declared non-eventually
 #: periodic; its equivalence class is opaque beyond object identity).
-TailSource = Union[TailWord, Callable[[int], int]]
+TailSource = TailWord | Callable[[int], int]
 
 
 class BranchingError(ValueError):
@@ -63,21 +63,29 @@ class DumpFormatError(BranchingError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
 class BranchingSystem:
     """A finite truncation of a branching function system.
 
     `maps[i]` is the recorded part of the partial injection f_i (domain
     point -> image point); `frontier` marks points with incomplete data.
-    Immutable after construction; analyses are pure.
+    Not changed after construction; analyses are pure.
     """
 
-    matrix: TransitionMatrix
-    carrier: tuple[Label, ...]
-    maps: dict[int, dict[Label, Label]]
-    frontier: frozenset[Label]
-    origin: str = "custom"
-    declared_tails: dict[Label, TailSource] = field(default_factory=dict)
+    def __init__(
+        self,
+        matrix: TransitionMatrix,
+        carrier: tuple[Label, ...],
+        maps: dict[int, dict[Label, Label]],
+        frontier: frozenset[Label],
+        origin: str = "custom",
+        declared_tails: dict[Label, TailSource] | None = None,
+    ):
+        self.matrix = matrix
+        self.carrier = carrier
+        self.maps = maps
+        self.frontier = frontier
+        self.origin = origin
+        self.declared_tails = {} if declared_tails is None else declared_tails
 
     @cached_property
     def position(self) -> dict[Label, int]:
@@ -109,18 +117,11 @@ class BranchingSystem:
         return out
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    symbols: tuple[int, ...]
-    points: tuple[Label, ...]
-    detail: str = ""
+Violation = namedtuple("Violation", "kind symbols points detail", defaults=("",))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checked_points: int
-    violations: tuple[Violation, ...]
+class ValidationReport(namedtuple("ValidationReport", "checked_points violations")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -214,14 +215,13 @@ def validate_bfs(f: BranchingSystem) -> ValidationReport:
     return ValidationReport(checked_points=checked, violations=tuple(violations))
 
 
-@dataclass(frozen=True)
-class CodingMap:
+class CodingMap(namedtuple("CodingMap", "entries")):
     """The left inverse F of the system: F(f_i(x)) = x.
 
-    Defined on non-frontier points; each entry is (symbol, preimage).
+    Defined on non-frontier points; `entries` maps each to (symbol, preimage).
     """
 
-    entries: dict[Label, tuple[int, Label]]
+    __slots__ = ()
 
     def __call__(self, point: Label) -> tuple[int, Label]:
         if point not in self.entries:
@@ -234,9 +234,11 @@ def coding_map(f: BranchingSystem) -> CodingMap:
     return CodingMap({y: owner[y] for y in f.carrier if y not in f.frontier and y in owner})
 
 
-@dataclass(frozen=True)
-class ComponentSkeleton:
-    """One orbit of the system inside the truncation.
+class ComponentSkeleton(
+    namedtuple("ComponentSkeleton", "kind word points basin declared", defaults=(None,))
+):
+    """One orbit of the system inside the truncation: `kind`, `word`,
+    `points`, `basin` (its points in carrier order) and `declared`.
 
     kind "cycle": `word` is the cycle word read from `points[0]` and
     f_{word[l]}(points[l+1]) = points[l] around the cycle.
@@ -246,11 +248,7 @@ class ComponentSkeleton:
     declared tail; `word` is the observed coding prefix.
     """
 
-    kind: str
-    word: Word
-    points: tuple[Label, ...]
-    basin: tuple[Label, ...]
-    declared: TailSource | None = None
+    __slots__ = ()
 
 
 def find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
@@ -557,8 +555,7 @@ def phi_map(a: TransitionMatrix) -> dict[int, int]:
     return {i: min(a.successors(i)) for i in range(1, a.n + 1)}
 
 
-@dataclass(frozen=True)
-class ACycleSet:
+class ACycleSet(namedtuple("ACycleSet", "cycles once infinite")):
     """Cycle words of the min-successor map, split by multiplicity.
 
     `once` lists the cycles appearing once in the standard system;
@@ -566,9 +563,7 @@ class ACycleSet:
     infinite multiplicity.
     """
 
-    cycles: tuple[Word, ...]
-    once: tuple[Word, ...]
-    infinite: tuple[Word, ...]
+    __slots__ = ()
 
 
 def a_cycle_set(a: TransitionMatrix) -> ACycleSet:

@@ -6,13 +6,13 @@ prints a deterministic text or JSON report.  Exit codes: 0 on success,
 
 Only `words` is imported up front; each verb imports `reps` or
 `branching` when it runs, and calls them through the module, so a verb
-that reads words alone never compiles the rest of the package.
+that reads words alone never compiles the rest of the package.  `json`
+is imported only by the paths that write or read JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import words
@@ -53,6 +53,8 @@ def _load_matrix(path: str) -> words.TransitionMatrix:
 
 
 def _emit_json(obj) -> None:
+    import json
+
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
@@ -61,6 +63,8 @@ def render_report(d: reps.Decomposition, fmt: str = "text") -> str:
     from . import reps
 
     if fmt == "json":
+        import json
+
         return json.dumps(reps.decomposition_json(d), indent=2, sort_keys=True)
     parts = []
     for c, mult in d.sorted_entries():
@@ -234,6 +238,8 @@ def _cmd_expand(args) -> int:
 
 def _read_report(text: str) -> dict:
     """A JSON decomposition report, checked as far as `expand` reads it."""
+    import json
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -17,10 +17,12 @@ exact phases is decided exactly.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+
+from .words import _Key
 
 APPROX_TOL = 1e-12
 
@@ -29,24 +31,23 @@ class PhaseError(ValueError):
     """A value does not describe a usable unit phase."""
 
 
-@dataclass(frozen=True)
-class Phase:
+class Phase(_Key, namedtuple("Phase", "turns approx")):
     """A unit complex number, exact (rational turns) or approximate.
 
     Exactly one of ``turns`` / ``approx`` is set.  ``turns`` is reduced to
     ``[0, 1)`` so structural equality of exact phases is semantic equality.
     """
 
-    turns: Fraction | None = None
-    approx: complex | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.turns is None) == (self.approx is None):
+    def __new__(cls, turns: Fraction | None = None, approx: complex | None = None):
+        if (turns is None) == (approx is None):
             raise PhaseError("phase needs exactly one of turns/approx")
-        if self.turns is not None and not 0 <= self.turns < 1:
-            object.__setattr__(self, "turns", self.turns % 1)
-        if self.approx is not None and not abs(abs(self.approx) - 1.0) <= APPROX_TOL:  # NaN too
-            raise PhaseError(f"|z| = {abs(self.approx)} is not 1 within {APPROX_TOL}")
+        if turns is not None and not 0 <= turns < 1:
+            turns = turns % 1
+        if approx is not None and not abs(abs(approx) - 1.0) <= APPROX_TOL:  # NaN too
+            raise PhaseError(f"|z| = {abs(approx)} is not 1 within {APPROX_TOL}")
+        return super().__new__(cls, turns, approx)
 
     @staticmethod
     def exact(num: int, den: int = 1) -> Phase:

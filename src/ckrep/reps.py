@@ -13,12 +13,12 @@ calculus alone loads without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Union
+from collections import namedtuple
 
 from .phases import ONE, Phase, RootSum, phases_equal
 from .words import (
     EMPTY_WORD,
+    _Key,
     TailWord,
     TransitionMatrix,
     Word,
@@ -35,6 +35,7 @@ from .words import (
     tail_is_admissible,
 )
 
+TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:
     from .branching import BranchingSystem, ComponentSkeleton, Label, Violation
 
@@ -42,7 +43,7 @@ if TYPE_CHECKING:
 
 INFINITY = float("inf")
 
-Multiplicity = Union[int, float]  # positive int, or INFINITY
+Multiplicity = int | float  # positive int, or INFINITY
 
 
 class RepError(ValueError):
@@ -69,30 +70,25 @@ class UndecidableEquivalenceError(RepError):
     pass
 
 
-@dataclass(frozen=True)
-class FiniteClass:
+class FiniteClass(_Key, namedtuple("FiniteClass", "word phase", defaults=(ONE,))):
     """P(word; phase): word canonical (minimal rotation), phase = the
     product of edge phases around the cycle."""
 
-    word: Word
-    phase: Phase = ONE
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TailClass:
+class TailClass(_Key, namedtuple("TailClass", "tail")):
     """P(tail) for an eventually periodic tail in canonical form."""
 
-    tail: TailWord
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IntegralClass:
+class IntegralClass(_Key, namedtuple("IntegralClass", "word")):
     """The direct integral of P(word; c) over the unit circle."""
 
-    word: Word
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class OpaqueTailClass:
     """P(K) for a declared non-eventually-periodic generator.
 
@@ -100,8 +96,9 @@ class OpaqueTailClass:
     finite shifts of the same generator stay in one class.
     """
 
-    prefix: Word
-    source: object
+    def __init__(self, prefix: Word, source: object):
+        self.prefix = prefix
+        self.source = source
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, OpaqueTailClass) and self.source is other.source
@@ -110,7 +107,7 @@ class OpaqueTailClass:
         return hash(id(self.source))
 
 
-RepClass = Union[FiniteClass, TailClass, IntegralClass, OpaqueTailClass]
+RepClass = FiniteClass | TailClass | IntegralClass | OpaqueTailClass
 
 
 def finite_class(word: Word, phase: Phase = ONE, matrix: TransitionMatrix | None = None) -> FiniteClass:
@@ -249,19 +246,21 @@ def twist_by_gauge(c: RepClass, gauge: tuple[Phase, ...]) -> RepClass:
     return c
 
 
-@dataclass(eq=False)
 class Decomposition:
     """A multiset of cyclic classes with multiplicities in {1,2,...,inf}.
 
     Keys are canonical, so equivalent components merge; components the
-    truncation could not resolve are listed, never merged.
+    truncation could not resolve are listed, never merged.  `level` is
+    "cyclic" or "irreducible"; `tail_marker` (shift reports) records
+    whether non-eventually-periodic classes exist.
     """
 
-    entries: dict[RepClass, Multiplicity] = field(default_factory=dict)
-    unresolved: tuple[ComponentSkeleton, ...] = ()
-    level: str = "cyclic"
-    matrix: TransitionMatrix | None = None
-    tail_marker: bool | None = None  # shift reports: non-e.p. classes exist
+    def __init__(self, entries=None, unresolved=(), level="cyclic", matrix=None, tail_marker=None):
+        self.entries = {} if entries is None else entries
+        self.unresolved = unresolved
+        self.level = level
+        self.matrix = matrix
+        self.tail_marker = tail_marker
 
     def add(self, c: RepClass, mult: Multiplicity = 1) -> None:
         self.entries[c] = self.entries.get(c, 0) + mult
@@ -270,7 +269,6 @@ class Decomposition:
         return sorted(self.entries.items(), key=lambda kv: class_literal(kv[0]))
 
 
-@dataclass(frozen=True, eq=False)
 class MatrixRealization:
     """pi_f as a sparse phase-weighted partial permutation per symbol.
 
@@ -279,8 +277,9 @@ class MatrixRealization:
     twisted edges only; every other recorded edge has weight 1.
     """
 
-    system: BranchingSystem
-    weights: dict[int, dict[Label, Phase]]
+    def __init__(self, system: BranchingSystem, weights: dict[int, dict[Label, Phase]]):
+        self.system = system
+        self.weights = weights
 
     @property
     def matrix(self) -> TransitionMatrix:
@@ -344,8 +343,9 @@ def vectors_equal(v: Vector, w: Vector) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CKReport:
+class CKReport(
+    namedtuple("CKReport", "checked_points domain_checks completeness_checks violations")
+):
     """Exact verification of the two defining relations on the basis.
 
     With unit phases both relations reduce to the partial-permutation
@@ -353,10 +353,7 @@ class CKReport:
     must match the projection sum over the row of A, and the range
     projections must resolve the identity."""
 
-    checked_points: int
-    domain_checks: int
-    completeness_checks: int
-    violations: tuple[Violation, ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -523,16 +520,15 @@ def is_pure(c: RepClass) -> bool:
     return is_irreducible(c)
 
 
-@dataclass(frozen=True)
-class GPReport:
+class GPReport(
+    namedtuple(
+        "GPReport",
+        "word p fixed_point_ok orthonormal_ok family_size decomposition_matches",
+    )
+):
     """Outcome of the cyclic-vector check for a split power class."""
 
-    word: Word
-    p: int
-    fixed_point_ok: bool
-    orthonormal_ok: bool
-    family_size: int
-    decomposition_matches: bool
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -12,8 +12,8 @@ index.  Everything here is a pure function of immutable values.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -66,11 +66,25 @@ class NotCyclicallyAdmissibleError(WordError):
     pass
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class _Key(tuple):
+    """Base of the immutable records used as dict keys: a record equals
+    only a record of its own type, never another kind or a bare tuple."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class TransitionMatrix(_Key, namedtuple("TransitionMatrix", "rows")):
     """An N x N matrix over {0,1} with no zero row and no zero column."""
 
-    rows: tuple[tuple[int, ...], ...]
+    # no __slots__: the successor tables are cached in the instance dict
 
     @property
     def n(self) -> int:
@@ -230,24 +244,20 @@ def words_equivalent_finite(first: Word, second: Word) -> bool:
     return len(first) == len(second) and canonical_rotation(first) == canonical_rotation(second)
 
 
-@dataclass(frozen=True)
-class TailWord:
+class TailWord(_Key, namedtuple("TailWord", "preperiod period")):
     """An eventually periodic infinite word: preperiod followed by period^oo.
 
     The period is reduced to its primitive root on construction, so the
     stored period is never a proper power.
     """
 
-    preperiod: Word
-    period: Word
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "preperiod", tuple(self.preperiod))
-        object.__setattr__(self, "period", tuple(self.period))
-        if not self.period:
+    def __new__(cls, preperiod: Word, period: Word):
+        period = tuple(period)
+        if not period:
             raise EmptyWordError("a tail word needs a nonempty period")
-        root, _ = primitive_root(self.period)
-        object.__setattr__(self, "period", root)
+        return super().__new__(cls, tuple(preperiod), primitive_root(period)[0])
 
     def letter(self, m: int) -> int:
         """The m-th letter, 1-based."""
@@ -417,22 +427,44 @@ def _cycle_words(a: TransitionMatrix) -> tuple[Word, ...] | None:
     return tuple(sorted(cycle_words, key=lambda w: (len(w), w)))
 
 
-@dataclass(frozen=True)
-class PSpecSummary:
+class PSpecSummary(
+    namedtuple(
+        "PSpecSummary",
+        "finite class_count tails_empty counts_by_length cycle_words cross_check_ok",
+    )
+):
     """Finite/infinite verdict and bounded enumeration of primitive classes.
 
     `finite` is decided structurally: every nontrivial strongly connected
     component of the digraph of A is a bare cycle iff there are finitely
     many primitive cyclic classes and no non-eventually-periodic tails.
-    `cross_check_ok` records agreement with the enumeration up to max_len.
+    `cross_check_ok` records agreement of the enumeration up to max_len
+    with the cycle words (finite) or with the trace formula (infinite).
     """
 
-    finite: bool
-    class_count: int | None
-    tails_empty: bool
-    counts_by_length: tuple[int, ...]
-    cycle_words: tuple[Word, ...]
-    cross_check_ok: bool
+    __slots__ = ()
+
+
+def _trace_formula_counts(a: TransitionMatrix, max_len: int) -> list[int]:
+    """q_1..q_max_len from tr(A^k) = sum over d | k of d * q_d, the trace
+    formula inverted divisor by divisor; the powers of A are kept as
+    sparse rows of exact walk counts."""
+    succ = a._successor_table
+    walks = [{v: 1} for v in range(1, a.n + 1)]  # row v of A^k: end -> count
+    q = [0]
+    for _ in range(max_len):
+        for v, row in enumerate(walks):
+            step: dict[int, int] = {}
+            for u, c in row.items():
+                for w in succ[u - 1]:
+                    step[w] = step.get(w, 0) + c
+            walks[v] = step
+        q.append(sum(row.get(v, 0) for v, row in enumerate(walks, 1)))
+    for d in range(1, max_len + 1):
+        q[d] //= d
+        for k in range(2 * d, max_len + 1, d):
+            q[k] -= d * q[d]
+    return q[1:]
 
 
 def pspec_summary(a: TransitionMatrix, max_len: int) -> PSpecSummary:
@@ -454,12 +486,11 @@ def pspec_summary(a: TransitionMatrix, max_len: int) -> PSpecSummary:
     forbids, so x^i y is primitive.  Its lengths l2 + i*l1 start at most
     2N and rise in steps of l1 <= N, so one lies in (N, 2N].
     """
+    enumerated = enumerate_cyclic_classes(a, max_len)
     counts = [0] * max_len
-    primitive: set[Word] = set()
-    for w, periodic in enumerate_cyclic_classes(a, max_len):
+    for w, periodic in enumerated:
         if not periodic:
             counts[len(w) - 1] += 1
-            primitive.add(w)
 
     cycle_words = _cycle_words(a)
     if cycle_words is not None:
@@ -469,7 +500,8 @@ def pspec_summary(a: TransitionMatrix, max_len: int) -> PSpecSummary:
             tails_empty=True,
             counts_by_length=tuple(counts),
             cycle_words=cycle_words,
-            cross_check_ok=primitive == {w for w in cycle_words if len(w) <= max_len},
+            cross_check_ok={w for w, periodic in enumerated if not periodic}
+            == {w for w in cycle_words if len(w) <= max_len},
         )
     return PSpecSummary(
         finite=False,
@@ -477,7 +509,7 @@ def pspec_summary(a: TransitionMatrix, max_len: int) -> PSpecSummary:
         tails_empty=False,
         counts_by_length=tuple(counts),
         cycle_words=(),
-        cross_check_ok=True,
+        cross_check_ok=counts == _trace_formula_counts(a, max_len),
     )
 
 

@@ -163,6 +163,26 @@ class TestVerbs:
         assert code == 0
         assert payload["finite"] and payload["class_count"] == 2 and payload["tails_empty"]
 
+    def test_pspec_reports_a_failed_cross_check_on_an_infinite_spectrum(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from ckrep import words
+
+        enumerate_all = words.enumerate_cyclic_classes
+
+        def drop_one_class(a, max_len):
+            found = enumerate_all(a, max_len)
+            return [entry for entry in found if entry[0] != (1, 1, 2)]
+
+        path = tmp_path / "full2.txt"
+        path.write_text("11\n11\n")
+        code, out = run(capsys, "pspec", "--matrix", str(path))
+        assert code == 0 and out.endswith("enumeration cross-check: ok\n")
+        monkeypatch.setattr(words, "enumerate_cyclic_classes", drop_one_class)
+        code, out = run(capsys, "pspec", "--matrix", str(path))
+        assert "verdict: infinite\n" in out and "3:1 " in out
+        assert out.endswith("enumeration cross-check: FAILED\n")
+
     def test_gp_check(self, capsys, a3_file):
         code, out = run(capsys, "gp-check", "--matrix", a3_file, "--word", "12", "--power", "2")
         assert code == 0 and "fixed point: ok" in out

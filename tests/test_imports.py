@@ -1,8 +1,9 @@
 """The start-up budget and the export surface of the lazy package.
 
-`import ckrep` loads no submodule, and a `ck` verb loads only the modules
-it runs; each budget is checked in a fresh interpreter, because this
-process has long since imported everything.
+`import ckrep` loads no submodule, a `ck` verb loads only the modules it
+runs, no verb loads `dataclasses`, and only JSON paths load `json`; each
+budget is checked in a fresh interpreter, because this process has long
+since imported everything.
 """
 
 import importlib
@@ -53,12 +54,15 @@ def run_python(code: str, *args: str) -> str:
 
 LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'ckrep')"
 
-VERB_PROBE = f"""
-import contextlib, io, json, sys
+# The modules are recorded before the probe imports json itself.
+VERB_PROBE = """
+import contextlib, io, sys
 import ckrep.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = ckrep.cli.main(sys.argv[1:])
-print(json.dumps([code, {LOADED}]))
+loaded = sorted(sys.modules)
+import json
+print(json.dumps([code, loaded]))
 """
 
 
@@ -69,10 +73,17 @@ def a3_file(tmp_path):
     return str(path)
 
 
-def loaded_by(argv: list[str]) -> list[str]:
+def all_loaded_by(argv: list[str]) -> list[str]:
+    """Every module in sys.modules after `main(argv)` returns."""
     code, modules = json.loads(run_python(VERB_PROBE, *argv))
     assert code == 0, argv
+    assert "dataclasses" not in modules, argv
     return modules
+
+
+def loaded_by(argv: list[str]) -> list[str]:
+    """The package modules loaded by `main(argv)`."""
+    return [m for m in all_loaded_by(argv) if m.split(".")[0] == "ckrep"]
 
 
 class TestStartUpBudget:
@@ -106,6 +117,45 @@ class TestStartUpBudget:
     def test_class_verbs_skip_branching(self, a3_file, argv):
         modules = loaded_by([a3_file if arg == "A3" else arg for arg in argv])
         assert "ckrep.reps" in modules and "ckrep.branching" not in modules
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose-standard", "--matrix", "A3"],
+            ["decompose-shift", "--matrix", "A3", "--dump-bfs", "DUMP"],
+            ["verify-relations", "--matrix", "A3", "--system", "cycle", "--word", "12"],
+            ["gp-check", "--matrix", "A3", "--word", "12", "--power", "2"],
+        ],
+        ids=["decompose-standard", "decompose-shift-dump", "verify-relations", "gp-check"],
+    )
+    def test_system_verbs_load_branching(self, a3_file, tmp_path, argv):
+        dump = str(tmp_path / "dump.bfs")
+        modules = loaded_by([{"A3": a3_file, "DUMP": dump}.get(arg, arg) for arg in argv])
+        assert modules == ["ckrep", *(f"ckrep.{m}" for m in SUBMODULES)]
+
+    def test_decompose_bfs_loads_branching(self, a3_file, tmp_path):
+        from ckrep import branching, words
+
+        a3 = words.TransitionMatrix.from_text("011\n101\n110\n")
+        dump = tmp_path / "dump.bfs"
+        dump.write_text(branching.dump_bfs(branching.build_cycle_system(a3, (1, 2), 2)))
+        modules = loaded_by(["decompose-bfs", "--matrix", a3_file, "--bfs", str(dump)])
+        assert "ckrep.branching" in modules
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["canon", "--word", "211"],
+            ["pspec", "--matrix", "A3"],
+            ["decompose-standard", "--matrix", "A3"],
+            ["gp-check", "--matrix", "A3", "--word", "12", "--power", "2"],
+        ],
+        ids=["canon", "pspec", "decompose-standard", "gp-check"],
+    )
+    def test_text_output_does_not_load_json(self, a3_file, argv):
+        argv = [a3_file if arg == "A3" else arg for arg in argv]
+        assert "json" not in all_loaded_by(argv)
+        assert "json" in all_loaded_by([*argv, "--json"])
 
 
 class TestExportSurface:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from conftest import (
 )
 from ckrep.branching import (
     BranchingSystem,
+    Violation,
     build_chain_system,
     build_cycle_system,
     direct_sum,
@@ -60,6 +62,7 @@ from ckrep.reps import (
     verify_ck_relations,
 )
 from ckrep.words import (
+    EmptyWordError,
     TailWord,
     canonical_rotation,
     format_word,
@@ -598,3 +601,79 @@ class TestIntegralUniqueness:
         for t1 in tails:
             for t2 in tails:
                 assert (images[t1] == images[t2]) == words_equivalent_infinite(full3, t1, t2)
+
+
+class TestRecordTypes:
+    """The record types are namedtuples or plain classes; these pin the
+    behaviour their callers read: type-strict keys, hashes that agree
+    with equality, immutable fields and the repr in error messages."""
+
+    def test_key_types_equal_only_their_own_type(self):
+        w = (1, 2)
+        assert FiniteClass(w) != IntegralClass(w) and not FiniteClass(w) == IntegralClass(w)
+        assert FiniteClass(w) != (w, ONE) and (w, ONE) != FiniteClass(w)
+        assert not FiniteClass(w) == (w, ONE) and not (w, ONE) == FiniteClass(w)
+        assert IntegralClass(w) != (w,) and TailClass(TailWord((), w)) != (TailWord((), w),)
+        assert TailWord((), w) != ((), w) and Phase.exact(1, 2) != (Fraction(1, 2), None)
+        assert validate_matrix(A1_ROWS) != (tuple(map(tuple, A1_ROWS)),)
+        assert len({FiniteClass(w), IntegralClass(w), TailClass(TailWord((), w))}) == 3
+
+    def test_equal_keys_hash_equal(self):
+        pairs = [
+            (FiniteClass((1, 2), Phase.exact(1, 3)), finite_class((2, 1), Phase.exact(4, 3))),
+            (IntegralClass((1, 2)), integral_class((2, 1))),
+            (TailClass(TailWord((), (1, 2))), tail_class(TailWord((2,), (2, 1, 2, 1)))),
+            (Phase.exact(1, 2), Phase(turns=Fraction(3, 2))),
+            (TailWord((1,), (2, 2)), TailWord([1], [2])),
+            (validate_matrix(A1_ROWS), validate_matrix([list(r) for r in A1_ROWS])),
+        ]
+        for x, y in pairs:
+            assert x == y and not x != y and hash(x) == hash(y), x
+            assert {x: 1}[y] == 1
+
+    def test_keyword_construction_and_defaults(self):
+        assert FiniteClass(word=(1,)) == FiniteClass((1,), ONE)
+        assert TailWord(preperiod=(), period=(1,)).period == (1,)
+        assert Violation("NotCovered", (), (3,)).detail == ""
+        d = Decomposition(matrix=None)
+        assert d.entries == {} and d.level == "cyclic" and d.unresolved == ()
+        assert Decomposition().entries is not d.entries
+
+    def test_violation_repr_is_unchanged(self):
+        text = "Violation(kind='NotCovered', symbols=(), points=(3,), detail='')"
+        assert str(Violation("NotCovered", (), (3,))) == text
+        f = BranchingSystem(
+            matrix=validate_matrix([[1, 1], [1, 1]]),
+            carrier=(1, 2, 3),
+            maps={1: {}, 2: {}},
+            frontier=frozenset({1, 2}),
+        )
+        with pytest.raises(RepError) as err:
+            decompose(f)
+        assert str(err.value) == f"system fails validation: {text}"
+
+    def test_tail_word_period_is_its_primitive_root(self):
+        t = TailWord((1,), (2, 1, 2, 1, 2, 1))
+        assert t.preperiod == (1,) and t.period == (2, 1) and t == TailWord((1,), (2, 1))
+        with pytest.raises(EmptyWordError):
+            TailWord((1,), ())
+
+    def test_key_fields_cannot_be_assigned(self):
+        for record, field in [
+            (FiniteClass((1,)), "word"),
+            (FiniteClass((1,)), "phase"),
+            (TailClass(TailWord((), (1,))), "tail"),
+            (IntegralClass((1, 2)), "word"),
+            (Phase.exact(1, 2), "turns"),
+            (TailWord((), (1,)), "period"),
+            (validate_matrix(A1_ROWS), "rows"),
+        ]:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+    def test_cached_tables_still_work(self):
+        a = validate_matrix(A3_ROWS)
+        assert a.successors(1) == (2, 3) and a.predecessors(3) == (1, 2)
+        assert a._successor_table is a._successor_table
+        f = standard_bfs(a, 9)
+        assert f.owner is f.owner and f.position[f.carrier[-1]] == 8

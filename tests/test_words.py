@@ -349,8 +349,9 @@ class TestPSpec:
     def test_counts_match_trace_formula(self):
         for a in SPECTRUM_CORPUS:
             max_len = max(12, 2 * a.n)
-            got = pspec_summary(a, max_len).counts_by_length
-            assert got == tuple(trace_formula_counts(a, max_len)), a.rows
+            s = pspec_summary(a, max_len)
+            assert s.counts_by_length == tuple(trace_formula_counts(a, max_len)), a.rows
+            assert s.cross_check_ok, a.rows
 
     def test_full_2x2_at_length_20(self):
         full = full_matrix(2)
@@ -362,6 +363,28 @@ class TestPSpec:
         for a in SPECTRUM_CORPUS:
             q = trace_formula_counts(a, 2 * a.n)
             assert pspec_summary(a, 1).finite == (sum(q[a.n :]) == 0), a.rows
+
+    def test_library_trace_counts_match_enumeration_and_dense_powers(self):
+        # the enumeration is the oracle for the sparse-row trace formula
+        for a in SPECTRUM_CORPUS + [full_matrix(5)]:
+            max_len = max(10, 2 * a.n) if a.n < 5 else 6
+            enumerated = [0] * max_len
+            for w, periodic in enumerate_cyclic_classes(a, max_len):
+                enumerated[len(w) - 1] += not periodic
+            assert words._trace_formula_counts(a, max_len) == enumerated, a.rows
+            assert words._trace_formula_counts(a, max_len) == trace_formula_counts(a, max_len)
+
+    @pytest.mark.parametrize("rows", [A1_ROWS, A2_ROWS, [[1, 1], [1, 1]]])
+    def test_enumeration_missing_a_class_fails_the_cross_check(self, monkeypatch, rows):
+        enumerate_all = words.enumerate_cyclic_classes
+
+        def drop_last_primitive(a, max_len):
+            found = enumerate_all(a, max_len)
+            last = max(k for k, (_, periodic) in enumerate(found) if not periodic)
+            return found[:last] + found[last + 1 :]
+
+        monkeypatch.setattr(words, "enumerate_cyclic_classes", drop_last_primitive)
+        assert not pspec_summary(validate_matrix(rows), 6).cross_check_ok
 
 
 class TestClosedFormsForA1:
