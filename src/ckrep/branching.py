@@ -17,10 +17,10 @@ non-frontier part; nothing is ever guessed past the boundary.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Callable, Container, Iterable, Sequence
 from functools import cached_property
-from itertools import filterfalse, repeat
+from itertools import accumulate, compress, filterfalse
 
 from .words import (
     NotAdmissibleError,
@@ -66,9 +66,15 @@ class DumpFormatError(BranchingError):
 class BranchingSystem:
     """A finite truncation of a branching function system.
 
-    `maps[i]` is the recorded part of the partial injection f_i (domain
-    point -> image point); `frontier` marks points with incomplete data.
-    Not changed after construction; analyses are pure.
+    Points are the indices 0..B-1 in carrier order.  `images[i-1][x]` is
+    f_i(x), -1 where the recorded part of f_i is undefined; `front[x]` is
+    1 at frontier points (points with incomplete data); `owner_sym[y]`
+    and `owner_pre[y]` are i and x for the edge f_i(x) = y, 0 and -1 where
+    no edge ends; `tails` maps points to their declared tails.  `labels[x]`
+    names point x (x + 1 for integer-labelled systems) and is read only
+    by dumps and messages.  The constructor takes label-level data;
+    `carrier`, `maps`, `frontier`, `declared_tails` and `position` are
+    label-level views built on demand.  Not changed after construction.
     """
 
     def __init__(
@@ -80,41 +86,83 @@ class BranchingSystem:
         origin: str = "custom",
         declared_tails: dict[Label, TailSource] | None = None,
     ):
-        self.matrix = matrix
-        self.carrier = carrier
-        self.maps = maps
-        self.frontier = frontier
-        self.origin = origin
-        self.declared_tails = {} if declared_tails is None else declared_tails
+        self.position = index = {x: k for k, x in enumerate(carrier)}
+        edges = {i: {index[x]: index[y] for x, y in m.items()} for i, m in maps.items()}
+        tails = {index[x]: src for x, src in (declared_tails or {}).items()}
+        self._fill(matrix, carrier, edges, map(index.__getitem__, frontier), origin, tails)
 
-    @cached_property
-    def position(self) -> dict[Label, int]:
-        return {x: k for k, x in enumerate(self.carrier)}
+    @classmethod
+    def _indexed(cls, matrix, labels, maps, frontier, origin, tails=None) -> BranchingSystem:
+        """A system from per-symbol edge dicts {x: f_i(x)} of point indices."""
+        f = cls.__new__(cls)
+        f._fill(matrix, labels, maps, frontier, origin, tails or {})
+        return f
+
+    def _fill(self, matrix, labels, maps, frontier, origin, tails) -> None:
+        size = len(labels)
+        owner_sym = bytearray(size) if matrix.n < 255 else [0] * size  # bytes while they fit
+        images, owner_pre = [], [-1] * size
+        for i in range(1, matrix.n + 1):
+            images.append(img := [-1] * size)
+            for x, y in maps.get(i, {}).items():
+                img[x] = y
+                owner_sym[y], owner_pre[y] = i, x
+        front = bytearray(size)
+        for x in frontier:
+            front[x] = 1
+        self._set(matrix, labels, images, front, owner_sym, owner_pre, origin, tails)
+
+    def _set(self, matrix, labels, images, front, owner_sym, owner_pre, origin, tails) -> None:
+        self.matrix, self.labels, self.images, self.front = matrix, labels, images, front
+        self.owner_sym, self.owner_pre, self.origin, self.tails = owner_sym, owner_pre, origin, tails
+        # some image is shared when there are more edges than points with an owner
+        edges = sum(len(img) - img.count(-1) for img in images)
+        self.shared = edges > len(labels) - owner_sym.count(0)
 
     @property
     def n(self) -> int:
         return self.matrix.n
 
     @cached_property
-    def owner(self) -> dict[Label, tuple[int, Label]]:
-        """For each recorded image y = f_i(x), the pair (i, x).
-
-        Raises InvalidSystemError if two recorded edges share an image.
-        """
-        maps = [self.maps.get(i, {}) for i in range(1, self.n + 1)]
-        out: dict[Label, tuple[int, Label]] = {}
-        for i, edges in enumerate(maps, start=1):
-            out.update(zip(edges.values(), zip(repeat(i), edges)))
-        if len(out) < sum(map(len, maps)):
-            first: dict[Label, int] = {}
-            for i, edges in enumerate(maps, start=1):
-                for y in edges.values():
+    def owner(self) -> tuple[bytearray | list[int], list[int]]:
+        """(owner_sym, owner_pre); InvalidSystemError if two edges share an image."""
+        if self.shared:
+            first: dict[int, int] = {}
+            for i, img in enumerate(self.images, start=1):
+                for y in filter((0).__le__, img):
                     if y in first:
                         raise InvalidSystemError(
-                            f"point {y!r} lies in two ranges: {first[y]} and {i}"
+                            f"point {self.labels[y]!r} lies in two ranges: {first[y]} and {i}"
                         )
                     first[y] = i
-        return out
+        return self.owner_sym, self.owner_pre
+
+    @cached_property
+    def position(self) -> dict[Label, int]:
+        return {x: k for k, x in enumerate(self.labels)}
+
+    @cached_property
+    def carrier(self) -> tuple[Label, ...]:
+        return tuple(self.labels)
+
+    @cached_property
+    def maps(self) -> dict[int, dict[Label, Label]]:
+        labels = self.labels
+        return {
+            i: {labels[x]: labels[y] for x, y in enumerate(img) if y >= 0}
+            for i, img in enumerate(self.images, start=1)
+        }
+
+    @cached_property
+    def frontier(self) -> frozenset[Label]:
+        return frozenset(compress(self.labels, self.front))
+
+    @cached_property
+    def declared_tails(self) -> dict[Label, TailSource]:
+        return {self.labels[x]: src for x, src in self.tails.items()}
+
+
+_NOT = b"\1".ljust(256, b"\0")  # byte map 0 -> 1, 1 -> 0
 
 
 Violation = namedtuple("Violation", "kind symbols points detail", defaults=("",))
@@ -129,63 +177,81 @@ class ValidationReport(namedtuple("ValidationReport", "checked_points violations
 
 
 def _edge_violations(f: BranchingSystem) -> list[Violation]:
+    labels = f.labels
     violations: list[Violation] = []
-    owner: dict[Label, tuple[int, Label]] = {}
-    for i in range(1, f.n + 1):
-        images: dict[Label, Label] = {}
-        for x in sorted(f.maps.get(i, {}), key=f.position.get):
-            y = f.maps[i][x]
-            if y in images:
-                violations.append(Violation("InjectivityFail", (i,), (images[y], x, y)))
-            else:
-                images[y] = x
-            if y in owner and owner[y][0] != i:
-                violations.append(Violation("RangeOverlap", (owner[y][0], i), (y,)))
-            else:
-                owner.setdefault(y, (i, x))
+    owner: dict[int, int] = {}
+    for i, img in enumerate(f.images, start=1):
+        images: dict[int, int] = {}
+        for x, y in enumerate(img):
+            if y < 0:
+                continue
+            if (first := images.setdefault(y, x)) != x:
+                points = (labels[first], labels[x], labels[y])
+                violations.append(Violation("InjectivityFail", (i,), points))
+            if owner.setdefault(y, i) != i:
+                violations.append(Violation("RangeOverlap", (owner[y], i), (labels[y],)))
     return violations
 
 
-def _outside(points: Iterable[Label], *sets: Container[Label]) -> Iterable[Label]:
+def _outside(points: Iterable[int], *sets: Container[int]) -> Iterable[int]:
     """The points that lie in none of `sets`, lazily."""
     for s in sets:
         points = filterfalse(s.__contains__, points)
     return points
 
 
+def _domain_table(row: Sequence[int], want: int) -> bytes:
+    """Byte map from owner symbol (0 = uncovered, 255 = frontier) to 1
+    where a point with that owner should be in D(f_i) iff `want`."""
+    return bytes(a == want for a in (0, *row)).ljust(256, b"\0")
+
+
 def _axiom_scan(f: BranchingSystem) -> tuple[int, list[Violation], list[tuple]]:
     """One pass over the recorded data, shared by both axiom reports.
 
     Returns the number of non-frontier points, the injectivity and
-    range-overlap failures edge by edge in carrier order (the position
-    sort runs only when some image repeats), and the suspect points in
-    carrier order with their membership in D(f_i) and in R(f_i).  Suspect
-    means non-frontier and in no range, in two or more, or in just one of
-    D(f_i) and the union of R(f_j) over j with a_ij = 1; at every other
-    point every per-point axiom holds.
+    range-overlap failures edge by edge in carrier order, and the suspect
+    points in carrier order with their membership in D(f_i) and in R(f_i).
+    Suspect means non-frontier and in no range, in two or more, or in
+    just one of D(f_i) and the union of R(f_j) over j with a_ij = 1; at
+    every other point every per-point axiom holds.  When no image is
+    shared and symbols fit a byte, the axioms are first checked at all
+    points at once: a byte plane holds each point's owner symbol (255 at
+    the frontier), and `translate` turns it into the points that should
+    and should not be in each D(f_i).  Only when that check fails, or it
+    cannot run, do range and domain sets locate the suspects.
     """
-    frontier = f.frontier
-    maps = [f.maps.get(i, {}) for i in range(1, f.n + 1)]
-    ranges = [set(m.values()) for m in maps]
-    overlap: set[Label] = set()
+    images, front, size = f.images, f.front, len(f.labels)
+    checked = size - front.count(1)
+    if not f.shared and f.n < 255:
+        plane = int.from_bytes(f.owner_sym, "little") | int.from_bytes(front, "little") * 255
+        owners = plane.to_bytes(size, "little")
+        if 0 not in owners and all(
+            -1 not in compress(img, owners.translate(_domain_table(row, 1)))
+            and max(compress(img, owners.translate(_domain_table(row, 0))), default=-1) < 0
+            for row, img in zip(f.matrix.rows, images)
+        ):
+            return checked, [], []
+    domains = [set(compress(range(size), map((-1).__lt__, img))) for img in images]
+    ranges = [set(filter((0).__le__, img)) for img in images]
+    frontier = set(compress(range(size), front))
+    overlap: set[int] = set()
     for k, r in enumerate(ranges):
         for other in ranges[k + 1 :]:
             overlap |= r & other
     suspect = set(_outside(overlap, frontier))
-    for row, m in zip(f.matrix.rows, maps):
+    for row, m in zip(f.matrix.rows, domains):
         feeders = [r for a_ij, r in zip(row, ranges) if a_ij]
         suspect.update(_outside(m, *feeders, frontier))
         for r in feeders:
             suspect.update(_outside(r, m, frontier))
-    suspect.update(_outside(f.carrier, *ranges, frontier))
-    injective = all(len(r) == len(m) for r, m in zip(ranges, maps))
+    suspect.update(_outside(range(size), *ranges, frontier))
     return (
-        len(f.carrier) - sum(map(frontier.__contains__, f.carrier)),
-        [] if injective and not overlap else _edge_violations(f),
+        checked,
+        _edge_violations(f) if f.shared else [],
         [
-            (x, tuple(x in m for m in maps), tuple(x in r for r in ranges))
-            for x in (f.carrier if suspect else ())
-            if x in suspect
+            (f.labels[x], tuple(x in m for m in domains), tuple(x in r for r in ranges))
+            for x in sorted(suspect)
         ],
     )
 
@@ -230,8 +296,10 @@ class CodingMap(namedtuple("CodingMap", "entries")):
 
 
 def coding_map(f: BranchingSystem) -> CodingMap:
-    owner = f.owner
-    return CodingMap({y: owner[y] for y in f.carrier if y not in f.frontier and y in owner})
+    (owner_sym, owner_pre), labels = f.owner, f.labels
+    inside = compress(range(len(labels)), f.front.translate(_NOT))
+    entries = {labels[y]: (owner_sym[y], labels[owner_pre[y]]) for y in inside if owner_sym[y]}
+    return CodingMap(entries)
 
 
 class ComponentSkeleton(
@@ -254,104 +322,65 @@ class ComponentSkeleton(
 def find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
     """Partition the truncation into orbits and classify each one.
 
-    Follows the coding map from a deterministic start until it either
+    Follows the coding map from each orbit's first point until it either
     closes (cycle, provided the whole cycle is non-frontier) or exits
     through the frontier (chain when the system declares a tail for the
     orbit, unresolved otherwise).  Orbits with no non-frontier point are
     truncation noise and are not reported.
     """
-    owner = f.owner  # raises on range overlaps
+    owner_sym, owner_pre = f.owner  # raises on shared images
+    labels, front = f.labels, f.front
     # The coding map is a functional graph: a point joins the group of the
-    # first labelled point its forward walk meets, or opens a new group.
-    # Groups come in order of first point, each in carrier order.
-    label: dict[Label, int] = {}
-    groups: list[list[Label]] = []
-    for x in f.carrier:
-        g = label.get(x)
-        if g is None and x in owner:
-            g = label.get(owner[x][1])  # the usual case: one step suffices
-        if g is None:
-            path = [x]
-            label[x] = fresh = len(groups)
-            cur = x
-            while cur in owner and (g := label.get(cur := owner[cur][1])) is None:
-                path.append(cur)
-                label[cur] = fresh
-            if g is None or g == fresh:
-                g = fresh
-                groups.append([])
-            else:
-                for p in path:
-                    label[p] = g
-        label[x] = g
-        groups[g].append(x)
+    # first grouped point its forward walk meets, or opens a new group.
+    # Groups are numbered in order of first point, and the walk that opens
+    # a group is the walk from its first point: `opening` keeps the cycle
+    # it closes, or the whole walk when it ends at a dead end.
+    group_of = [-1] * len(labels)
+    opening: list[list[int]] = []
+    for x in range(len(labels)):
+        if group_of[x] >= 0:
+            continue
+        if (p := owner_pre[x]) >= 0 and (g := group_of[p]) >= 0:
+            group_of[x] = g  # the usual case: one step suffices
+            continue
+        path = [x]
+        group_of[x] = fresh = len(opening)
+        cur, g = x, -1
+        while (cur := owner_pre[cur]) >= 0 and (g := group_of[cur]) < 0:
+            path.append(cur)
+            group_of[cur] = fresh
+        if g < 0 or g == fresh:
+            opening.append(path[path.index(cur) :] if cur >= 0 else path)
+        else:
+            for p in path:
+                group_of[p] = g
 
-    def walk(start: Label) -> tuple[list[Label], list[int], Label | None]:
-        # Follow F until a repeat (returns repeat point) or a dead end.
-        seen: dict[Label, int] = {}
-        points: list[Label] = []
-        letters: list[int] = []
-        cur = start
-        while cur not in seen:
-            seen[cur] = len(points)
-            points.append(cur)
-            if cur not in owner:
-                return points, letters, None
-            sym, nxt = owner[cur]
-            letters.append(sym)
-            cur = nxt
-        return points, letters, cur
-
+    # Each group is a run of one stable sort, so in carrier order; groups
+    # with no non-frontier point are truncation noise.
+    order = sorted(range(len(labels)), key=group_of.__getitem__)
+    ends = [0, *accumulate(Counter(group_of).values())]  # counted in group order
+    anchors: dict[int, list[int]] = {}
+    for x in f.tails:
+        anchors.setdefault(group_of[x], []).append(x)
     components: list[ComponentSkeleton] = []
-    for group in groups:
-        if f.frontier.issuperset(group):
-            continue
-        basin = tuple(group)
-        points, letters, revisit = walk(group[0])
-        if revisit is not None:
-            cycle_pts = points[points.index(revisit):]
-            # restart at the cycle's first-in-carrier point for determinism
-            on_cycle = set(cycle_pts)
-            anchor = next(x for x in group if x in on_cycle)
-            cyc_points: list[Label] = []
-            cyc_word: list[int] = []
-            cur = anchor
-            for _ in cycle_pts:
-                cyc_points.append(cur)
-                sym, cur = owner[cur]
-                cyc_word.append(sym)
-            kind = "cycle" if f.frontier.isdisjoint(cyc_points) else "unresolved"
-            components.append(
-                ComponentSkeleton(
-                    kind=kind,
-                    word=tuple(cyc_word),
-                    points=tuple(cyc_points),
-                    basin=basin,
-                )
-            )
-            continue
-        anchors = [x for x in group if x in f.declared_tails]
-        if len(anchors) == 1:
-            a_points, a_letters, a_repeat = walk(anchors[0])
-            if a_repeat is None:
-                components.append(
-                    ComponentSkeleton(
-                        kind="chain",
-                        word=tuple(a_letters),
-                        points=tuple(a_points),
-                        basin=basin,
-                        declared=f.declared_tails[anchors[0]],
-                    )
-                )
-                continue
-        components.append(
-            ComponentSkeleton(
-                kind="unresolved",
-                word=tuple(letters),
-                points=tuple(points),
-                basin=basin,
-            )
-        )
+    for g in sorted(set(compress(group_of, front.translate(_NOT)))):
+        path, declared = opening[g], None
+        if owner_pre[path[-1]] >= 0:  # a cycle: restart at its first point in carrier order
+            if k := path.index(min(path)):
+                path = path[k:] + path[:k]
+            kind = "unresolved" if any(map(front.__getitem__, path)) else "cycle"
+            word = tuple(map(owner_sym.__getitem__, path))
+        else:
+            kind = "unresolved"
+            if len(anchors.get(g, ())) == 1:
+                kind, declared = "chain", f.tails[anchors[g][0]]
+                path = anchors[g][:]
+                while (p := owner_pre[path[-1]]) >= 0:
+                    path.append(p)
+            word = tuple(map(owner_sym.__getitem__, path[:-1]))
+        points = tuple(map(labels.__getitem__, path))
+        basin = tuple(map(labels.__getitem__, order[ends[g] : ends[g + 1]]))
+        components.append(ComponentSkeleton(kind, word, points, basin, declared))
     return tuple(components)
 
 
@@ -363,30 +392,22 @@ def direct_sum(*systems: BranchingSystem) -> BranchingSystem:
     for g in systems[1:]:
         if g.matrix.rows != first.matrix.rows:
             raise MatrixMismatchError("summands live over different matrices")
-
-    def tag(k: int, x: Label) -> str:
-        return f"{k}:{x}"
-
-    carrier: list[Label] = []
-    maps: dict[int, dict[Label, Label]] = {i: {} for i in range(1, first.n + 1)}
-    frontier: set[Label] = set()
-    declared: dict[Label, TailSource] = {}
+    labels: list[Label] = []
+    images: list[list[int]] = [[] for _ in range(first.n)]
+    front, owner_sym, owner_pre = bytearray(), first.owner_sym[:0], []
+    tails: dict[int, TailSource] = {}
     for k, g in enumerate(systems):
-        carrier.extend(tag(k, x) for x in g.carrier)
-        for i in range(1, g.n + 1):
-            for x, y in g.maps.get(i, {}).items():
-                maps[i][tag(k, x)] = tag(k, y)
-        frontier.update(tag(k, x) for x in g.frontier)
-        for x, src in g.declared_tails.items():
-            declared[tag(k, x)] = src
-    return BranchingSystem(
-        matrix=first.matrix,
-        carrier=tuple(carrier),
-        maps=maps,
-        frontier=frozenset(frontier),
-        origin="sum",
-        declared_tails=declared,
-    )
+        off = len(labels)
+        labels.extend(f"{k}:{x}" for x in g.labels)
+        for img, g_img in zip(images, g.images):
+            img.extend(y + off if y >= 0 else -1 for y in g_img)
+        front += g.front
+        owner_sym += g.owner_sym
+        owner_pre.extend(x + off if x >= 0 else -1 for x in g.owner_pre)
+        tails.update((x + off, src) for x, src in g.tails.items())
+    f = BranchingSystem.__new__(BranchingSystem)
+    f._set(first.matrix, labels, images, front, owner_sym, owner_pre, "sum", tails)
+    return f
 
 
 def _separator(n: int) -> str:
@@ -401,13 +422,13 @@ def _separator(n: int) -> str:
 
 def _grow_trees(
     a: TransitionMatrix,
-    level: list[tuple[int, str]],
+    level: list[tuple[int, int]],
     depth: int,
-    carrier: list[Label],
-    maps: dict[int, dict[Label, Label]],
-) -> set[Label]:
-    """Append the branch points `level`, pairs (first symbol, label), and
-    their feeding trees to tree depth `depth` to `carrier` and `maps`.
+    labels: list[Label],
+    maps: dict[int, dict[int, int]],
+) -> list[int]:
+    """Grow the feeding trees of the branch points `level`, pairs (first
+    symbol, point), to tree depth `depth`, appending to `labels` and `maps`.
 
     Each child (i,)+w is created with its edge f_i(w) and the label of w
     prefixed by symbol i; returns the points at the depth bound, whose
@@ -415,17 +436,16 @@ def _grow_trees(
     """
     sep = _separator(a.n)
     prefix = [f"{i}{sep}" for i in range(a.n + 1)]
-    carrier.extend(x for _, x in level)
     for _ in range(depth):
-        children: list[tuple[int, str]] = []
+        children: list[tuple[int, int]] = []
         for s, x in level:
             for i in a.predecessors(s):
-                maps[i][x] = y = prefix[i] + x
+                maps[i][x] = y = len(labels)
+                labels.append(prefix[i] + labels[x])
                 children.append((i, y))
-        carrier.extend(y for _, y in children)
         level = children
-    assert len(set(carrier)) == len(carrier)
-    return {x for _, x in level}
+    assert len(set(labels)) == len(labels)
+    return [x for _, x in level]
 
 
 def build_cycle_system(a: TransitionMatrix, word: Word, depth: int) -> BranchingSystem:
@@ -443,26 +463,20 @@ def build_cycle_system(a: TransitionMatrix, word: Word, depth: int) -> Branching
     if depth < 0:
         raise BranchingError("depth must be >= 0")
     sep = _separator(a.n)
-    suffixes = [sep.join(map(str, word[l:])) for l in range(len(word))]
-    maps: dict[int, dict[Label, Label]] = {i: {} for i in range(1, a.n + 1)}
-    branches: list[tuple[int, str]] = []
-    for l, x in enumerate(suffixes):
+    labels: list[Label] = [sep.join(map(str, word[l:])) for l in range(len(word))]
+    maps: dict[int, dict[int, int]] = {i: {} for i in range(1, a.n + 1)}
+    branches: list[tuple[int, int]] = []
+    for l in range(len(word)):
         prev = word[l - 1]  # letter before position l+1, cyclically
         for i in a.predecessors(word[l]):
             if i == prev:  # at l = 0 the wrap edge to the last suffix
-                maps[i][x] = suffixes[l - 1]
+                maps[i][l] = (l - 1) % len(word)
             else:
-                maps[i][x] = y = f"{i}{sep}{x}"
+                maps[i][l] = y = len(labels)
+                labels.append(f"{i}{sep}{labels[l]}")
                 branches.append((i, y))
-    carrier: list[Label] = list(suffixes)
-    frontier = _grow_trees(a, branches, depth, carrier, maps)
-    return BranchingSystem(
-        matrix=a,
-        carrier=tuple(carrier),
-        maps=maps,
-        frontier=frozenset(frontier),
-        origin="cycle",
-    )
+    frontier = _grow_trees(a, branches, depth, labels, maps)
+    return BranchingSystem._indexed(a, labels, maps, frontier, "cycle")
 
 
 def _chain_letters(a: TransitionMatrix, source: TailSource, count: int) -> list[int]:
@@ -498,26 +512,20 @@ def build_chain_system(
     if depth < 0:
         raise BranchingError("depth must be >= 0")
     letters = _chain_letters(a, source, chain_len)
-    carrier: list[Label] = list(range(1, chain_len + 1))
-    maps: dict[int, dict[Label, Label]] = {i: {} for i in range(1, a.n + 1)}
-    branches: list[tuple[int, str]] = []
+    labels: list[Label] = list(range(1, chain_len + 1))
+    maps: dict[int, dict[int, int]] = {i: {} for i in range(1, a.n + 1)}
+    branches: list[tuple[int, int]] = []
     for m in range(1, chain_len + 1):
         for i in a.predecessors(letters[m - 1]):
             if m >= 2 and i == letters[m - 2]:
-                maps[i][m] = m - 1
+                maps[i][m - 1] = m - 2
             else:
-                maps[i][m] = y = f"{i}@{m}"
+                maps[i][m - 1] = y = len(labels)
+                labels.append(f"{i}@{m}")
                 branches.append((i, y))
-    frontier = _grow_trees(a, branches, depth, carrier, maps)
-    frontier.add(chain_len)  # its coding preimage is chain_len + 1
-    return BranchingSystem(
-        matrix=a,
-        carrier=tuple(carrier),
-        maps=maps,
-        frontier=frozenset(frontier),
-        origin="chain",
-        declared_tails={1: source},
-    )
+    frontier = _grow_trees(a, branches, depth, labels, maps)
+    frontier.append(chain_len - 1)  # its coding preimage is chain_len + 1
+    return BranchingSystem._indexed(a, labels, maps, frontier, "chain", {0: source})
 
 
 def standard_bfs(a: TransitionMatrix, truncation: int) -> BranchingSystem:
@@ -525,29 +533,37 @@ def standard_bfs(a: TransitionMatrix, truncation: int) -> BranchingSystem:
 
     R(f_i) is the residue class of i; the formula is invertible, so a point
     is frontier exactly when one of its images or its unique preimage lands
-    beyond the truncation.
+    beyond the truncation.  Point x is labelled x + 1; every array is filled
+    by extended-slice assignment, one arithmetic progression at a time.
     """
     n = a.n
     if truncation < n:
         raise BranchingError(f"truncation must be >= {n}")
-    maps: dict[int, dict[Label, Label]] = {i: {} for i in range(1, n + 1)}
-    frontier: set[Label] = set()
-    for i in range(1, n + 1):
+    images = [[-1] * truncation for _ in range(n)]
+    front = bytearray(truncation)
+    owner_sym = bytearray(truncation) if n < 255 else [0] * truncation
+    owner_pre = [-1] * truncation
+    for i, img in enumerate(images, start=1):
         b_set = a.successors(i)
         for q, j in enumerate(b_set):
-            # preimages N(m-1)+j and images N(M_i(m-1)+q)+i, m = 1, 2, ...:
-            # an unpaired tail of either progression is frontier
-            sources = range(j, truncation + 1, n)
-            images = range(n * q + i, truncation + 1, n * len(b_set))
-            maps[i].update(zip(sources, images))
-            frontier.update(sources[len(images):], images[len(sources):])
-    return BranchingSystem(
-        matrix=a,
-        carrier=tuple(range(1, truncation + 1)),
-        maps=maps,
-        frontier=frozenset(frontier),
-        origin="standard",
-    )
+            # the points labelled N(m-1)+j and their images N(M_i(m-1)+q)+i,
+            # m = 1, 2, ...: an unpaired tail of either progression is frontier
+            sources = range(j - 1, truncation, n)
+            targets = range(n * q + i - 1, truncation, n * len(b_set))
+            k = min(len(sources), len(targets))
+            img[_slice(sources[:k])] = targets[:k]
+            owner_pre[_slice(targets[:k])] = sources[:k]
+            owner_sym[_slice(targets[:k])] = [i] * k
+            for tail in (sources[k:], targets[k:]):
+                front[_slice(tail)] = b"\1" * len(tail)
+    f = BranchingSystem.__new__(BranchingSystem)
+    f._set(a, range(1, truncation + 1), images, front, owner_sym, owner_pre, "standard", {})
+    return f
+
+
+def _slice(points: range) -> slice:
+    """The extended slice that selects the indices of an ascending range."""
+    return slice(points.start, points.stop, points.step)
 
 
 def phi_map(a: TransitionMatrix) -> dict[int, int]:
@@ -621,29 +637,24 @@ def shift_bfs(a: TransitionMatrix, word_len: int) -> BranchingSystem:
     """
     if word_len < 2:
         raise BranchingError("word_len must be >= 2")
-    sep = _separator(a.n)
-    label = {w: sep.join(map(str, w)) for w in admissible_words(a, word_len)}
-    maps: dict[int, dict[Label, Label]] = {i: {} for i in range(1, a.n + 1)}
+    points = admissible_words(a, word_len)
+    index = {w: k for k, w in enumerate(points)}
+    maps: dict[int, dict[int, int]] = {i: {} for i in range(1, a.n + 1)}
     backward_defined: set[Word] = set()
-    for y in label:
+    for y in points:
         rest = y[1:]
         ext = _periodic_extension(rest)
         if a.entry(y[-1], ext):
-            x = rest + (ext,)
-            maps[y[0]][label[x]] = label[y]
+            maps[y[0]][index[rest + (ext,)]] = index[y]
             backward_defined.add(y)
-    frontier = {
-        label[w]
-        for w in label
+    frontier = [
+        index[w]
+        for w in points
         if not (w in backward_defined and _periodic_extension(w[:-1]) == w[-1])
-    }
-    return BranchingSystem(
-        matrix=a,
-        carrier=tuple(label.values()),
-        maps=maps,
-        frontier=frozenset(frontier),
-        origin="shift",
-    )
+    ]
+    sep = _separator(a.n)
+    labels = [sep.join(map(str, w)) for w in points]
+    return BranchingSystem._indexed(a, labels, maps, frontier, "shift")
 
 
 def truncated_from_rules(
@@ -660,28 +671,21 @@ def truncated_from_rules(
     """
     if len(rules) != a.n:
         raise BranchingError(f"need {a.n} rules, got {len(rules)}")
-    maps: dict[int, dict[Label, Label]] = {i: {} for i in range(1, a.n + 1)}
-    frontier: set[Label] = set()
+    maps: dict[int, dict[int, int]] = {i: {} for i in range(1, a.n + 1)}
+    frontier: set[int] = set()
     covered: set[int] = set()
     for i, (dom, img) in enumerate(rules, start=1):
-        for x in range(1, size + 1):
-            if dom(x):
-                y = img(x)
-                if y < 1:
-                    raise BranchingError(f"rule {i} sends {x} to {y}, below the carrier")
-                if y <= size:
-                    maps[i][x] = y
-                    covered.add(y)
-                else:
-                    frontier.add(x)
-    frontier.update(x for x in range(1, size + 1) if x not in covered)
-    return BranchingSystem(
-        matrix=a,
-        carrier=tuple(range(1, size + 1)),
-        maps=maps,
-        frontier=frozenset(frontier),
-        origin="rules",
-    )
+        for x in filter(dom, range(1, size + 1)):
+            y = img(x)
+            if y < 1:
+                raise BranchingError(f"rule {i} sends {x} to {y}, below the carrier")
+            if y <= size:
+                maps[i][x - 1] = y - 1
+                covered.add(y - 1)
+            else:
+                frontier.add(x - 1)
+    frontier.update(x for x in range(size) if x not in covered)
+    return BranchingSystem._indexed(a, range(1, size + 1), maps, frontier, "rules")
 
 
 def dump_bfs(f: BranchingSystem) -> str:
@@ -691,27 +695,24 @@ def dump_bfs(f: BranchingSystem) -> str:
     incident edge are listed on a trailing "0:" line.  Labels may not
     contain the separators.
     """
+    names = [str(x) for x in f.labels]
 
-    def fmt(x: Label) -> str:
-        s = str(x)
+    def fmt(x: int) -> str:
+        s = names[x]
         if any(tok in s for tok in (",", "->", "~", " ")):
             raise DumpFormatError(f"label {s!r} clashes with the dump separators")
-        return f"~{s}" if x in f.frontier else s
+        return f"~{s}" if f.front[x] else s
 
-    def order(x: Label) -> tuple[int, str]:
-        # label-intrinsic ordering so a dump survives a load/dump cycle
-        return (len(str(x)), str(x))
-
-    lines = [f"{f.n} {len(f.carrier)}"]
-    touched: set[Label] = set()
-    for i in range(1, f.n + 1):
-        edges = sorted(f.maps.get(i, {}).items(), key=lambda e: order(e[0]))
-        lines.append(f"{i}: " + ", ".join(f"{fmt(x)}->{fmt(y)}" for x, y in edges))
-        touched.update(x for x, _ in edges)
-        touched.update(y for _, y in edges)
-    isolated = sorted((x for x in f.carrier if x not in touched), key=order)
+    # label-intrinsic ordering so a dump survives a load/dump cycle
+    order = sorted(range(len(names)), key=lambda x: (len(names[x]), names[x]))
+    lines = [f"{f.n} {len(names)}"]
+    for i, img in enumerate(f.images, start=1):
+        lines.append(f"{i}: " + ", ".join(f"{fmt(x)}->{fmt(img[x])}" for x in order if img[x] >= 0))
+    isolated = [
+        fmt(x) for x in order if not f.owner_sym[x] and all(img[x] < 0 for img in f.images)
+    ]
     if isolated:
-        lines.append("0: " + ", ".join(fmt(x) for x in isolated))
+        lines.append("0: " + ", ".join(isolated))
     return "\n".join(lines) + "\n"
 
 
@@ -739,24 +740,20 @@ def load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
     if n != matrix.n:
         raise DumpFormatError(f"dump is for {n} symbols, matrix has {matrix.n}")
 
-    frontier: set[Label] = set()
-    carrier: list[Label] = []
-    seen: set[Label] = set()
+    frontier: set[int] = set()
+    index: dict[str, int] = {}  # label -> point, in first-mention order
 
-    def intern(token: str) -> Label:
+    def intern(token: str) -> int:
         token = token.strip()
         is_front = token.startswith("~")
         if is_front:
             token = token[1:]
-        label: Label = token
-        if label not in seen:
-            seen.add(label)
-            carrier.append(label)
+        x = index.setdefault(token, len(index))
         if is_front:
-            frontier.add(label)
-        return label
+            frontier.add(x)
+        return x
 
-    maps: dict[int, dict[Label, Label]] = {i: {} for i in range(1, n + 1)}
+    maps: dict[int, dict[int, int]] = {i: {} for i in range(1, n + 1)}
     for line in lines[1:]:
         sym_text, _, rest = line.partition(":")
         sym = number(sym_text, "symbol")
@@ -771,14 +768,8 @@ def load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
             src, dst = item.split("->", 1)
             target, source = intern(dst), intern(src)  # carrier order: target first
             if source in maps[sym]:
-                raise DumpFormatError(f"symbol {sym} maps {source!r} twice")
+                raise DumpFormatError(f"symbol {sym} maps {list(index)[source]!r} twice")
             maps[sym][source] = target
-    if len(carrier) != size:
-        raise DumpFormatError(f"header says {size} points, found {len(carrier)}")
-    return BranchingSystem(
-        matrix=matrix,
-        carrier=tuple(carrier),
-        maps=maps,
-        frontier=frozenset(frontier),
-        origin="loaded",
-    )
+    if len(index) != size:
+        raise DumpFormatError(f"header says {size} points, found {len(index)}")
+    return BranchingSystem._indexed(matrix, list(index), maps, frontier, "loaded")

@@ -352,7 +352,7 @@ def _cmd_pspec(args) -> int:
         )
         print(f"primitive counts by length: {counts}")
         print(f"enumeration cross-check: {'ok' if summary.cross_check_ok else 'FAILED'}")
-    return 0
+    return 0 if summary.cross_check_ok else 1
 
 
 def _cmd_gp_check(args) -> int:

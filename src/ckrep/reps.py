@@ -293,7 +293,8 @@ def realize(
     edge has weight 1."""
     weights: dict[int, dict[Label, Phase]] = {}
     for (i, x), phase in (phases or {}).items():
-        if x not in f.maps.get(i, {}):
+        k = f.position.get(x)
+        if k is None or not 0 < i <= f.n or f.images[i - 1][k] < 0:
             raise PhaseOffDomainError(f"no edge for symbol {i} at point {x!r}")
         weights.setdefault(i, {})[x] = phase
     return MatrixRealization(system=f, weights=weights)
@@ -310,13 +311,14 @@ def _add_term(vec: Vector, label: Label, coeff: RootSum) -> None:
 
 def apply_symbol(m: MatrixRealization, i: int, vec: Vector) -> Vector:
     out: Vector = {}
-    edges = m.system.maps.get(i, {})
-    twists = m.weights.get(i, {})
+    f = m.system
+    edges, twists = f.images[i - 1], m.weights.get(i, {})
     for x, coeff in vec.items():
-        y = edges.get(x)
-        if y is not None:
+        k = f.position.get(x)
+        if k is not None and edges[k] >= 0:
             twist = twists.get(x)
-            _add_term(out, y, coeff if twist is None else coeff * RootSum.from_phase(twist))
+            term = coeff if twist is None else coeff * RootSum.from_phase(twist)
+            _add_term(out, f.labels[edges[k]], term)
     return out
 
 
@@ -422,7 +424,8 @@ def decompose(
     components are listed untouched.  For an untwisted standard-system
     truncation the delta-row cycle classes recur with infinite
     multiplicity; their observed counts corroborate that and the reported
-    multiplicity is the structural "inf".
+    multiplicity is the structural "inf".  Without twists, every cycle has
+    phase 1, and cycles that read the same word are classified once.
     """
     from .branching import a_cycle_set, find_components, validate_bfs
 
@@ -432,11 +435,16 @@ def decompose(
     m = realize(f, phases)
     out = Decomposition(matrix=f.matrix)
     unresolved: list[ComponentSkeleton] = []
+    copies: dict[Word, int] = {}  # untwisted cycle word as read -> components
     for comp in find_components(f):
         if comp.kind == "unresolved":
             unresolved.append(comp)
+        elif comp.kind == "cycle" and not m.weights:
+            copies[comp.word] = copies.get(comp.word, 0) + 1
         else:
             out.add(classify_component(comp, m))
+    for word, count in copies.items():
+        out.add(finite_class(word, ONE, f.matrix), count)
     out.unresolved = tuple(unresolved)
     if structural_infinities and not phases and f.origin == "standard":
         cycles = a_cycle_set(f.matrix)
@@ -553,7 +561,7 @@ def gp_vector_check(a: TransitionMatrix, word: Word, p: int, depth: int = 2) -> 
     k = len(word)
     summand = build_cycle_system(a, word, depth)
     total = direct_sum(*[summand] * p)
-    anchor = summand.carrier[0]  # the full word
+    anchor = summand.labels[0]  # the full word
     wrap = word[-1]
     phases = {(wrap, f"{j - 1}:{anchor}"): Phase.exact(j, p) for j in range(1, p + 1)}
     m = realize(total, phases)
@@ -623,7 +631,7 @@ def cross_check_standard(d: Decomposition, f: BranchingSystem) -> None:
     ]
     if differ:
         raise RepError(
-            f"truncation at {len(f.carrier)} disagrees with the structural "
+            f"truncation at {len(f.labels)} disagrees with the structural "
             f"standard decomposition: {'; '.join(differ)}"
         )
 

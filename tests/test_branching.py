@@ -1,5 +1,7 @@
 import random
 import re
+import tracemalloc
+from hashlib import sha256
 
 import pytest
 
@@ -27,6 +29,7 @@ from ckrep.branching import (
     InvalidSystemError,
     MatrixMismatchError,
     UnresolvedPointError,
+    ValidationReport,
     a_cycle_set,
     build_chain_system,
     build_cycle_system,
@@ -521,6 +524,64 @@ class TestRules:
             truncated_from_rules(
                 FULL2, 8, [(lambda x: True, lambda x: x - 1), (lambda x: True, lambda x: x)]
             )
+
+
+class TestIndexCore:
+    """Points are indices inside a system; labels live in a side table
+    that dumps and messages read."""
+
+    # sha256 of the dumps of each kind over the corpus and the full 10x10
+    # matrix, as the label-keyed representation wrote them
+    DUMP_DIGESTS = {
+        "standard": "4ab0f8265af1b07cd8861443362b0fe59d3ac4bfd803635c05f59e5774c5bc9c",
+        "cycle": "4054e595d2857460f338cba61276135417ba6bc4d055465fc77a9044cb790e4b",
+        "chain": "f75ec79478917df1ae1088d75dc6f8c0d52c5a580a9f4f786afc57fe7675de37",
+        "shift": "71d30a6c30858379237cf473aa91ab6ade6b71b256c94f0e43b50589c7207d8d",
+        "sum": "bf8d23674caad2936defc171ba237868051dd15e351a80606b9d1bf50a196391",
+    }
+
+    def test_dumps_are_byte_identical(self):
+        texts = {kind: [] for kind in self.DUMP_DIGESTS}
+        for a in corpus() + [full_matrix(10)]:  # the last one labels with "."
+            word = min(canonical_rotation(w) for k in (1, 2) for w in brute_cyclic_words(a, k))
+            cycle = build_cycle_system(a, word, 2)
+            chain = build_chain_system(a, TailWord((), word), 5, 2)
+            texts["standard"].append(dump_bfs(standard_bfs(a, 100)))
+            texts["cycle"].append(dump_bfs(cycle))
+            texts["chain"].append(dump_bfs(chain))
+            texts["shift"].append(dump_bfs(shift_bfs(a, 3)))
+            texts["sum"].append(dump_bfs(direct_sum(cycle, chain, standard_bfs(a, 20))))
+        digests = {kind: sha256("".join(t).encode()).hexdigest() for kind, t in texts.items()}
+        assert digests == self.DUMP_DIGESTS
+
+    def test_standard_peak_memory(self):
+        # tracemalloc peak of build, validation and components at B = 2^16
+        # on a delta self-loop, which splits into 7282 reported orbits:
+        # 25.5 MB with label-keyed dicts, 16.4 MB with index arrays
+        # (Python 3.11)
+        a = validate_matrix([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
+        tracemalloc.start()
+        try:
+            f = standard_bfs(a, 2**16)
+            assert validate_bfs(f).ok
+            components = find_components(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(components) == 7282
+        assert peak < 21 * 2**20, peak
+
+    def test_symbols_past_one_byte(self):
+        # at N >= 255 owner symbols are a list and the scan takes the set path
+        n = 256
+        rows = [[int(j == (i + 1) % n or i == j == 0) for j in range(n)] for i in range(n)]
+        a = validate_matrix(rows)
+        f = standard_bfs(a, 3 * n)
+        assert validate_bfs(f) == ValidationReport(checked_points=3 * n - 3, violations=())
+        assert verify_ck_relations(realize(f)).ok
+        assert find_components(f) == oracle_find_components(f)
+        g = load_bfs(dump_bfs(f), a)
+        assert dump_bfs(g) == dump_bfs(f) and validate_bfs(direct_sum(f, g)).ok
 
 
 class TestDump:

@@ -181,7 +181,7 @@ class TestVerbs:
         monkeypatch.setattr(words, "enumerate_cyclic_classes", drop_one_class)
         code, out = run(capsys, "pspec", "--matrix", str(path))
         assert "verdict: infinite\n" in out and "3:1 " in out
-        assert out.endswith("enumeration cross-check: FAILED\n")
+        assert out.endswith("enumeration cross-check: FAILED\n") and code == 1
 
     def test_gp_check(self, capsys, a3_file):
         code, out = run(capsys, "gp-check", "--matrix", a3_file, "--word", "12", "--power", "2")
@@ -206,6 +206,20 @@ class TestVerbs:
 
 
 class TestContract:
+    def test_failed_validation_names_labels(self, capsys, a3_file, tmp_path):
+        dump = tmp_path / "cycle.txt"
+        argv = ["--matrix", a3_file, "--system", "cycle", "--word", "12", "--depth", "1"]
+        assert main(["verify-relations", *argv, "--dump-bfs", str(dump)]) == 0
+        text = dump.read_text()
+        assert text.startswith("3 8\n1: 2->12, 32->~132, ")
+        dump.write_text(text.replace("1: 2->12, ", "1: "))  # drop the edge f_1(2) = 12
+        capsys.readouterr()
+        assert main(["decompose-bfs", "--matrix", a3_file, "--bfs", str(dump)]) == 1
+        assert capsys.readouterr().err == (
+            "error: system fails validation: Violation(kind='DomainMismatch', "
+            "symbols=(1,), points=('2',), detail='missing')\n"
+        )
+
     def test_validation_error_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("10\n10\n")  # zero column

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -332,10 +333,16 @@ class TestGauge:
             assert twist_by_gauge(c, g).word == c.word
 
 
+@lru_cache(maxsize=4)
+def label_owner(f):
+    """y -> (i, x) for each recorded edge f_i(x) = y, read from the maps."""
+    return {y: (i, x) for i, edges in f.maps.items() for x, y in edges.items()}
+
+
 def model_state(f, omega, left, right):
     """<e_omega, s_left s_right^* e_omega> in a unit-weight model, by
     walking the recorded edges; independent of the library operators."""
-    owner = f.owner
+    owner = label_owner(f)
     cur = omega
     for i in right:
         if owner.get(cur, (None,))[0] != i:
