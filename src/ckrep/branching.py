@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Callable, Container, Iterable, Sequence
 from functools import cached_property
-from itertools import accumulate, compress, filterfalse
+from itertools import accumulate, chain, compress, filterfalse, repeat
 
 from .words import (
     NotAdmissibleError,
@@ -688,40 +688,44 @@ def truncated_from_rules(
     return BranchingSystem._indexed(a, range(1, size + 1), maps, frontier, "rules")
 
 
+def _clashes(text: str) -> bool:
+    """Whether `text` holds a dump separator or a line break."""
+    return any(map(text.__contains__, (",", "->", "~", " "))) or "".join(text.splitlines()) != text
+
+
 def dump_bfs(f: BranchingSystem) -> str:
     """Line format: header "N B", one "i: x->y, ..." line per symbol.
 
     Frontier points carry a "~" prefix at each occurrence; points with no
-    incident edge are listed on a trailing "0:" line.  Labels may not
-    contain the separators.
+    incident edge are listed on a trailing "0:" line.  Points go in (length,
+    label) order, so a dump survives a load/dump cycle.  Labels may contain
+    neither the separators nor a line break.
     """
     names = [str(x) for x in f.labels]
-
-    def fmt(x: int) -> str:
-        s = names[x]
-        if any(tok in s for tok in (",", "->", "~", " ")):
-            raise DumpFormatError(f"label {s!r} clashes with the dump separators")
-        return f"~{s}" if f.front[x] else s
-
-    # label-intrinsic ordering so a dump survives a load/dump cycle
-    order = sorted(range(len(names)), key=lambda x: (len(names[x]), names[x]))
+    if _clashes("\t".join(names)):  # a tab is neither a separator nor a line break
+        bad = next(filter(_clashes, names))
+        raise DumpFormatError(f"label {bad!r} clashes with the dump separators")
+    order = sorted(range(len(names)), key=names.__getitem__)
+    order.sort(key=list(map(len, names)).__getitem__)  # stable: by length, then by label
+    isolated = [x for x in order if not f.owner_sym[x]]
+    names = ["~" + s if m else s for s, m in zip(names, f.front)]
     lines = [f"{f.n} {len(names)}"]
     for i, img in enumerate(f.images, start=1):
-        lines.append(f"{i}: " + ", ".join(f"{fmt(x)}->{fmt(img[x])}" for x in order if img[x] >= 0))
-    isolated = [
-        fmt(x) for x in order if not f.owner_sym[x] and all(img[x] < 0 for img in f.images)
-    ]
+        edges = ", ".join([f"{names[x]}->{names[img[x]]}" for x in order if img[x] >= 0])
+        lines.append(f"{i}: " + edges)
+        isolated = [x for x in isolated if img[x] < 0]
     if isolated:
-        lines.append("0: " + ", ".join(isolated))
+        lines.append("0: " + ", ".join([names[x] for x in isolated]))
     return "\n".join(lines) + "\n"
 
 
 def load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
     """Parse the dump format back into a system over the given matrix.
 
-    Labels are opaque in the text format and come back as strings; the
-    carrier keeps first-mention order.  Components and decompositions do
-    not depend on either choice.
+    Whitespace around a token is ignored, lines for one symbol merge, and
+    a "~" on any occurrence marks a point as frontier.  Labels come back as
+    strings; the carrier keeps first-mention order, target before source.
+    Components and decompositions do not depend on either choice.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -740,36 +744,41 @@ def load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
     if n != matrix.n:
         raise DumpFormatError(f"dump is for {n} symbols, matrix has {matrix.n}")
 
-    frontier: set[int] = set()
     index: dict[str, int] = {}  # label -> point, in first-mention order
-
-    def intern(token: str) -> int:
-        token = token.strip()
-        is_front = token.startswith("~")
-        if is_front:
-            token = token[1:]
-        x = index.setdefault(token, len(index))
-        if is_front:
-            frontier.add(x)
-        return x
-
-    maps: dict[int, dict[int, int]] = {i: {} for i in range(1, n + 1)}
+    images: list[list[int]] = [[] for _ in range(n)]
+    front, owner_sym, owner_pre = bytearray(), bytearray() if n < 255 else [], []
+    blanks = [(front, 0), (owner_sym, 0), (owner_pre, -1), *zip(images, repeat(-1))]
     for line in lines[1:]:
         sym_text, _, rest = line.partition(":")
         sym = number(sym_text, "symbol")
         if not 0 <= sym <= n:
             raise DumpFormatError(f"bad symbol {sym_text!r}")
-        for item in filter(None, (p.strip() for p in rest.split(","))):
-            if sym == 0:
-                intern(item)
-                continue
-            if "->" not in item:
-                raise DumpFormatError(f"bad edge {item!r}")
-            src, dst = item.split("->", 1)
-            target, source = intern(dst), intern(src)  # carrier order: target first
-            if source in maps[sym]:
-                raise DumpFormatError(f"symbol {sym} maps {list(index)[source]!r} twice")
-            maps[sym][source] = target
+        items = rest.split(",")
+        # batches of 256 free their strings before the next is read: kept labels pack densely
+        for k in range(0, len(items), 256):
+            tokens = list(filter(None, map(str.strip, items[k : k + 256])))
+            if sym and tokens:
+                sources, arrows, targets = zip(*map(str.partition, tokens, repeat("->")))
+                if "" in arrows:
+                    raise DumpFormatError(f"bad edge {tokens[arrows.index('')]!r}")
+                tokens = list(map(str.strip, chain.from_iterable(zip(targets, sources))))
+            names = list(map(str.removeprefix, tokens, repeat("~")))
+            ids = [index.setdefault(name, len(index)) for name in names]
+            if added := len(index) - len(front):  # new points, with no data yet
+                for arr, blank in blanks:
+                    arr.extend([blank] * added)
+            for x in compress(ids, map(str.startswith, tokens, repeat("~"))):
+                front[x] = 1
+            if sym:
+                img = images[sym - 1]
+                for y, x in zip(ids[::2], ids[1::2]):
+                    if img[x] >= 0:
+                        raise DumpFormatError(f"symbol {sym} maps {names[ids.index(x)]!r} twice")
+                    img[x] = y
+                    if owner_sym[y] <= sym:  # as in `_fill`: the top symbol's last edge owns y
+                        owner_sym[y], owner_pre[y] = sym, x
     if len(index) != size:
         raise DumpFormatError(f"header says {size} points, found {len(index)}")
-    return BranchingSystem._indexed(matrix, list(index), maps, frontier, "loaded")
+    f = BranchingSystem.__new__(BranchingSystem)
+    f._set(matrix, list(index), images, front, owner_sym, owner_pre, "loaded", {})
+    return f

@@ -14,6 +14,8 @@ counts per length come independently from the trace formula.  The
 carrier oracles are the earlier cycle, chain and shift constructors,
 which list every point word first (the trees from `tree` below) and then
 find each point's edges and frontier status by membership in that list.
+The dump oracles are the earlier `dump_bfs` and `load_bfs`, which format,
+check and intern one endpoint at a time.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from ckrep.branching import (
     BranchingError,
     BranchingSystem,
     ComponentSkeleton,
+    DumpFormatError,
     InvalidSystemError,
     Label,
     TailSource,
@@ -540,6 +543,85 @@ def oracle_shift_bfs(
         frontier=frozenset(frontier),
         origin="shift",
     )
+
+
+def oracle_dump_bfs(f: BranchingSystem) -> str:
+    """The dump written endpoint by endpoint: each one is checked against
+    the separators as it is formatted, and points are ordered by a
+    `(len, label)` key."""
+    names = [str(x) for x in f.labels]
+
+    def fmt(x: int) -> str:
+        s = names[x]
+        if any(tok in s for tok in (",", "->", "~", " ")):
+            raise DumpFormatError(f"label {s!r} clashes with the dump separators")
+        return f"~{s}" if f.front[x] else s
+
+    order = sorted(range(len(names)), key=lambda x: (len(names[x]), names[x]))
+    lines = [f"{f.n} {len(names)}"]
+    for i, img in enumerate(f.images, start=1):
+        lines.append(f"{i}: " + ", ".join(f"{fmt(x)}->{fmt(img[x])}" for x in order if img[x] >= 0))
+    isolated = [
+        fmt(x) for x in order if not f.owner_sym[x] and all(img[x] < 0 for img in f.images)
+    ]
+    if isolated:
+        lines.append("0: " + ", ".join(isolated))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
+    """The dump read token by token into per-symbol edge dicts, interning
+    each endpoint through one Python call."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise DumpFormatError("empty dump")
+
+    def number(token: str, what: str) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            raise DumpFormatError(f"bad {what} {token!r}") from None
+
+    head = lines[0].split()
+    if len(head) != 2:
+        raise DumpFormatError(f"bad header {lines[0]!r}")
+    n, size = number(head[0], "header field"), number(head[1], "header field")
+    if n != matrix.n:
+        raise DumpFormatError(f"dump is for {n} symbols, matrix has {matrix.n}")
+
+    frontier: set[int] = set()
+    index: dict[str, int] = {}
+
+    def intern(token: str) -> int:
+        token = token.strip()
+        is_front = token.startswith("~")
+        if is_front:
+            token = token[1:]
+        x = index.setdefault(token, len(index))
+        if is_front:
+            frontier.add(x)
+        return x
+
+    maps: dict[int, dict[int, int]] = {i: {} for i in range(1, n + 1)}
+    for line in lines[1:]:
+        sym_text, _, rest = line.partition(":")
+        sym = number(sym_text, "symbol")
+        if not 0 <= sym <= n:
+            raise DumpFormatError(f"bad symbol {sym_text!r}")
+        for item in filter(None, (p.strip() for p in rest.split(","))):
+            if sym == 0:
+                intern(item)
+                continue
+            if "->" not in item:
+                raise DumpFormatError(f"bad edge {item!r}")
+            src, dst = item.split("->", 1)
+            target, source = intern(dst), intern(src)
+            if source in maps[sym]:
+                raise DumpFormatError(f"symbol {sym} maps {list(index)[source]!r} twice")
+            maps[sym][source] = target
+    if len(index) != size:
+        raise DumpFormatError(f"header says {size} points, found {len(index)}")
+    return BranchingSystem._indexed(matrix, list(index), maps, frontier, "loaded")
 
 
 def _oracle_poly_divmod(

@@ -124,9 +124,17 @@ class TestStartUpBudget:
             ["decompose-standard", "--matrix", "A3"],
             ["decompose-shift", "--matrix", "A3", "--dump-bfs", "DUMP"],
             ["verify-relations", "--matrix", "A3", "--system", "cycle", "--word", "12"],
+            ["verify-relations", "--matrix", "A3", "--system", "chain", "--tail", "|(12)",
+             "--dump-bfs", "DUMP"],
             ["gp-check", "--matrix", "A3", "--word", "12", "--power", "2"],
         ],
-        ids=["decompose-standard", "decompose-shift-dump", "verify-relations", "gp-check"],
+        ids=[
+            "decompose-standard",
+            "decompose-shift-dump",
+            "verify-relations",
+            "verify-relations-dump",
+            "gp-check",
+        ],
     )
     def test_system_verbs_load_branching(self, a3_file, tmp_path, argv):
         dump = str(tmp_path / "dump.bfs")
@@ -141,6 +149,24 @@ class TestStartUpBudget:
         dump.write_text(branching.dump_bfs(branching.build_cycle_system(a3, (1, 2), 2)))
         modules = loaded_by(["decompose-bfs", "--matrix", a3_file, "--bfs", str(dump)])
         assert "ckrep.branching" in modules
+
+    def test_dump_writer_and_reader_load_the_same_modules(self, a3_file, tmp_path):
+        dump = str(tmp_path / "dump.bfs")
+        write = ["verify-relations", "--matrix", a3_file, "--system", "cycle", "--word", "12",
+                 "--dump-bfs", dump]
+        written = all_loaded_by(write)
+        read = all_loaded_by(["decompose-bfs", "--matrix", a3_file, "--bfs", dump])
+        assert set(written) == set(read)
+
+    def test_branching_imports_nothing_the_cli_has_not(self):
+        # dump_bfs and load_bfs work with what `ckrep.cli` and `ckrep.words` load
+        out = run_python(
+            "import json, sys, ckrep.cli, ckrep.words\n"
+            "before = set(sys.modules)\n"
+            "import ckrep.branching\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))"
+        )
+        assert json.loads(out) == ["ckrep.branching"]
 
     @pytest.mark.parametrize(
         "argv",
