@@ -87,9 +87,19 @@ class BranchingSystem:
         declared_tails: dict[Label, TailSource] | None = None,
     ):
         self.position = index = {x: k for k, x in enumerate(carrier)}
-        edges = {i: {index[x]: index[y] for x, y in m.items()} for i, m in maps.items()}
-        tails = {index[x]: src for x, src in (declared_tails or {}).items()}
-        self._fill(matrix, carrier, edges, map(index.__getitem__, frontier), origin, tails)
+        if len(index) < len(carrier):
+            repeated = next(x for k, x in enumerate(carrier) if index[x] != k)
+            raise InvalidSystemError(f"carrier label {repeated!r} is repeated")
+        for i in maps:
+            if i not in range(1, matrix.n + 1):
+                raise InvalidSystemError(f"symbol {i!r} is outside 1..{matrix.n}")
+        try:
+            edges = {i: {index[x]: index[y] for x, y in m.items()} for i, m in maps.items()}
+            tails = {index[x]: src for x, src in (declared_tails or {}).items()}
+            front = list(map(index.__getitem__, frontier))
+        except KeyError as err:
+            raise InvalidSystemError(f"point {err.args[0]!r} is not in the carrier") from None
+        self._fill(matrix, carrier, edges, front, origin, tails)
 
     @classmethod
     def _indexed(cls, matrix, labels, maps, frontier, origin, tails=None) -> BranchingSystem:
@@ -302,11 +312,82 @@ def coding_map(f: BranchingSystem) -> CodingMap:
     return CodingMap(entries)
 
 
+class _Partition:
+    """The orbits of one `find_components` walk, shared by their basins.
+
+    `group_of[x]` numbers the orbit of point x, in order of first point.
+    The orbit sizes are counted in one pass when a basin's length is
+    first asked for, and the points of every orbit come from one stable
+    sort of all points by orbit, run when a basin is first read.
+    """
+
+    def __init__(self, labels: Sequence[Label], group_of: list[int]):
+        self.labels, self.group_of = labels, group_of
+
+    @cached_property
+    def sizes(self) -> list[int]:
+        return list(Counter(self.group_of).values())  # counted in group order
+
+    @cached_property
+    def runs(self) -> tuple[list[int], list[int]]:
+        """All points sorted by orbit, each orbit in carrier order, and
+        where each orbit's run starts."""
+        order = sorted(range(len(self.labels)), key=self.group_of.__getitem__)
+        return order, [0, *accumulate(self.sizes)]
+
+
+class Basin(Sequence):
+    """The points of one orbit in carrier order, as a read-only view.
+
+    `len` is O(1) once the orbits of the walk are counted, which the
+    first `len` of any of its basins does in one pass.  The points are
+    built on first read (iteration, indexing, comparison, hashing or
+    repr) from the partition the view shares with the other orbits of
+    its walk, and kept.  A basin equals, hashes and prints as the tuple
+    of its points; a slice is a tuple.
+    """
+
+    __slots__ = ("_partition", "_group", "_points")
+
+    def __init__(self, partition: _Partition, group: int):
+        self._partition, self._group, self._points = partition, group, None
+
+    def _tuple(self) -> tuple[Label, ...]:
+        if self._points is None:
+            part, g = self._partition, self._group
+            order, starts = part.runs
+            self._points = tuple(map(part.labels.__getitem__, order[starts[g] : starts[g + 1]]))
+        return self._points
+
+    def __len__(self) -> int:
+        return self._partition.sizes[self._group]
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, Basin)):
+            return NotImplemented
+        if len(other) != len(self):
+            return False  # told apart without reading the points
+        return self._tuple() == tuple(other)
+
+    def __getitem__(self, k):
+        return self._tuple()[k]
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
+
+
 class ComponentSkeleton(
     namedtuple("ComponentSkeleton", "kind word points basin declared", defaults=(None,))
 ):
     """One orbit of the system inside the truncation: `kind`, `word`,
-    `points`, `basin` (its points in carrier order) and `declared`.
+    `points`, `basin` (its points in carrier order, a `Basin` view whose
+    points are built on first read) and `declared`.
 
     kind "cycle": `word` is the cycle word read from `points[0]` and
     f_{word[l]}(points[l+1]) = points[l] around the cycle.
@@ -326,7 +407,8 @@ def find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
     closes (cycle, provided the whole cycle is non-frontier) or exits
     through the frontier (chain when the system declares a tail for the
     orbit, unresolved otherwise).  Orbits with no non-frontier point are
-    truncation noise and are not reported.
+    truncation noise and are not reported.  The returned basins are views
+    of one shared partition, built when first read.
     """
     owner_sym, owner_pre = f.owner  # raises on shared images
     labels, front = f.labels, f.front
@@ -355,14 +437,12 @@ def find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
             for p in path:
                 group_of[p] = g
 
-    # Each group is a run of one stable sort, so in carrier order; groups
-    # with no non-frontier point are truncation noise.
-    order = sorted(range(len(labels)), key=group_of.__getitem__)
-    ends = [0, *accumulate(Counter(group_of).values())]  # counted in group order
+    partition = _Partition(labels, group_of)
     anchors: dict[int, list[int]] = {}
     for x in f.tails:
         anchors.setdefault(group_of[x], []).append(x)
     components: list[ComponentSkeleton] = []
+    # groups with no non-frontier point are truncation noise
     for g in sorted(set(compress(group_of, front.translate(_NOT)))):
         path, declared = opening[g], None
         if owner_pre[path[-1]] >= 0:  # a cycle: restart at its first point in carrier order
@@ -379,8 +459,7 @@ def find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
                     path.append(p)
             word = tuple(map(owner_sym.__getitem__, path[:-1]))
         points = tuple(map(labels.__getitem__, path))
-        basin = tuple(map(labels.__getitem__, order[ends[g] : ends[g + 1]]))
-        components.append(ComponentSkeleton(kind, word, points, basin, declared))
+        components.append(ComponentSkeleton(kind, word, points, Basin(partition, g), declared))
     return tuple(components)
 
 

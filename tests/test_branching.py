@@ -48,7 +48,7 @@ from ckrep.branching import (
     truncated_from_rules,
     validate_bfs,
 )
-from ckrep.reps import realize, verify_ck_relations
+from ckrep.reps import decompose, realize, verify_ck_relations
 from ckrep.words import (
     NotCyclicallyAdmissibleError,
     TailWord,
@@ -116,6 +116,32 @@ class TestValidate:
         f = BranchingSystem(matrix=FULL2, carrier=g.carrier, maps=maps, frontier=g.frontier)
         report = validate_bfs(f)
         assert any(v.kind == "NotCovered" and v.points == (removed,) for v in report.violations)
+
+
+class TestConstructor:
+    """The label-level constructor rejects data that names no system."""
+
+    def test_repeated_carrier_label(self):
+        with pytest.raises(InvalidSystemError, match="carrier label 'x' is repeated"):
+            BranchingSystem(FULL2, ("x", "y", "x"), {1: {"x": "y"}}, frozenset())
+
+    @pytest.mark.parametrize(
+        "maps, frontier, tails",
+        [
+            ({1: {"x": "z"}}, (), {}),  # an edge target
+            ({2: {"z": "x"}}, (), {}),  # an edge source
+            ({}, ("z",), {}),  # a frontier label
+            ({}, (), {"z": TailWord((), (1,))}),  # a declared-tail point
+        ],
+    )
+    def test_point_outside_the_carrier(self, maps, frontier, tails):
+        with pytest.raises(InvalidSystemError, match="point 'z' is not in the carrier"):
+            BranchingSystem(FULL2, ("x", "y"), maps, frozenset(frontier), declared_tails=tails)
+
+    @pytest.mark.parametrize("symbol", [0, 3, -1])
+    def test_symbol_outside_the_alphabet(self, symbol):
+        with pytest.raises(InvalidSystemError, match=f"symbol {symbol} is outside 1..2"):
+            BranchingSystem(FULL2, ("x", "y"), {1: {"x": "y"}, symbol: {"y": "x"}}, frozenset())
 
 
 def corrupted(f: BranchingSystem, rng: random.Random, steps: int) -> BranchingSystem:
@@ -196,6 +222,29 @@ class TestAgainstOracles:
             "DomainFail",
             "CompletenessFail",
         }
+
+    def test_lazy_basins_match_the_oracle(self):
+        # the systems of the test above: same seed, same draws
+        rng = random.Random(20260518)
+        for f in self.systems(rng):
+            for steps in (0, 1, 1, 1, 2, 2, 2, 3, 3, 4):
+                g = corrupted(f, rng, steps)
+                try:
+                    want = oracle_find_components(g)
+                except InvalidSystemError:
+                    continue
+                got = find_components(g)
+                assert [len(c.basin) for c in got] == [len(c.basin) for c in want]
+                assert not any("runs" in vars(c.basin._partition) for c in got)  # len sorts nothing
+                assert find_components(g) == want and want == find_components(g)
+                for c, w in zip(got, want):
+                    b, t = c.basin, w.basin
+                    assert b == t and t == b and not b != t and not t != b
+                    assert hash(b) == hash(t) and repr(b) == repr(t)
+                    assert tuple(b) == t and list(reversed(b)) == list(reversed(t))
+                    assert [b[k] for k in range(-len(t), len(t))] == [*t, *t]
+                    assert b[1:] == t[1:] and b[::-2] == t[::-2] and type(b[:1]) is tuple
+                    assert b != t + (None,) and t[:-1] != b and b != [*t] and b in {t}
 
 
 class TestAgainstListingOracles:
@@ -574,6 +623,20 @@ class TestIndexCore:
             tracemalloc.stop()
         assert len(components) == 7282
         assert peak < 21 * 2**20, peak
+
+    def test_standard_decompose_peak_memory(self):
+        # tracemalloc peak of building and decomposing the system above:
+        # 16.39 MB when every orbit built its basin tuple, 11.36 MB with
+        # basins built on first read (Python 3.11)
+        a = validate_matrix([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
+        tracemalloc.start()
+        try:
+            d = decompose(standard_bfs(a, 2**16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(d.entries) == 1 and not d.unresolved
+        assert peak < 14 * 2**20, peak
 
     def test_symbols_past_one_byte(self):
         # at N >= 255 owner symbols are a list and the scan takes the set path

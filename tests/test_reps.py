@@ -13,6 +13,7 @@ from conftest import (
     brute_cyclic_words,
     corpus,
     full_matrix,
+    oracle_find_components,
 )
 from ckrep.branching import (
     BranchingSystem,
@@ -514,6 +515,20 @@ class TestDumpedChains:
         assert payload["unresolved"] == [
             {"prefix": "12222", "size": len(g.carrier)}
         ]
+
+    def test_unresolved_sizes_are_the_basin_lengths(self):
+        # two reloaded chains of different sizes: the JSON report is the one
+        # library reader of a basin, and reads only its length
+        from ckrep.branching import dump_bfs, load_bfs
+
+        f = direct_sum(
+            build_chain_system(A1, TailWord((), (2,)), 5, 2),
+            build_chain_system(A1, TailWord((1,), (2,)), 3, 1),
+        )
+        g = load_bfs(dump_bfs(f), A1)
+        sizes = [c["size"] for c in decomposition_json(decompose(g))["unresolved"]]
+        want = [len(c.basin) for c in oracle_find_components(g) if c.kind == "unresolved"]
+        assert sizes == want and len(set(want)) == 2
 
 
 class TestJsonSchema:
