@@ -16,10 +16,10 @@ __version__ = "0.1.0"
 _SUBMODULES = ("branching", "cli", "phases", "reps", "words")
 
 _EXPORTS = {
-    "branching": """ACycleSet BranchingError BranchingSystem CodingMap ComponentSkeleton
-        MatrixMismatchError UnresolvedPointError ValidationReport Violation a_cycle_set
-        build_chain_system build_cycle_system coding_map direct_sum dump_bfs find_components
-        load_bfs phi_map shift_bfs standard_bfs truncated_from_rules validate_bfs""",
+    "branching": """ACycleSet BranchingError BranchingSystem ComponentSkeleton
+        MatrixMismatchError ValidationReport Violation a_cycle_set build_chain_system
+        build_cycle_system direct_sum dump_bfs find_components load_bfs phi_map shift_bfs
+        standard_bfs truncated_from_rules validate_bfs""",
     "phases": "ONE Phase PhaseError RootSum phases_equal",
     "reps": """Decomposition FiniteClass GPReport INFINITY IntegralClass MatrixRealization
         OpaqueTailClass RepClass RepError TailClass class_literal classify_component

@@ -4,10 +4,9 @@ A branching function system is a family {f_i} of partial injections on a
 countable carrier with pairwise disjoint ranges covering the carrier and
 D(f_i) equal to the union of the ranges R(f_j) over the symbols j that i
 may precede.  This module holds finite truncations of such systems:
-axiom validation, the coding map, orbit/cycle/chain analysis, direct sums,
-and the explicit constructions (cycle carriers, chain carriers, the
-standard system on {1..B}, and a fixed-width stand-in for the one-sided
-shift).
+axiom validation, orbit/cycle/chain analysis, direct sums, and the
+explicit constructions (cycle carriers, chain carriers, the standard
+system on {1..B}, and a fixed-width stand-in for the one-sided shift).
 
 Truncation honesty: a carrier point is *frontier* when some axiom-relevant
 datum (an image under some f_i, or the coding preimage) falls outside the
@@ -20,7 +19,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Callable, Container, Iterable, Sequence
 from functools import cached_property
-from itertools import accumulate, chain, compress, filterfalse, repeat
+from itertools import chain, compress, filterfalse, repeat
 
 from .words import (
     NotAdmissibleError,
@@ -48,10 +47,6 @@ class BranchingError(ValueError):
 
 
 class MatrixMismatchError(BranchingError):
-    pass
-
-
-class UnresolvedPointError(BranchingError):
     pass
 
 
@@ -291,110 +286,20 @@ def validate_bfs(f: BranchingSystem) -> ValidationReport:
     return ValidationReport(checked_points=checked, violations=tuple(violations))
 
 
-class CodingMap(namedtuple("CodingMap", "entries")):
-    """The left inverse F of the system: F(f_i(x)) = x.
-
-    Defined on non-frontier points; `entries` maps each to (symbol, preimage).
-    """
-
-    __slots__ = ()
-
-    def __call__(self, point: Label) -> tuple[int, Label]:
-        if point not in self.entries:
-            raise UnresolvedPointError(f"coding data for {point!r} is outside the truncation")
-        return self.entries[point]
-
-
-def coding_map(f: BranchingSystem) -> CodingMap:
-    (owner_sym, owner_pre), labels = f.owner, f.labels
-    inside = compress(range(len(labels)), f.front.translate(_NOT))
-    entries = {labels[y]: (owner_sym[y], labels[owner_pre[y]]) for y in inside if owner_sym[y]}
-    return CodingMap(entries)
-
-
-class _Partition:
-    """The orbits of one `find_components` walk, shared by their basins.
-
-    `group_of[x]` numbers the orbit of point x, in order of first point.
-    The orbit sizes are counted in one pass when a basin's length is
-    first asked for, and the points of every orbit come from one stable
-    sort of all points by orbit, run when a basin is first read.
-    """
-
-    def __init__(self, labels: Sequence[Label], group_of: list[int]):
-        self.labels, self.group_of = labels, group_of
-
-    @cached_property
-    def sizes(self) -> list[int]:
-        return list(Counter(self.group_of).values())  # counted in group order
-
-    @cached_property
-    def runs(self) -> tuple[list[int], list[int]]:
-        """All points sorted by orbit, each orbit in carrier order, and
-        where each orbit's run starts."""
-        order = sorted(range(len(self.labels)), key=self.group_of.__getitem__)
-        return order, [0, *accumulate(self.sizes)]
-
-
-class Basin(Sequence):
-    """The points of one orbit in carrier order, as a read-only view.
-
-    `len` is O(1) once the orbits of the walk are counted, which the
-    first `len` of any of its basins does in one pass.  The points are
-    built on first read (iteration, indexing, comparison, hashing or
-    repr) from the partition the view shares with the other orbits of
-    its walk, and kept.  A basin equals, hashes and prints as the tuple
-    of its points; a slice is a tuple.
-    """
-
-    __slots__ = ("_partition", "_group", "_points")
-
-    def __init__(self, partition: _Partition, group: int):
-        self._partition, self._group, self._points = partition, group, None
-
-    def _tuple(self) -> tuple[Label, ...]:
-        if self._points is None:
-            part, g = self._partition, self._group
-            order, starts = part.runs
-            self._points = tuple(map(part.labels.__getitem__, order[starts[g] : starts[g + 1]]))
-        return self._points
-
-    def __len__(self) -> int:
-        return self._partition.sizes[self._group]
-
-    def __eq__(self, other):
-        if not isinstance(other, (tuple, Basin)):
-            return NotImplemented
-        if len(other) != len(self):
-            return False  # told apart without reading the points
-        return self._tuple() == tuple(other)
-
-    def __getitem__(self, k):
-        return self._tuple()[k]
-
-    def __iter__(self):
-        return iter(self._tuple())
-
-    def __hash__(self) -> int:
-        return hash(self._tuple())
-
-    def __repr__(self) -> str:
-        return repr(self._tuple())
-
-
 class ComponentSkeleton(
-    namedtuple("ComponentSkeleton", "kind word points basin declared", defaults=(None,))
+    namedtuple("ComponentSkeleton", "kind word points size declared", defaults=(None, None))
 ):
     """One orbit of the system inside the truncation: `kind`, `word`,
-    `points`, `basin` (its points in carrier order, a `Basin` view whose
-    points are built on first read) and `declared`.
+    `points`, `size` and `declared`.
 
     kind "cycle": `word` is the cycle word read from `points[0]` and
     f_{word[l]}(points[l+1]) = points[l] around the cycle.
     kind "chain": the system was built from a declared tail; `word` is the
-    observed prefix and `points` the chain spine.
+    observed prefix, `points` the chain spine and `declared` the tail.
     kind "unresolved": the orbit leaves through the frontier with no
-    declared tail; `word` is the observed coding prefix.
+    declared tail; `word` is the observed coding prefix and `size` the
+    number of carrier points in the orbit.  `size` is None for the other
+    kinds, as `declared` is for all but chains.
     """
 
     __slots__ = ()
@@ -407,18 +312,18 @@ def find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
     closes (cycle, provided the whole cycle is non-frontier) or exits
     through the frontier (chain when the system declares a tail for the
     orbit, unresolved otherwise).  Orbits with no non-frontier point are
-    truncation noise and are not reported.  The returned basins are views
-    of one shared partition, built when first read.
+    truncation noise and are not reported.  Orbit sizes are counted, in
+    one pass over all points, only once some orbit is unresolved.
     """
     owner_sym, owner_pre = f.owner  # raises on shared images
     labels, front = f.labels, f.front
     # The coding map is a functional graph: a point joins the group of the
     # first grouped point its forward walk meets, or opens a new group.
     # Groups are numbered in order of first point, and the walk that opens
-    # a group is the walk from its first point: `opening` keeps the cycle
-    # it closes, or the whole walk when it ends at a dead end.
+    # a group is the walk from its first point x: `ends` keeps the point
+    # where it closed its cycle, or ~x when it ended at a dead end.
     group_of = [-1] * len(labels)
-    opening: list[list[int]] = []
+    ends: list[int] = []
     for x in range(len(labels)):
         if group_of[x] >= 0:
             continue
@@ -426,40 +331,46 @@ def find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
             group_of[x] = g  # the usual case: one step suffices
             continue
         path = [x]
-        group_of[x] = fresh = len(opening)
+        group_of[x] = fresh = len(ends)
         cur, g = x, -1
         while (cur := owner_pre[cur]) >= 0 and (g := group_of[cur]) < 0:
             path.append(cur)
             group_of[cur] = fresh
         if g < 0 or g == fresh:
-            opening.append(path[path.index(cur) :] if cur >= 0 else path)
+            ends.append(cur if cur >= 0 else ~x)
         else:
             for p in path:
                 group_of[p] = g
 
-    partition = _Partition(labels, group_of)
     anchors: dict[int, list[int]] = {}
     for x in f.tails:
         anchors.setdefault(group_of[x], []).append(x)
+    sizes: Counter | None = None
     components: list[ComponentSkeleton] = []
     # groups with no non-frontier point are truncation noise
     for g in sorted(set(compress(group_of, front.translate(_NOT)))):
-        path, declared = opening[g], None
-        if owner_pre[path[-1]] >= 0:  # a cycle: restart at its first point in carrier order
+        end, size, declared = ends[g], None, None
+        if end >= 0:  # a cycle: restart at its first point in carrier order
+            path = [end]
+            while (p := owner_pre[path[-1]]) != end:
+                path.append(p)
             if k := path.index(min(path)):
                 path = path[k:] + path[:k]
             kind = "unresolved" if any(map(front.__getitem__, path)) else "cycle"
             word = tuple(map(owner_sym.__getitem__, path))
         else:
-            kind = "unresolved"
+            kind, path = "unresolved", [~end]
             if len(anchors.get(g, ())) == 1:
                 kind, declared = "chain", f.tails[anchors[g][0]]
                 path = anchors[g][:]
-                while (p := owner_pre[path[-1]]) >= 0:
-                    path.append(p)
+            while (p := owner_pre[path[-1]]) >= 0:
+                path.append(p)
             word = tuple(map(owner_sym.__getitem__, path[:-1]))
+        if kind == "unresolved":
+            sizes = sizes or Counter(group_of)
+            size = sizes[g]
         points = tuple(map(labels.__getitem__, path))
-        components.append(ComponentSkeleton(kind, word, points, Basin(partition, g), declared))
+        components.append(ComponentSkeleton(kind, word, points, size, declared))
     return tuple(components)
 
 

@@ -708,9 +708,7 @@ def decomposition_json(d: Decomposition) -> dict:
         "matrix": [list(row) for row in d.matrix.rows] if d.matrix else None,
         "level": d.level,
         "components": components,
-        "unresolved": [
-            {"prefix": format_word(c.word), "size": len(c.basin)} for c in d.unresolved
-        ],
+        "unresolved": [{"prefix": format_word(c.word), "size": c.size} for c in d.unresolved],
     }
     if d.tail_marker is not None:
         out["tail_classes_present"] = d.tail_marker

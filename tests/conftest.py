@@ -307,15 +307,9 @@ def oracle_verify_ck_relations(f: BranchingSystem) -> CKReport:
     )
 
 
-def oracle_find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
-    """Orbits by union-find over every edge, each classified by walking
-    the coding map from the orbit's first carrier point."""
-    owner: dict = {}
-    for i in range(1, f.n + 1):
-        for x, y in f.maps.get(i, {}).items():
-            if y in owner:
-                raise InvalidSystemError(f"point {y!r} lies in two ranges: {owner[y][0]} and {i}")
-            owner[y] = (i, x)
+def oracle_orbits(f: BranchingSystem) -> list[tuple]:
+    """The orbits of the system by union-find over every edge, each in
+    carrier order, in order of first carrier point."""
     parent: dict = {}
 
     def find(x):
@@ -325,11 +319,25 @@ def oracle_find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
 
     for x in f.carrier:
         find(x)
-    for y, (_, x) in owner.items():
-        parent[find(x)] = find(y)
+    for m in f.maps.values():
+        for x, y in m.items():
+            parent[find(x)] = find(y)
     groups: dict = {}
     for x in f.carrier:
         groups.setdefault(find(x), []).append(x)
+    return [tuple(group) for group in groups.values()]
+
+
+def oracle_find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
+    """Orbits by union-find over every edge, each classified by walking
+    the coding map from the orbit's first carrier point; an unresolved
+    orbit reports the number of points in its union-find basin."""
+    owner: dict = {}
+    for i in range(1, f.n + 1):
+        for x, y in f.maps.get(i, {}).items():
+            if y in owner:
+                raise InvalidSystemError(f"point {y!r} lies in two ranges: {owner[y][0]} and {i}")
+            owner[y] = (i, x)
 
     def walk(start):
         seen, points, letters = set(), [], []
@@ -344,10 +352,9 @@ def oracle_find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
         return points, letters, cur
 
     out = []
-    for group in sorted(groups.values(), key=lambda g: min(f.position[x] for x in g)):
-        if all(x in f.frontier for x in group):
+    for basin in oracle_orbits(f):
+        if all(x in f.frontier for x in basin):
             continue
-        basin = tuple(sorted(group, key=f.position.get))
         points, letters, repeat = walk(basin[0])
         if repeat is not None:
             cycle = points[points.index(repeat):]
@@ -358,7 +365,8 @@ def oracle_find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
                 sym, cur = owner[cur]
                 cyc_word.append(sym)
             kind = "unresolved" if any(p in f.frontier for p in cyc_points) else "cycle"
-            out.append(ComponentSkeleton(kind, tuple(cyc_word), tuple(cyc_points), basin))
+            size = len(basin) if kind == "unresolved" else None
+            out.append(ComponentSkeleton(kind, tuple(cyc_word), tuple(cyc_points), size))
             continue
         anchors = [x for x in basin if x in f.declared_tails]
         if len(anchors) == 1:
@@ -369,12 +377,11 @@ def oracle_find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
                         "chain",
                         tuple(a_letters),
                         tuple(a_points),
-                        basin,
-                        f.declared_tails[anchors[0]],
+                        declared=f.declared_tails[anchors[0]],
                     )
                 )
                 continue
-        out.append(ComponentSkeleton("unresolved", tuple(letters), tuple(points), basin))
+        out.append(ComponentSkeleton("unresolved", tuple(letters), tuple(points), len(basin)))
     return tuple(out)
 
 

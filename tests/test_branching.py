@@ -22,6 +22,7 @@ from conftest import (
     oracle_dump_bfs,
     oracle_find_components,
     oracle_load_bfs,
+    oracle_orbits,
     oracle_shift_bfs,
     oracle_validate_bfs,
     oracle_verify_ck_relations,
@@ -32,12 +33,10 @@ from ckrep.branching import (
     DumpFormatError,
     InvalidSystemError,
     MatrixMismatchError,
-    UnresolvedPointError,
     ValidationReport,
     a_cycle_set,
     build_chain_system,
     build_cycle_system,
-    coding_map,
     direct_sum,
     dump_bfs,
     find_components,
@@ -223,29 +222,6 @@ class TestAgainstOracles:
             "CompletenessFail",
         }
 
-    def test_lazy_basins_match_the_oracle(self):
-        # the systems of the test above: same seed, same draws
-        rng = random.Random(20260518)
-        for f in self.systems(rng):
-            for steps in (0, 1, 1, 1, 2, 2, 2, 3, 3, 4):
-                g = corrupted(f, rng, steps)
-                try:
-                    want = oracle_find_components(g)
-                except InvalidSystemError:
-                    continue
-                got = find_components(g)
-                assert [len(c.basin) for c in got] == [len(c.basin) for c in want]
-                assert not any("runs" in vars(c.basin._partition) for c in got)  # len sorts nothing
-                assert find_components(g) == want and want == find_components(g)
-                for c, w in zip(got, want):
-                    b, t = c.basin, w.basin
-                    assert b == t and t == b and not b != t and not t != b
-                    assert hash(b) == hash(t) and repr(b) == repr(t)
-                    assert tuple(b) == t and list(reversed(b)) == list(reversed(t))
-                    assert [b[k] for k in range(-len(t), len(t))] == [*t, *t]
-                    assert b[1:] == t[1:] and b[::-2] == t[::-2] and type(b[:1]) is tuple
-                    assert b != t + (None,) and t[:-1] != b and b != [*t] and b in {t}
-
 
 class TestAgainstListingOracles:
     """The grown cycle and chain carriers and the shift stand-in equal the
@@ -294,27 +270,15 @@ class TestAgainstListingOracles:
 
 
 class TestCodingMap:
-    def test_standard_full_first_point(self):
-        f = standard_bfs(FULL2, 16)
-        assert coding_map(f)(1) == (1, 1)
-
     def test_round_trip_on_corpus(self):
+        # the owner arrays are the coding map F(f_i(x)) = x: they invert `maps`
         for a in corpus()[:8]:
             for f in generated_systems(a):
-                fmap = coding_map(f)
+                owner_sym, owner_pre = f.owner
                 for i in range(1, a.n + 1):
                     for x, y in f.maps.get(i, {}).items():
-                        if y not in f.frontier:
-                            assert fmap(y) == (i, x)
-
-    def test_chain_prefix_point(self):
-        f = build_chain_system(A1, TailWord((), (2,)), 4, 2)
-        assert coding_map(f)(2) == (2, 3)
-
-    def test_unresolved_point_raises(self):
-        f = build_chain_system(A1, TailWord((), (2,)), 4, 2)
-        with pytest.raises(UnresolvedPointError):
-            coding_map(f)(4)  # spine end is frontier
+                        y = f.position[y]
+                        assert (owner_sym[y], owner_pre[y]) == (i, f.position[x])
 
 
 class TestCycleSystems:
@@ -542,18 +506,20 @@ class TestDirectSum:
 
 class TestOrbits:
     def test_points_share_their_component(self):
-        for f in (standard_bfs(A3, 40), build_cycle_system(A3, (1, 2), 3)):
+        # each component lies in an orbit of its own, and an unresolved
+        # one counts the points of that orbit
+        chains = [build_chain_system(A3, TailWord((3,), (1, 2)), k, 1) for k in (3, 4)]
+        reloaded = [load_bfs(dump_bfs(g), A3) for g in chains]  # unresolved, sizes 15 and 19
+        mixed = direct_sum(standard_bfs(A3, 40), chains[0], *reloaded)
+        for f in (standard_bfs(A3, 40), build_cycle_system(A3, (1, 2), 3), mixed):
+            orbits = oracle_orbits(f)
+            orbit_of = {x: k for k, orbit in enumerate(orbits) for x in orbit}
             comps = find_components(f)
-            owner_of = {}
-            for idx, c in enumerate(comps):
-                for x in c.basin:
-                    assert x not in owner_of
-                    owner_of[x] = idx
-            # every edge stays inside one component
-            for i in range(1, f.n + 1):
-                for x, y in f.maps.get(i, {}).items():
-                    if x in owner_of and y in owner_of:
-                        assert owner_of[x] == owner_of[y]
+            homes = [{orbit_of[x] for x in c.points} for c in comps]
+            assert all(len(home) == 1 for home in homes)
+            assert len(set().union(*homes)) == len(comps)
+            for c, (k,) in zip(comps, homes):
+                assert c.size == (len(orbits[k]) if c.kind == "unresolved" else None)
 
 
 class TestRules:
@@ -610,8 +576,9 @@ class TestIndexCore:
     def test_standard_peak_memory(self):
         # tracemalloc peak of build, validation and components at B = 2^16
         # on a delta self-loop, which splits into 7282 reported orbits:
-        # 25.5 MB with label-keyed dicts, 16.4 MB with index arrays
-        # (Python 3.11)
+        # 25.5 MB with label-keyed dicts, 16.4 MB with index arrays,
+        # 11.36 MB with basins built on first read, 8.97 MB with one int
+        # per orbit and no basins (Python 3.11)
         a = validate_matrix([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
         tracemalloc.start()
         try:
@@ -627,7 +594,8 @@ class TestIndexCore:
     def test_standard_decompose_peak_memory(self):
         # tracemalloc peak of building and decomposing the system above:
         # 16.39 MB when every orbit built its basin tuple, 11.36 MB with
-        # basins built on first read (Python 3.11)
+        # basins built on first read and one opening-walk list per orbit,
+        # 8.97 MB with one int per orbit and no basins (Python 3.11)
         a = validate_matrix([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
         tracemalloc.start()
         try:
@@ -636,7 +604,7 @@ class TestIndexCore:
         finally:
             tracemalloc.stop()
         assert len(d.entries) == 1 and not d.unresolved
-        assert peak < 14 * 2**20, peak
+        assert peak < 10 * 2**20, peak
 
     def test_symbols_past_one_byte(self):
         # at N >= 255 owner symbols are a list and the scan takes the set path

@@ -141,9 +141,39 @@ class TestVerbs:
         assert code == 0
         assert out == "Int(2) (+) P(1)^(2) (+) P(1;1/2)^(2)\n"
 
+    def test_expand_tail_and_integral_from_stdin(self, capsys, monkeypatch):
+        import io
+
+        payload = {
+            "matrix": [[1, 1], [1, 1]],
+            "components": [
+                {"kind": "tail", "word": "12", "multiplicity": 1},
+                {"kind": "integral", "word": "1", "multiplicity": "inf"},
+                {"kind": "integral", "word": "12", "multiplicity": 2},
+            ],
+        }
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        code, out = run(capsys, "expand")
+        assert code == 0 and out == "Int(1)^(inf) (+) Int(12)^(3)\n"
+
     def test_verify_relations(self, capsys, a3_file):
         code, out = run(capsys, "verify-relations", "--matrix", a3_file, "--truncate", "60")
         assert code == 0 and "relations: ok" in out
+
+    def test_verify_relations_lists_violations(self, capsys, monkeypatch, a3_file):
+        # the cycle carrier of P(12) at depth 1 with its edge f_1(2) = 12 deleted
+        faulty = (
+            "3 8\n1: 32->~132, 312->~1312\n2: 12->2, 32->~232, 312->~2312\n3: 2->32, 12->312\n"
+        )
+        monkeypatch.setattr(branching, "standard_bfs", lambda a, _: branching.load_bfs(faulty, a))
+        code, out = run(capsys, "verify-relations", "--matrix", a3_file)
+        assert code == 1
+        assert out.splitlines()[3:] == [
+            "violation: DomainFail symbols=(1,) points=('2',)",
+            "violation: DomainFail symbols=(2,) points=('12',)",
+            "violation: DomainFail symbols=(3,) points=('12',)",
+            "violation: CompletenessFail symbols=() points=('12',)",
+        ]
 
     def test_state(self, capsys, a3_file):
         code, out = run(
@@ -186,6 +216,19 @@ class TestVerbs:
     def test_gp_check(self, capsys, a3_file):
         code, out = run(capsys, "gp-check", "--matrix", a3_file, "--word", "12", "--power", "2")
         assert code == 0 and "fixed point: ok" in out
+
+    def test_gp_check_json(self, capsys, a3_file):
+        argv = ["gp-check", "--matrix", a3_file, "--word", "12", "--power", "2", "--json"]
+        code, out = run(capsys, *argv)
+        assert code == 0 and json.loads(out) == {
+            "word": "12",
+            "p": 2,
+            "fixed_point_ok": True,
+            "orthonormal_ok": True,
+            "family_size": 4,
+            "decomposition_matches": True,
+            "ok": True,
+        }
 
     def test_twist(self, capsys):
         code, out = run(capsys, "twist", "--class", "P(12)", "--gauge", "1/4,1/4")
@@ -298,6 +341,8 @@ class TestContract:
              ' "phase": {"num": 1, "den": 0}}]}', "zero denominator"),
             ('{"components": [{"kind": "finite", "word": "1", "multiplicity": 1,'
              ' "phase": {"num": 1}}]}', "bad phase"),
+            ('{"components": [{"kind": "cycle", "word": "1", "multiplicity": 1}]}',
+             "unknown component kind 'cycle'"),
         ],
     )
     def test_expand_bad_stdin_exits_1(self, capsys, monkeypatch, stdin, message):

@@ -19,12 +19,12 @@ import ckrep
 SUBMODULES = ("branching", "cli", "phases", "reps", "words")
 
 EXPORTED = """
-    ACycleSet BranchingError BranchingSystem CodingMap ComponentSkeleton Decomposition
+    ACycleSet BranchingError BranchingSystem ComponentSkeleton Decomposition
     FiniteClass GPReport INFINITY IntegralClass MatrixMismatchError MatrixRealization ONE
     OpaqueTailClass PSpecSummary Phase PhaseError RepClass RepError RootSum TailClass TailWord
-    TransitionMatrix UnresolvedPointError ValidationReport Violation Word WordError a_cycle_set
+    TransitionMatrix ValidationReport Violation Word WordError a_cycle_set
     build_chain_system build_cycle_system canonical_rotation class_literal classify_component
-    coding_map cross_check_standard decompose decompose_shift decompose_standard
+    cross_check_standard decompose decompose_shift decompose_standard
     decomposition_json direct_sum dump_bfs enumerate_cyclic_classes equivalent
     expand_irreducible find_components finite_class format_tail format_word gp_vector_check
     integral_class is_admissible is_cyclically_admissible is_irreducible is_periodic is_pure
@@ -209,7 +209,9 @@ class TestExportSurface:
         assert set(SUBMODULES) <= set(dir(ckrep))
 
     @pytest.mark.parametrize(
-        "name", ["ACoordinate", "a_coordinate", "TreeNodeSet", "tree", "concat", "rotate", "precedes", "nope"]
+        "name",
+        ["ACoordinate", "a_coordinate", "TreeNodeSet", "tree", "concat", "rotate", "precedes"]
+        + ["coding_map", "CodingMap", "UnresolvedPointError", "nope"],
     )
     def test_unknown_name_raises_attribute_error(self, name):
         with pytest.raises(AttributeError, match=name):

@@ -42,6 +42,18 @@ def test_nan_is_not_a_phase():
         Phase.from_complex(complex(float("nan"), 0.0))
 
 
+def test_root():
+    assert Phase.exact(1, 3).root(2) == Phase.exact(1, 6)
+    with pytest.raises(PhaseError, match="root order"):
+        Phase.exact(1, 3).root(0)
+    # the principal root of an approximate phase divides its angle in [0, 2 pi)
+    for angle, p in [(0.6, 3), (-0.6, 3), (2.5, 2)]:
+        got = Phase.from_complex(cmath.exp(1j * angle)).root(p)
+        assert not got.is_exact
+        assert abs(got.as_complex() - cmath.exp(1j * (angle % (2 * cmath.pi)) / p)) < 1e-12
+        assert abs(got.as_complex() ** p - cmath.exp(1j * angle)) < 1e-12
+
+
 def test_phases_equal_across_kinds():
     assert phases_equal(Phase.exact(1, 2), Phase.from_complex(-1 + 0j))
     assert not phases_equal(Phase.exact(1, 2), Phase.exact(0))

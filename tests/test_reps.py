@@ -30,6 +30,7 @@ from ckrep.phases import ONE, Phase, RootSum
 from ckrep.reps import (
     Decomposition,
     FiniteClass,
+    GPReport,
     INFINITY,
     IntegralClass,
     OpaqueTailClass,
@@ -171,11 +172,14 @@ class TestClassify:
         assert isinstance(got, OpaqueTailClass) and got.source is gen
 
     def test_unresolved_component_raises(self):
-        f = shift_bfs(A1, 6)
-        unresolved = [c for c in find_components(f) if c.kind == "unresolved"]
-        if unresolved:
-            with pytest.raises(UnresolvedComponentError):
-                classify_component(unresolved[0], realize(f))
+        # a reloaded chain has lost its declared tail, so it is unresolved
+        from ckrep.branching import dump_bfs, load_bfs
+
+        f = load_bfs(dump_bfs(build_chain_system(A1, TailWord((), (2,)), 5, 2)), A1)
+        (comp,) = find_components(f)
+        assert comp.kind == "unresolved"
+        with pytest.raises(UnresolvedComponentError, match="is not resolved inside"):
+            classify_component(comp, realize(f))
 
 
 class TestDecompose:
@@ -190,6 +194,15 @@ class TestDecompose:
         d = decompose(standard_bfs(A1, 64), structural_infinities=False)
         got = entries_by_literal(d)
         assert got["P(1)"] == 1 and 1 < got["P(2)"] < INFINITY
+
+    def test_standard_origin_with_a_repeated_once_cycle_raises(self):
+        # standard_bfs never shows P(1) twice over A4; a system that claims
+        # the standard origin for two copies is refused
+        f = direct_sum(standard_bfs(A4, 81), standard_bfs(A4, 81))
+        g = BranchingSystem(A4, f.carrier, f.maps, f.frontier, origin="standard")
+        with pytest.raises(RepError, match=r"standard system shows 1 more than once"):
+            decompose(g)
+        assert entries_by_literal(decompose(f)) == {"P(1)": 2, "P(2)": 2}
 
     def test_direct_sum_doubles(self):
         f = build_cycle_system(A3, (1, 2), 2)
@@ -430,6 +443,14 @@ class TestGPCheck:
         with pytest.raises(RepError):
             gp_vector_check(FULL2, (1, 1), 2)
 
+    def test_ok_needs_every_check(self):
+        assert GPReport((1,), 2, True, True, 2, True).ok
+        for k in range(3):
+            checks = [True, True, True]
+            checks[k] = False
+            fixed, ortho, matches = checks
+            assert not GPReport((1,), 2, fixed, ortho, 2, matches).ok, k
+
 
 class TestStandardReports:
     M2_TABLE = {
@@ -472,6 +493,10 @@ class TestStandardReports:
 
 
 class TestShiftReports:
+    def test_period_bound_must_be_positive(self):
+        with pytest.raises(RepError, match="max_period must be >= 1"):
+            decompose_shift(A1, 0)
+
     def test_a1(self):
         d = decompose_shift(A1, 4)
         assert entries_by_literal(d) == {"P(1)": 1, "P(2)": 1}
@@ -518,7 +543,7 @@ class TestDumpedChains:
 
     def test_unresolved_sizes_are_the_basin_lengths(self):
         # two reloaded chains of different sizes: the JSON report is the one
-        # library reader of a basin, and reads only its length
+        # library reader of an orbit's size
         from ckrep.branching import dump_bfs, load_bfs
 
         f = direct_sum(
@@ -527,7 +552,7 @@ class TestDumpedChains:
         )
         g = load_bfs(dump_bfs(f), A1)
         sizes = [c["size"] for c in decomposition_json(decompose(g))["unresolved"]]
-        want = [len(c.basin) for c in oracle_find_components(g) if c.kind == "unresolved"]
+        want = [c.size for c in oracle_find_components(g) if c.kind == "unresolved"]
         assert sizes == want and len(set(want)) == 2
 
 
@@ -601,6 +626,24 @@ class TestJsonSchema:
         assert parse_phase("2") == ONE
         with pytest.raises(PhaseError, match="zero denominator"):
             parse_phase("1/0")
+
+    def test_approximate_phase_with_one_character_real_part(self):
+        from ckrep.reps import parse_phase
+
+        assert parse_phase("1+0i") == Phase.from_complex(1 + 0j)
+        assert parse_phase("0-1i") == Phase.from_complex(-1j)
+
+    def test_tail_class_entry(self):
+        d = decompose(build_chain_system(A1, TailWord((1,), (2,)), 6, 2))
+        assert decomposition_json(d)["components"] == [
+            {"kind": "tail", "word": "2", "multiplicity": 1}
+        ]
+
+    def test_opaque_tail_has_no_report_form(self):
+        gen = lambda m: 2 - (m % 2)  # noqa: E731
+        d = decompose(build_chain_system(FULL2, gen, 6, 1))
+        with pytest.raises(RepError, match="opaque tail classes have no report form"):
+            decomposition_json(d)
 
 
 class TestIntegralUniqueness:
