@@ -14,8 +14,10 @@ calculus alone loads without it.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
+from math import lcm
 
-from .phases import ONE, Phase, RootSum, phases_equal
+from .phases import ONE, Phase, PhaseError, RootSum, phases_equal
 from .words import (
     EMPTY_WORD,
     _Key,
@@ -39,7 +41,7 @@ TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:
     from .branching import BranchingSystem, ComponentSkeleton, Label, Violation
 
-    Vector = dict[Label, RootSum]
+    Vector = dict[int, int]  # {x: e}, the sum of zeta_N^e e_x over distinct points x
 
 INFINITY = float("inf")
 
@@ -274,7 +276,9 @@ class MatrixRealization:
 
     s_i sends the basis vector at x to weight * basis vector at f_i(x)
     on the recorded domain and to 0 elsewhere.  `weights` holds the
-    twisted edges only; every other recorded edge has weight 1.
+    twisted edges only; every other recorded edge has weight 1.  Every
+    weight is a root of unity, so the vector calculus keeps a vector as
+    {point index: e}, the sum of zeta_N^e e_x, with N from `exponents`.
     """
 
     def __init__(self, system: BranchingSystem, weights: dict[int, dict[Label, Phase]]):
@@ -284,6 +288,23 @@ class MatrixRealization:
     @property
     def matrix(self) -> TransitionMatrix:
         return self.system.matrix
+
+    @cached_property
+    def exponents(self) -> tuple[int, list[dict[int, int]]]:
+        """(N, per symbol {point index: e}): the twisted edge at x has
+        weight zeta_N^e, where the order N is the lcm of the twists'
+        denominators (1 without twists).  PhaseError on an approximate
+        twist; InvalidSystemError if two edges share an image."""
+        f = self.system
+        f.owner  # the vector calculus needs injective maps
+        twists = [(i, x, t) for i, per in self.weights.items() for x, t in per.items()]
+        if not all(t.is_exact for _, _, t in twists):
+            raise PhaseError("exact arithmetic requires an exact phase")
+        order = lcm(*(t.turns.denominator for _, _, t in twists))
+        exps: list[dict[int, int]] = [{} for _ in range(f.n)]
+        for i, x, t in twists:
+            exps[i - 1][f.position[x]] = t.turns.numerator * (order // t.turns.denominator)
+        return order, exps
 
 
 def realize(
@@ -300,49 +321,27 @@ def realize(
     return MatrixRealization(system=f, weights=weights)
 
 
-def basis_vector(label: Label) -> Vector:
-    return {label: RootSum.one()}
-
-
-def _add_term(vec: Vector, label: Label, coeff: RootSum) -> None:
-    cur = vec.get(label)
-    vec[label] = coeff if cur is None else cur + coeff
-
-
-def apply_symbol(m: MatrixRealization, i: int, vec: Vector) -> Vector:
-    out: Vector = {}
-    f = m.system
-    edges, twists = f.images[i - 1], m.weights.get(i, {})
-    for x, coeff in vec.items():
-        k = f.position.get(x)
-        if k is not None and edges[k] >= 0:
-            twist = twists.get(x)
-            term = coeff if twist is None else coeff * RootSum.from_phase(twist)
-            _add_term(out, f.labels[edges[k]], term)
-    return out
-
-
 def apply_word(m: MatrixRealization, word: Word, vec: Vector) -> Vector:
-    """s_word = s_{j_1} ... s_{j_k}; the rightmost factor acts first."""
+    """s_word = s_{j_1} ... s_{j_k}; the rightmost factor acts first.
+    Each f_i is injective, so each step maps the point x to f_i(x) and
+    adds the edge's twist exponent mod N."""
+    order, exps = m.exponents
+    images = m.system.images
     for i in reversed(word):
-        vec = apply_symbol(m, i, vec)
+        img, twist = images[i - 1], exps[i - 1]
+        vec = {img[x]: (e + twist.get(x, 0)) % order for x, e in vec.items() if img[x] >= 0}
     return vec
 
 
-def inner_product(v: Vector, w: Vector) -> RootSum:
-    total = RootSum.zero()
-    for x, c in v.items():
-        d = w.get(x)
-        if d is not None:
-            total = total + c.conjugate() * d
-    return total
-
-
-def vectors_equal(v: Vector, w: Vector) -> bool:
-    for x in set(v) | set(w):
-        if not (v.get(x, RootSum.zero()) - w.get(x, RootSum.zero())).is_zero():
-            return False
-    return True
+def inner_product(m: MatrixRealization, v: Vector, w: Vector) -> RootSum:
+    """<v, w>, conjugate-linear in v: a point with v[x] = a and w[x] = b
+    adds zeta_N^(b - a)."""
+    order = m.exponents[0]
+    counts: dict[int, int] = {}
+    for x in v.keys() & w.keys():
+        d = (w[x] - v[x]) % order
+        counts[d] = counts.get(d, 0) + 1
+    return RootSum(order, counts)
 
 
 class CKReport(
@@ -558,27 +557,27 @@ def gp_vector_check(a: TransitionMatrix, word: Word, p: int, depth: int = 2) -> 
         raise RepError("p must be >= 1")
     if is_periodic(word):
         raise RepError("the power-splitting check needs a non-periodic word")
-    k = len(word)
     summand = build_cycle_system(a, word, depth)
     total = direct_sum(*[summand] * p)
-    anchor = summand.labels[0]  # the full word
-    wrap = word[-1]
-    phases = {(wrap, f"{j - 1}:{anchor}"): Phase.exact(j, p) for j in range(1, p + 1)}
+    anchors = [f"{j}:{summand.labels[0]}" for j in range(p)]  # the full word, per copy
+    phases = {(word[-1], x): Phase.exact(j, p) for j, x in enumerate(anchors, start=1)}
     m = realize(total, phases)
 
-    omega: Vector = {f"{j}:{anchor}": RootSum.one() for j in range(p)}
-    fixed_ok = vectors_equal(apply_word(m, power(word, p), dict(omega)), omega)
+    omega: Vector = {total.position[x]: 0 for x in anchors}
+    fixed_ok = apply_word(m, power(word, p), omega) == omega
 
-    family: list[Vector] = []
-    for l in range(1, k + 1):
-        for reps in range(p):
-            family.append(apply_word(m, word[l - 1 :] + power(word, reps), dict(omega)))
+    family: list[Vector] = []  # s_{word[l-1:]} s_{word^reps} omega, reps < p, l = k..1
+    v = omega
+    for _ in range(p):
+        for letter in reversed(word):
+            v = apply_word(m, (letter,), v)
+            family.append(v)
     gram_ok = True
     expect_p = RootSum.rational(p)
     for u_idx, u in enumerate(family):
         for w_idx, w in enumerate(family):
-            want = expect_p if u_idx == w_idx else RootSum.zero()
-            if not (inner_product(u, w) - want).is_zero():
+            ip = inner_product(m, u, w)
+            if not (ip == expect_p if u_idx == w_idx else ip.is_zero()):
                 gram_ok = False
 
     observed = decompose(total, phases=phases)

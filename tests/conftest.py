@@ -15,7 +15,10 @@ carrier oracles are the earlier cycle, chain and shift constructors,
 which list every point word first (the trees from `tree` below) and then
 find each point's edges and frontier status by membership in that list.
 The dump oracles are the earlier `dump_bfs` and `load_bfs`, which format,
-check and intern one endpoint at a time.
+check and intern one endpoint at a time.  The vector oracles are the
+earlier `RootSum`-valued vector calculus: a vector maps carrier labels to
+`RootSum` coefficients, and each twisted edge multiplies by the twist's
+`RootSum`.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from ckrep.branching import (
     _chain_letters,
     _periodic_extension,
 )
-from ckrep.phases import Phase, PhaseError
-from ckrep.reps import CKReport
+from ckrep.phases import Phase, PhaseError, RootSum
+from ckrep.reps import CKReport, MatrixRealization
 from ckrep.words import (
     EmptyWordError,
     NotCyclicallyAdmissibleError,
@@ -383,6 +386,50 @@ def oracle_find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
                 continue
         out.append(ComponentSkeleton("unresolved", tuple(letters), tuple(points), len(basin)))
     return tuple(out)
+
+
+OracleVector = dict[Label, RootSum]
+
+
+def _oracle_add_term(vec: OracleVector, label: Label, coeff: RootSum) -> None:
+    cur = vec.get(label)
+    vec[label] = coeff if cur is None else cur + coeff
+
+
+def oracle_apply_symbol(m: MatrixRealization, i: int, vec: OracleVector) -> OracleVector:
+    out: OracleVector = {}
+    f = m.system
+    edges, twists = f.images[i - 1], m.weights.get(i, {})
+    for x, coeff in vec.items():
+        k = f.position.get(x)
+        if k is not None and edges[k] >= 0:
+            twist = twists.get(x)
+            term = coeff if twist is None else coeff * RootSum.from_phase(twist)
+            _oracle_add_term(out, f.labels[edges[k]], term)
+    return out
+
+
+def oracle_apply_word(m: MatrixRealization, word: Word, vec: OracleVector) -> OracleVector:
+    """s_word = s_{j_1} ... s_{j_k}; the rightmost factor acts first."""
+    for i in reversed(word):
+        vec = oracle_apply_symbol(m, i, vec)
+    return vec
+
+
+def oracle_inner_product(v: OracleVector, w: OracleVector) -> RootSum:
+    total = RootSum.zero()
+    for x, c in v.items():
+        d = w.get(x)
+        if d is not None:
+            total = total + c.conjugate() * d
+    return total
+
+
+def oracle_vectors_equal(v: OracleVector, w: OracleVector) -> bool:
+    for x in set(v) | set(w):
+        if not (v.get(x, RootSum.zero()) - w.get(x, RootSum.zero())).is_zero():
+            return False
+    return True
 
 
 @dataclass(frozen=True)

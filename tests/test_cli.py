@@ -5,6 +5,7 @@ import pytest
 from conftest import A1_ROWS, A3_ROWS
 from ckrep import branching, reps
 from ckrep.cli import main, render_report
+from ckrep.phases import Phase
 from ckrep.words import validate_matrix
 
 
@@ -216,6 +217,22 @@ class TestVerbs:
     def test_gp_check(self, capsys, a3_file):
         code, out = run(capsys, "gp-check", "--matrix", a3_file, "--word", "12", "--power", "2")
         assert code == 0 and "fixed point: ok" in out
+
+    def test_gp_check_failure(self, capsys, monkeypatch, a3_file):
+        # twists j/(p+1) in place of j/p break the fixed point and the Gram matrix
+        class WrongPhase(Phase):
+            @staticmethod
+            def exact(num, den=1):
+                return Phase.exact(num, den + 1)
+
+        monkeypatch.setattr(reps, "Phase", WrongPhase)
+        code, out = run(capsys, "gp-check", "--matrix", a3_file, "--word", "12", "--power", "2")
+        assert code == 1 and out == (
+            "word: 12 power: 2\n"
+            "fixed point: FAILED\n"
+            "orthonormal family of 4: FAILED\n"
+            "decomposition match: ok\n"
+        )
 
     def test_gp_check_json(self, capsys, a3_file):
         argv = ["gp-check", "--matrix", a3_file, "--word", "12", "--power", "2", "--json"]

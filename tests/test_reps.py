@@ -1,9 +1,12 @@
+import cmath
 import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     A1_ROWS,
@@ -11,12 +14,20 @@ from conftest import (
     A4_ROWS,
     NAIVE1_ROWS,
     brute_cyclic_words,
+    brute_is_periodic,
+    brute_min_rotation,
     corpus,
     full_matrix,
+    oracle_apply_word,
     oracle_find_components,
+    oracle_inner_product,
+    oracle_vectors_equal,
+    random_matrices,
 )
+from ckrep import reps
 from ckrep.branching import (
     BranchingSystem,
+    InvalidSystemError,
     Violation,
     build_chain_system,
     build_cycle_system,
@@ -26,7 +37,7 @@ from ckrep.branching import (
     standard_bfs,
     truncated_from_rules,
 )
-from ckrep.phases import ONE, Phase, RootSum
+from ckrep.phases import ONE, Phase, PhaseError, RootSum
 from ckrep.reps import (
     Decomposition,
     FiniteClass,
@@ -41,7 +52,6 @@ from ckrep.reps import (
     UndecidableEquivalenceError,
     UnresolvedComponentError,
     apply_word,
-    basis_vector,
     class_literal,
     classify_component,
     decompose,
@@ -52,6 +62,7 @@ from ckrep.reps import (
     expand_irreducible,
     finite_class,
     gp_vector_check,
+    inner_product,
     integral_class,
     is_irreducible,
     is_pure,
@@ -93,13 +104,34 @@ class TestRealize:
     def test_phase_twist_applies(self):
         f = build_cycle_system(FULL2, (1,), 2)
         m = realize(f, {(1, "1"): Phase.exact(1, 2)})
-        v = apply_word(m, (1,), basis_vector("1"))
-        assert (v["1"] - RootSum.from_phase(Phase.exact(1, 2))).is_zero()
+        x = f.position["1"]
+        assert m.exponents[0] == 2 and apply_word(m, (1,), {x: 0}) == {x: 1}  # zeta_2 e_1
 
     def test_phase_off_domain(self):
         f = build_cycle_system(A1, (1,), 2)
         with pytest.raises(PhaseOffDomainError):
             realize(f, {(2, "1"): Phase.exact(1, 2)})
+
+    def test_approximate_twist_decomposes_but_has_no_exact_vectors(self):
+        f = build_cycle_system(FULL2, (1,), 2)
+        z = Phase.from_complex(cmath.exp(0.3j))
+        d = decompose(f, {(1, "1"): z})
+        assert list(d.entries) == [FiniteClass((1,), z)] and not d.unresolved
+        m = realize(f, {(1, "1"): z})
+        x = f.position["1"]
+        for use in (
+            lambda: m.exponents,
+            lambda: apply_word(m, (1,), {x: 0}),
+            lambda: inner_product(m, {x: 0}, {x: 0}),
+        ):
+            with pytest.raises(PhaseError):
+                use()
+
+    def test_vectors_need_injective_maps(self):
+        f = BranchingSystem(A1, ("x", "y"), {1: {"x": "y", "y": "y"}}, frozenset())
+        m = realize(f)
+        with pytest.raises(InvalidSystemError):
+            apply_word(m, (1,), {0: 0, 1: 0})
 
 
 class TestCKRelations:
@@ -427,6 +459,99 @@ class TestPurity:
             is_pure(FiniteClass((1,), Phase.exact(1, 2)))
 
 
+def _primitive_cycle_words(a, max_len=3):
+    return [w for k in range(1, max_len + 1) for w in brute_cyclic_words(a, k) if not is_periodic(w)]
+
+
+VECTOR_MATRICES = [(a, _primitive_cycle_words(a)) for a in corpus()[:11]]
+DENOMINATORS = (1, 2, 3, 4, 5, 6, 8, 12)
+
+
+@st.composite
+def twisted_realizations(draw):
+    """A cycle carrier, or a direct sum of two to four, with exact twists
+    of mixed denominators on random edges of every symbol; returns the
+    realization, the summands' cycle words and their anchor points.  In
+    a split sum, as in `gp_vector_check`, p copies of one cycle carry the
+    wrap twists j/p and the random twists stay off the cycles."""
+    a, words = draw(st.sampled_from(VECTOR_MATRICES))
+    split = draw(st.booleans())
+    if split:
+        cycles = [draw(st.sampled_from(words))] * draw(st.integers(2, 4))
+    else:
+        cycles = draw(st.lists(st.sampled_from(words), min_size=1, max_size=3))
+    parts = [build_cycle_system(a, w, draw(st.integers(0, 2))) for w in cycles]
+    f = parts[0] if len(parts) == 1 else direct_sum(*parts)
+    offsets = list(itertools.accumulate((len(g.labels) for g in parts[:-1]), initial=0))
+    on_cycle = {o + l for o, w in zip(offsets, cycles) for l in range(len(w))}
+    edges = [
+        (i, x)
+        for i, img in enumerate(f.images, start=1)
+        for x, y in enumerate(img)
+        if y >= 0 and not (split and x in on_cycle)
+    ]
+    chosen = draw(st.lists(st.sampled_from(edges), unique=True, max_size=8)) if edges else []
+    phases = {}
+    for i, x in chosen:
+        den = draw(st.sampled_from(DENOMINATORS))
+        phases[(i, f.labels[x])] = Phase.exact(draw(st.integers(0, den - 1)), den)
+    if split:
+        for j, o in enumerate(offsets, start=1):
+            phases[(cycles[0][-1], f.labels[o])] = Phase.exact(j, len(cycles))
+    return realize(f, phases), cycles, offsets
+
+
+def as_oracle(m, vec):
+    """The monomial vector {x: e} as labels with RootSum coefficients;
+    every exponent must already be reduced mod N."""
+    order = m.exponents[0]
+    assert all(0 <= e < order for e in vec.values()), (order, vec)
+    return {m.system.labels[x]: RootSum(order, {e: 1}) for x, e in vec.items()}
+
+
+class TestMonomialVectors:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(twisted_realizations(), st.data())
+    def test_against_the_rootsum_oracle(self, realized, data):
+        m, cycles, anchors = realized
+        f, order = m.system, m.exponents[0]
+        letters = st.integers(1, f.n)
+        words = [data.draw(st.lists(letters, max_size=6).map(tuple)) for _ in range(3)]
+        words += [power(cycles[0], r) for r in (1, 2, order)]
+
+        # s_w e_x for every basis vector
+        for w in words:
+            for x in range(len(f.labels)):
+                got = apply_word(m, w, {x: 0})
+                want = oracle_apply_word(m, w, {f.labels[x]: RootSum.one()})
+                assert set(as_oracle(m, got)) == set(want)
+                assert oracle_vectors_equal(as_oracle(m, got), want), (w, x)
+
+        # inner products and fixed-point verdicts on vectors through the anchors
+        exps = data.draw(st.lists(st.integers(0, 23), min_size=len(anchors), max_size=len(anchors)))
+        omega = {x: e % order for x, e in zip(anchors, exps)}
+        word, p = cycles[0], len(cycles)
+        orbit = [word[l:] + power(word, r) for l in range(len(word)) for r in range(p)]
+        pool = [omega] + [apply_word(m, w, omega) for w in words + orbit]
+        for v in pool:
+            for w in pool:
+                got = inner_product(m, v, w)
+                want = oracle_inner_product(as_oracle(m, v), as_oracle(m, w))
+                assert got == want and got.is_zero() == want.is_zero()
+        for w in words:
+            moved = oracle_apply_word(m, w, as_oracle(m, omega))
+            assert (apply_word(m, w, omega) == omega) == oracle_vectors_equal(moved, as_oracle(m, omega))
+
+    def test_two_copies_of_p1(self):
+        # the wrap twist 1/2 on one of two copies of P(1): <omega, s_1 omega> = 1 - 1
+        f = direct_sum(*[build_cycle_system(FULL2, (1,), 1)] * 2)
+        m = realize(f, {(1, "1:1"): Phase.exact(1, 2)})
+        omega = {f.position["0:1"]: 0, f.position["1:1"]: 0}
+        assert inner_product(m, omega, apply_word(m, (1,), omega)).is_zero()
+        assert not inner_product(m, omega, omega).is_zero()
+        assert apply_word(m, (1, 1), omega) == omega != apply_word(m, (1,), omega)
+
+
 class TestGPCheck:
     def test_full_matrix_p2(self):
         report = gp_vector_check(FULL2, (1,), 2)
@@ -442,6 +567,20 @@ class TestGPCheck:
     def test_periodic_word_rejected(self):
         with pytest.raises(RepError):
             gp_vector_check(FULL2, (1, 1), 2)
+
+    def test_wrong_twist_fails(self, monkeypatch):
+        # twists j/(p+1) in place of j/p: s_{word^p} no longer fixes omega,
+        # and partial orbits of one point no longer cancel
+        class WrongPhase(Phase):
+            @staticmethod
+            def exact(num, den=1):
+                return Phase.exact(num, den + 1)
+
+        monkeypatch.setattr(reps, "Phase", WrongPhase)
+        for a, word, p in [(FULL2, (1,), 2), (A3, (1, 2), 3)]:
+            report = gp_vector_check(a, word, p, depth=1)
+            assert not report.fixed_point_ok and not report.orthonormal_ok, (word, p)
+            assert not report.ok
 
     def test_ok_needs_every_check(self):
         assert GPReport((1,), 2, True, True, 2, True).ok
@@ -520,6 +659,29 @@ class TestShiftReports:
             observed = decompose(shift_bfs(a, 6))
             for cls in symbolic.entries:
                 assert observed.entries.get(cls) == 1, (a.rows, cls)
+
+
+class TestShiftStandIn:
+    def test_finds_each_short_primitive_class_once_and_only_genuine_ones(self):
+        # the claim of `shift_bfs`: each primitive class of length <= L/2
+        # is a cycle of the stand-in exactly once, and every cycle it has
+        # is a primitive class of A
+        for a in corpus() + random_matrices(4, 10, seed=7):
+            for width in (4, 6, 8):
+                found = decompose(shift_bfs(a, width)).entries
+                short = {
+                    brute_min_rotation(w, a.n)
+                    for k in range(1, width // 2 + 1)
+                    for w in brute_cyclic_words(a, k)
+                    if not brute_is_periodic(w)
+                }
+                for w in short:
+                    assert found.get(FiniteClass(w)) == 1, (a.rows, width, w)
+                for c, mult in found.items():
+                    w = c.word
+                    assert isinstance(c, FiniteClass) and c.phase.is_one() and mult == 1
+                    assert all(a.entry(x, y) for x, y in zip(w, w[1:] + w[:1])), w
+                    assert not brute_is_periodic(w) and brute_min_rotation(w, a.n) == w
 
 
 class TestDumpedChains:
