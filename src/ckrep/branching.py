@@ -132,14 +132,11 @@ class BranchingSystem:
     def owner(self) -> tuple[bytearray | list[int], list[int]]:
         """(owner_sym, owner_pre); InvalidSystemError if two edges share an image."""
         if self.shared:
-            first: dict[int, int] = {}
-            for i, img in enumerate(self.images, start=1):
-                for y in filter((0).__le__, img):
-                    if y in first:
-                        raise InvalidSystemError(
-                            f"point {self.labels[y]!r} lies in two ranges: {first[y]} and {i}"
-                        )
-                    first[y] = i
+            first = _edge_violations(self)[0]
+            raise InvalidSystemError(
+                f"point {first.points[-1]!r} lies in two ranges: "
+                f"{first.symbols[0]} and {first.symbols[-1]}"
+            )
         return self.owner_sym, self.owner_pre
 
     @cached_property
@@ -211,20 +208,21 @@ def _domain_table(row: Sequence[int], want: int) -> bytes:
     return bytes(a == want for a in (0, *row)).ljust(256, b"\0")
 
 
-def _axiom_scan(f: BranchingSystem) -> tuple[int, list[Violation], list[tuple]]:
-    """One pass over the recorded data, shared by both axiom reports.
+def validate_bfs(f: BranchingSystem) -> ValidationReport:
+    """Check the system axioms on all recorded data.
 
-    Returns the number of non-frontier points, the injectivity and
-    range-overlap failures edge by edge in carrier order, and the suspect
-    points in carrier order with their membership in D(f_i) and in R(f_i).
-    Suspect means non-frontier and in no range, in two or more, or in
-    just one of D(f_i) and the union of R(f_j) over j with a_ij = 1; at
-    every other point every per-point axiom holds.  When no image is
-    shared and symbols fit a byte, the axioms are first checked at all
-    points at once: a byte plane holds each point's owner symbol (255 at
-    the frontier), and `translate` turns it into the points that should
-    and should not be in each D(f_i).  Only when that check fails, or it
-    cannot run, do range and domain sets locate the suspects.
+    Injectivity and range disjointness are checked edge by edge in
+    carrier order; coverage (every point in some range) and the domain
+    law D(f_i) = union of R(f_j) over j with a_ij = 1 are then checked
+    at every non-frontier point, in carrier order.  Violations are report
+    entries, not exceptions.  When no image is shared and symbols fit a
+    byte, the axioms are first checked at all points at once: a byte
+    plane holds each point's owner symbol (255 at the frontier), and
+    `translate` turns it into the points that should and should not be
+    in each D(f_i).  Only when that check fails, or it cannot run, do
+    range and domain sets locate the suspect points: those in no range,
+    or in just one of D(f_i) and the union of R(f_j) over j with
+    a_ij = 1.  At every other point every per-point axiom holds.
     """
     images, front, size = f.images, f.front, len(f.labels)
     checked = size - front.count(1)
@@ -236,53 +234,25 @@ def _axiom_scan(f: BranchingSystem) -> tuple[int, list[Violation], list[tuple]]:
             and max(compress(img, owners.translate(_domain_table(row, 0))), default=-1) < 0
             for row, img in zip(f.matrix.rows, images)
         ):
-            return checked, [], []
+            return ValidationReport(checked_points=checked, violations=())
     domains = [set(compress(range(size), map((-1).__lt__, img))) for img in images]
     ranges = [set(filter((0).__le__, img)) for img in images]
     frontier = set(compress(range(size), front))
-    overlap: set[int] = set()
-    for k, r in enumerate(ranges):
-        for other in ranges[k + 1 :]:
-            overlap |= r & other
-    suspect = set(_outside(overlap, frontier))
+    suspect = set(_outside(range(size), *ranges, frontier))
     for row, m in zip(f.matrix.rows, domains):
         feeders = [r for a_ij, r in zip(row, ranges) if a_ij]
         suspect.update(_outside(m, *feeders, frontier))
         for r in feeders:
             suspect.update(_outside(r, m, frontier))
-    suspect.update(_outside(range(size), *ranges, frontier))
-    return (
-        checked,
-        _edge_violations(f) if f.shared else [],
-        [
-            (f.labels[x], tuple(x in m for m in domains), tuple(x in r for r in ranges))
-            for x in sorted(suspect)
-        ],
-    )
-
-
-def validate_bfs(f: BranchingSystem) -> ValidationReport:
-    """Check the system axioms on all recorded data.
-
-    Injectivity and range disjointness are checked globally; coverage
-    (every point in exactly one range) and the domain law
-    D(f_i) = union of R(f_j) over j with a_ij = 1 are checked at every
-    non-frontier point.  Violations are report entries, not exceptions.
-    """
-    checked, violations, suspects = _axiom_scan(f)
-    for x, in_domain, in_range in suspects:
+    violations = _edge_violations(f) if f.shared else []
+    for x in sorted(suspect):
+        in_range = [x in r for r in ranges]
         if not any(in_range):
-            violations.append(Violation("NotCovered", (), (x,)))
-        for i, (row, recorded) in enumerate(zip(f.matrix.rows, in_domain), start=1):
-            if recorded != any(a_ij and r for a_ij, r in zip(row, in_range)):
-                violations.append(
-                    Violation(
-                        "DomainMismatch",
-                        (i,),
-                        (x,),
-                        "recorded" if recorded else "missing",
-                    )
-                )
+            violations.append(Violation("NotCovered", (), (f.labels[x],)))
+        for i, (row, m) in enumerate(zip(f.matrix.rows, domains), start=1):
+            if (recorded := x in m) != any(compress(in_range, row)):
+                detail = "recorded" if recorded else "missing"
+                violations.append(Violation("DomainMismatch", (i,), (f.labels[x],), detail))
     return ValidationReport(checked_points=checked, violations=tuple(violations))
 
 

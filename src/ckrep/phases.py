@@ -154,7 +154,11 @@ class RootSum:
 
     def __init__(self, order: int = 1, terms: dict[int, int | Fraction] | None = None):
         self.order = order
-        self._terms = {k: c for k, c in (terms or {}).items() if c}
+        # zeta_n^k depends on k mod n only, so keys equal mod n add up
+        merged: dict[int, int | Fraction] = {}
+        for k, c in (terms or {}).items():
+            merged[k % order] = merged.get(k % order, 0) + c
+        self._terms = {k: c for k, c in merged.items() if c}
 
     @staticmethod
     def zero() -> RootSum:

@@ -39,7 +39,7 @@ from .words import (
 
 TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:
-    from .branching import BranchingSystem, ComponentSkeleton, Label, Violation
+    from .branching import BranchingSystem, ComponentSkeleton, Label, ValidationReport
 
     Vector = dict[int, int]  # {x: e}, the sum of zeta_N^e e_x over distinct points x
 
@@ -325,8 +325,11 @@ def apply_word(m: MatrixRealization, word: Word, vec: Vector) -> Vector:
     """s_word = s_{j_1} ... s_{j_k}; the rightmost factor acts first.
     Each f_i is injective, so each step maps the point x to f_i(x) and
     adds the edge's twist exponent mod N."""
+    f = m.system
+    if word and not 0 < min(word) <= max(word) <= f.n:
+        raise RepError(f"word {word} has a letter outside 1..{f.n}")
     order, exps = m.exponents
-    images = m.system.images
+    images = f.images
     for i in reversed(word):
         img, twist = images[i - 1], exps[i - 1]
         vec = {img[x]: (e + twist.get(x, 0)) % order for x, e in vec.items() if img[x] >= 0}
@@ -344,47 +347,21 @@ def inner_product(m: MatrixRealization, v: Vector, w: Vector) -> RootSum:
     return RootSum(order, counts)
 
 
-class CKReport(
-    namedtuple("CKReport", "checked_points domain_checks completeness_checks violations")
-):
-    """Exact verification of the two defining relations on the basis.
+def verify_ck_relations(m: MatrixRealization) -> ValidationReport:
+    """Both defining relations on the basis, as `validate_bfs`'s report on
+    the underlying system.
 
-    With unit phases both relations reduce to the partial-permutation
-    structure, so the checks are integer-exact: s_i^* s_i at a basis point
-    must match the projection sum over the row of A, and the range
-    projections must resolve the identity."""
+    The weights have unit modulus, so neither relation sees them: s_i^* s_i
+    projects onto D(f_i) and s_i s_i^* onto R(f_i) once f_i is injective.
+    The first relation then holds at a point exactly where the domain law
+    does, and the second exactly where the point lies in one range.  Edge
+    violations (a non-injective map, an image in two ranges) are reported
+    at every point, frontier included, since there the sum of the
+    s_j s_j^* already exceeds the identity whatever data is missing;
+    coverage and the domain law are checked at non-frontier points."""
+    from .branching import validate_bfs
 
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_ck_relations(m: MatrixRealization) -> CKReport:
-    """Both relations at every non-frontier basis point, from the same
-    axiom scan as `validate_bfs`: the weights have unit modulus, so no
-    weight enters either relation."""
-    from .branching import Violation, _axiom_scan
-
-    f = m.system
-    checked, edge_violations, suspects = _axiom_scan(f)
-    violations = [v for v in edge_violations if v.kind == "InjectivityFail"]
-    for x, in_domain, in_range in suspects:
-        for i, (row, recorded) in enumerate(zip(f.matrix.rows, in_domain), start=1):
-            lhs = int(recorded)
-            rhs = sum(a_ij and r for a_ij, r in zip(row, in_range))
-            if lhs != rhs:
-                violations.append(Violation("DomainFail", (i,), (x,), f"{lhs} != {rhs}"))
-        cover = sum(in_range)
-        if cover != 1:
-            violations.append(Violation("CompletenessFail", (), (x,), f"covered {cover} times"))
-    return CKReport(
-        checked_points=checked,
-        domain_checks=checked * f.n,
-        completeness_checks=checked,
-        violations=tuple(violations),
-    )
+    return validate_bfs(m.system)
 
 
 def classify_component(c: ComponentSkeleton, m: MatrixRealization) -> RepClass:

@@ -4,8 +4,9 @@ The oracles deliberately avoid the library's own algorithms: rotation
 minima are taken by base-N positional value over all rotations, periodicity
 by trying every proper divisor, and cyclic words by filtering the full
 cartesian product.  The axiom and component oracles are the direct
-definitions: every axiom at every point and symbol, and orbits by
-union-find over the edges.  The cyclotomic oracle is the earlier
+definitions: every axiom at every point and symbol, both defining
+relations counted on the basis vectors, and orbits by union-find over
+the edges.  The cyclotomic oracle is the earlier
 `RootSum`, which keys each term by its reduced rational turn and derives
 the order from the denominators at each zero test.  The enumeration
 oracle is the earlier grow-and-filter enumeration, which keeps each
@@ -26,6 +27,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,7 +47,7 @@ from ckrep.branching import (
     _periodic_extension,
 )
 from ckrep.phases import Phase, PhaseError, RootSum
-from ckrep.reps import CKReport, MatrixRealization
+from ckrep.reps import MatrixRealization
 from ckrep.words import (
     EmptyWordError,
     NotCyclicallyAdmissibleError,
@@ -236,9 +238,9 @@ def trace_formula_counts(a: TransitionMatrix, max_len: int) -> list[int]:
     return counts
 
 
-def _edge_checks(f: BranchingSystem, overlaps: bool) -> list[Violation]:
-    """Injectivity per symbol and, if asked, range disjointness, edge by
-    edge in carrier order."""
+def _edge_checks(f: BranchingSystem) -> list[Violation]:
+    """Injectivity per symbol and range disjointness, edge by edge in
+    carrier order."""
     violations: list[Violation] = []
     owner: dict = {}
     for i in range(1, f.n + 1):
@@ -249,8 +251,6 @@ def _edge_checks(f: BranchingSystem, overlaps: bool) -> list[Violation]:
                 violations.append(Violation("InjectivityFail", (i,), (images[y], x, y)))
             else:
                 images[y] = x
-            if not overlaps:
-                continue
             if y in owner and owner[y][0] != i:
                 violations.append(Violation("RangeOverlap", (owner[y][0], i), (y,)))
             else:
@@ -261,7 +261,7 @@ def _edge_checks(f: BranchingSystem, overlaps: bool) -> list[Violation]:
 def oracle_validate_bfs(f: BranchingSystem) -> ValidationReport:
     """The system axioms checked point by point and symbol by symbol."""
     a = f.matrix
-    violations = _edge_checks(f, overlaps=True)
+    violations = _edge_checks(f)
     ranges = {i: set(f.maps.get(i, {}).values()) for i in range(1, f.n + 1)}
     checked = 0
     for x in f.carrier:
@@ -280,34 +280,27 @@ def oracle_validate_bfs(f: BranchingSystem) -> ValidationReport:
     return ValidationReport(checked_points=checked, violations=tuple(violations))
 
 
-def oracle_verify_ck_relations(f: BranchingSystem) -> CKReport:
-    """Both defining relations evaluated on every non-frontier basis point:
-    s_i^* s_i against the row sum of range projections, and the sum of
-    all range projections against the identity."""
-    a = f.matrix
-    violations = _edge_checks(f, overlaps=False)
-    ranges = {i: set(f.maps.get(i, {}).values()) for i in range(1, f.n + 1)}
-    checked = domain_checks = completeness_checks = 0
+def oracle_relations_hold(f: BranchingSystem) -> bool:
+    """Both defining relations, counted on the basis vectors of the
+    realization (unit weights drop out).  s_j s_j^* e_y is
+    |f_j^{-1}(y)| e_y, so the cover sum over j of those counts must be at
+    most 1 at every point, frontier included, and exactly 1 at every
+    non-frontier point; there s_i^* s_i e_x = [x in D(f_i)] e_x must
+    equal the sum over j with a_ij = 1 of the counts at x."""
+    counts = {j: Counter(f.maps.get(j, {}).values()) for j in range(1, f.n + 1)}
+    cover = sum(counts.values(), Counter())
+    if any(c > 1 for c in cover.values()):
+        return False
     for x in f.carrier:
         if x in f.frontier:
             continue
-        checked += 1
+        if cover[x] != 1:
+            return False
         for i in range(1, f.n + 1):
-            domain_checks += 1
-            lhs = 1 if x in f.maps.get(i, {}) else 0
-            rhs = sum(1 for j in range(1, f.n + 1) if a.entry(i, j) and x in ranges[j])
-            if lhs != rhs:
-                violations.append(Violation("DomainFail", (i,), (x,), f"{lhs} != {rhs}"))
-        completeness_checks += 1
-        cover = sum(1 for i in range(1, f.n + 1) if x in ranges[i])
-        if cover != 1:
-            violations.append(Violation("CompletenessFail", (), (x,), f"covered {cover} times"))
-    return CKReport(
-        checked_points=checked,
-        domain_checks=domain_checks,
-        completeness_checks=completeness_checks,
-        violations=tuple(violations),
-    )
+            rhs = sum(counts[j][x] for j in range(1, f.n + 1) if f.matrix.entry(i, j))
+            if (x in f.maps.get(i, {})) != rhs:
+                return False
+    return True
 
 
 def oracle_orbits(f: BranchingSystem) -> list[tuple]:

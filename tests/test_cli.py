@@ -159,7 +159,24 @@ class TestVerbs:
 
     def test_verify_relations(self, capsys, a3_file):
         code, out = run(capsys, "verify-relations", "--matrix", a3_file, "--truncate", "60")
-        assert code == 0 and "relations: ok" in out
+        assert code == 0
+        assert out == (
+            "checked points: 30\ndomain checks: 90\ncompleteness checks: 30\nrelations: ok\n"
+        )
+
+    def test_verify_relations_json(self, capsys, a3_file):
+        code, out = run(
+            capsys, "verify-relations", "--matrix", a3_file, "--system", "cycle",
+            "--word", "12", "--depth", "2", "--json",
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "checked_points": 8,
+            "domain_checks": 24,
+            "completeness_checks": 8,
+            "violations": [],
+            "ok": True,
+        }
 
     def test_verify_relations_lists_violations(self, capsys, monkeypatch, a3_file):
         # the cycle carrier of P(12) at depth 1 with its edge f_1(2) = 12 deleted
@@ -170,10 +187,10 @@ class TestVerbs:
         code, out = run(capsys, "verify-relations", "--matrix", a3_file)
         assert code == 1
         assert out.splitlines()[3:] == [
-            "violation: DomainFail symbols=(1,) points=('2',)",
-            "violation: DomainFail symbols=(2,) points=('12',)",
-            "violation: DomainFail symbols=(3,) points=('12',)",
-            "violation: CompletenessFail symbols=() points=('12',)",
+            "violation: DomainMismatch symbols=(1,) points=('2',)",
+            "violation: NotCovered symbols=() points=('12',)",
+            "violation: DomainMismatch symbols=(2,) points=('12',)",
+            "violation: DomainMismatch symbols=(3,) points=('12',)",
         ]
 
     def test_state(self, capsys, a3_file):

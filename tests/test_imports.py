@@ -1,4 +1,5 @@
-"""The start-up budget and the export surface of the lazy package.
+"""The start-up budget and the export surface of the lazy package, and
+the library's imports, which name only standard-library modules.
 
 `import ckrep` loads no submodule, a `ck` verb loads only the modules it
 runs, no verb loads `dataclasses`, and only JSON paths load `json`; each
@@ -6,6 +7,7 @@ budget is checked in a fresh interpreter, because this process has long
 since imported everything.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -15,6 +17,8 @@ import sys
 import pytest
 
 import ckrep
+
+PACKAGE = os.path.dirname(ckrep.__file__)
 
 SUBMODULES = ("branching", "cli", "phases", "reps", "words")
 
@@ -40,7 +44,7 @@ WORDS_ONLY = ["ckrep", "ckrep.cli", "ckrep.words"]
 
 def run_python(code: str, *args: str) -> str:
     """Stdout of a fresh interpreter that imports this process's ckrep."""
-    src = os.path.dirname(os.path.dirname(ckrep.__file__))
+    src = os.path.dirname(PACKAGE)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", code, *args],
@@ -218,3 +222,13 @@ class TestExportSurface:
             getattr(ckrep, name)
         with pytest.raises(ImportError):
             exec(f"from ckrep import {name}", {})
+
+
+@pytest.mark.parametrize("module", sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")))
+def test_library_imports_only_the_standard_library(module):
+    # every absolute import, at module level or inside a function
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as handle:
+        nodes = list(ast.walk(ast.parse(handle.read())))
+    names = [a.name for node in nodes if isinstance(node, ast.Import) for a in node.names]
+    names += [node.module for node in nodes if isinstance(node, ast.ImportFrom) and not node.level]
+    assert {name.split(".")[0] for name in names} <= sys.stdlib_module_names

@@ -111,6 +111,16 @@ def test_exact_arithmetic_refuses_approximate_phases():
         RootSum.from_phase(Phase.from_complex(cmath.exp(0.5j)))
 
 
+def test_rootsum_keys_reduce_modulo_the_order():
+    # zeta_n^k depends on k mod n only; keys that meet after reduction add up
+    assert RootSum(2, {-1: 1, 1: -1}).is_zero()
+    assert RootSum(3, {-1: 1}) == RootSum(3, {2: 1})
+    assert not RootSum(2, {3: 1}).is_zero()
+    assert RootSum(2, {3: 1}) == RootSum(2, {1: 1}) == RootSum.rational(-1)
+    assert RootSum(4, {1: 1, 5: 1, -3: 1}) == RootSum(4, {1: 3})
+    assert RootSum(5, {7: 2, -8: -2}).is_zero()
+
+
 # Differential test against the Fraction-keyed oracle: both are built from
 # the same terms c * zeta_n^k, then every operation's result must agree on
 # the zero test, numerically, and exactly (the oracle's terms read back).

@@ -133,6 +133,15 @@ class TestRealize:
         with pytest.raises(InvalidSystemError):
             apply_word(m, (1,), {0: 0, 1: 0})
 
+    def test_letters_outside_the_alphabet_are_refused(self):
+        f = build_cycle_system(FULL2, (2,), 1)
+        m = realize(f)
+        x = f.position["2"]
+        assert apply_word(m, (), {x: 0}) == {x: 0}
+        for word in ((0,), (3,), (1, 0), (3, 2), (-1,)):
+            with pytest.raises(RepError, match="outside 1..2"):
+                apply_word(m, word, {x: 0})
+
 
 class TestCKRelations:
     def test_corpus_is_exactly_relational(self):
@@ -152,9 +161,18 @@ class TestCKRelations:
         lost = maps[1].pop(sorted(maps[1])[0])
         f = BranchingSystem(matrix=A3, carrier=g.carrier, maps=maps, frontier=g.frontier)
         report = verify_ck_relations(realize(f))
-        assert any(
-            v.kind == "CompletenessFail" and v.points == (lost,) for v in report.violations
-        )
+        assert ("NotCovered", (), (lost,), "") in report.violations
+
+    def test_frontier_overlap_breaks_the_relations(self):
+        # Two ranges meet only at the frontier point 31: s_1 s_1^* + s_2 s_2^*
+        # gives 2 e_31 however the truncation continues, so the check fails.
+        g = standard_bfs(A3, 60)
+        maps = {i: dict(g.maps[i]) for i in (1, 2, 3)}
+        assert 31 in g.frontier and 31 in maps[1].values() and 60 in g.frontier
+        maps[2][60] = 31
+        f = BranchingSystem(matrix=A3, carrier=g.carrier, maps=maps, frontier=g.frontier)
+        report = verify_ck_relations(realize(f))
+        assert report.violations == (("RangeOverlap", (1, 2), (31,), ""),)
 
     def test_chain_systems_pass(self):
         f = build_chain_system(A1, TailWord((), (2,)), 8, 3)
