@@ -538,3 +538,215 @@ class TestWideAlphabet:
             capsys, "gp-check", "--matrix", full10_file, "--word", "1,10", "--power", "3", "--depth", "1"
         )
         assert code == 0 and out.endswith("decomposition match: ok\n")
+
+
+# The golden table: the exact stdout and exit code of every verb, as text
+# and under --json, on small fixed inputs.  A JSON report is given as the
+# object it prints in the one layout every verb uses (indent 2, sorted keys).
+GOLDEN_FILES = {
+    "A1": "11\n01\n",
+    "A3": "011\n101\n110\n",
+    "FULL2": "11\n11\n",
+    # the cycle carrier of P(12) over A3 at depth 1
+    "CYCLE_DUMP": "3 8\n1: 2->12, 32->~132, 312->~1312\n2: 12->2, 32->~232, 312->~2312\n"
+    "3: 2->32, 12->312\n",
+}
+
+
+class _WrongPhase(Phase):
+    """Twists j/(p+1) in place of j/p: they break the fixed point and the Gram matrix."""
+
+    @staticmethod
+    def exact(num, den=1):
+        return Phase.exact(num, den + 1)
+
+
+def _faulty_carrier(monkeypatch):
+    # the cycle carrier of P(12) at depth 1 with its edge f_1(2) = 12 deleted
+    faulty = GOLDEN_FILES["CYCLE_DUMP"].replace("1: 2->12, ", "1: ")
+    monkeypatch.setattr(branching, "standard_bfs", lambda a, _: branching.load_bfs(faulty, a))
+
+
+def _lost_class(monkeypatch):
+    from ckrep import words
+
+    enumerate_all = words.enumerate_cyclic_classes
+    monkeypatch.setattr(
+        words,
+        "enumerate_cyclic_classes",
+        lambda a, max_len: [e for e in enumerate_all(a, max_len) if e[0] != (1, 1, 2)],
+    )
+
+
+def _decomposition(level, matrix, components, **extra):
+    return {
+        "components": [
+            {"kind": "finite", "multiplicity": mult, "phase": {"den": den, "num": num}, "word": w}
+            for w, num, den, mult in components
+        ],
+        "level": level,
+        "matrix": matrix,
+        "unresolved": [],
+        **extra,
+    }
+
+
+_A1_ROWS = [[1, 1], [0, 1]]
+_PSPEC_INFINITE = "verdict: infinite\ntail classes: nonempty\nprimitive counts by length: "
+
+
+def _pspec_record(counts, ok, finite=False, cycle_words=()):
+    return {
+        "class_count": len(cycle_words) if finite else None,
+        "counts_by_length": counts,
+        "cross_check_ok": ok,
+        "cycle_words": list(cycle_words),
+        "finite": finite,
+        "tails_empty": finite,
+    }
+
+
+def _gp_record(ok):
+    return {
+        "decomposition_matches": True,
+        "family_size": 4,
+        "fixed_point_ok": ok,
+        "ok": ok,
+        "orthonormal_ok": ok,
+        "p": 2,
+        "word": "12",
+    }
+
+
+_GP_TEXT = "word: 12 power: 2\nfixed point: {0}\northonormal family of 4: {0}\ndecomposition match: ok\n"
+_VERIFY_TEXT = "checked points: 4\ndomain checks: 12\ncompleteness checks: 4\n"
+_VERIFY_COUNTS = {"checked_points": 4, "completeness_checks": 4, "domain_checks": 12}
+
+GOLDEN = [
+    pytest.param(
+        ["classify-word", "--matrix", "A3", "--word", "2121"], None, 0,
+        "word: 2121\nadmissible: yes\ncyclically admissible: yes\nperiodic: yes\n"
+        "primitive root: 21\nmultiplicity: 2\nminimal: no\ncanonical rotation: 1212\n",
+        {
+            "admissible": True,
+            "canonical_rotation": "1212",
+            "cyclically_admissible": True,
+            "minimal": False,
+            "multiplicity": 2,
+            "periodic": True,
+            "primitive_root": "21",
+            "word": "2121",
+        },
+        id="classify-word",
+    ),
+    pytest.param(["canon", "--word", "211"], None, 0, "112\n", {"word": "112"}, id="canon"),
+    pytest.param(
+        ["equiv", "--class", "P(12;1)", "--class", "P(21;1)"], None, 0,
+        "equivalent\n", {"equivalent": True},
+        id="equiv",
+    ),
+    pytest.param(
+        ["decompose-standard", "--matrix", "A1"], None, 0,
+        "P(1) (+) P(2)^(inf)\n",
+        _decomposition("cyclic", _A1_ROWS, [("1", 0, 1, 1), ("2", 0, 1, "inf")]),
+        id="decompose-standard",
+    ),
+    pytest.param(
+        ["decompose-shift", "--matrix", "A1", "--max-period", "2"], None, 0,
+        "P(1) (+) P(2)\nnon-eventually-periodic classes: none\n",
+        _decomposition(
+            "cyclic", _A1_ROWS, [("1", 0, 1, 1), ("2", 0, 1, 1)], tail_classes_present=False
+        ),
+        id="decompose-shift",
+    ),
+    pytest.param(
+        ["decompose-bfs", "--matrix", "A3", "--bfs", "CYCLE_DUMP"], None, 0,
+        "P(12)\n",
+        _decomposition("cyclic", [[0, 1, 1], [1, 0, 1], [1, 1, 0]], [("12", 0, 1, 1)]),
+        id="decompose-bfs",
+    ),
+    pytest.param(
+        ["expand", "--class", "P(1212)"], None, 0,
+        "P(12) (+) P(12;1/2)\n",
+        _decomposition("irreducible", None, [("12", 0, 1, 1), ("12", 1, 2, 1)]),
+        id="expand",
+    ),
+    pytest.param(
+        ["verify-relations", "--matrix", "A3", "--system", "cycle", "--word", "12", "--depth", "1"],
+        None, 0,
+        _VERIFY_TEXT + "relations: ok\n",
+        {**_VERIFY_COUNTS, "ok": True, "violations": []},
+        id="verify-relations",
+    ),
+    pytest.param(
+        ["verify-relations", "--matrix", "A3"], _faulty_carrier, 1,
+        _VERIFY_TEXT
+        + "violation: DomainMismatch symbols=(1,) points=('2',)\n"
+        "violation: NotCovered symbols=() points=('12',)\n"
+        "violation: DomainMismatch symbols=(2,) points=('12',)\n"
+        "violation: DomainMismatch symbols=(3,) points=('12',)\n",
+        {
+            **_VERIFY_COUNTS,
+            "ok": False,
+            "violations": [
+                {"kind": "DomainMismatch", "points": ["2"], "symbols": [1]},
+                {"kind": "NotCovered", "points": ["12"], "symbols": []},
+                {"kind": "DomainMismatch", "points": ["12"], "symbols": [2]},
+                {"kind": "DomainMismatch", "points": ["12"], "symbols": [3]},
+            ],
+        },
+        id="verify-relations-violations",
+    ),
+    pytest.param(
+        ["state", "--matrix", "A3", "--class", "P(12)", "--left", "1", "--right", "1"], None, 0,
+        "1\n", {"value": 1},
+        id="state",
+    ),
+    pytest.param(
+        ["pspec", "--matrix", "A1"], None, 0,
+        "verdict: finite\nprimitive classes: 2\ncycle words: 1 2\ntail classes: empty\n"
+        "primitive counts by length: 1:2 2:0 3:0 4:0 5:0 6:0\nenumeration cross-check: ok\n",
+        _pspec_record([2, 0, 0, 0, 0, 0], True, finite=True, cycle_words=("1", "2")),
+        id="pspec-finite",
+    ),
+    pytest.param(
+        ["pspec", "--matrix", "FULL2", "--max-len", "4"], None, 0,
+        _PSPEC_INFINITE + "1:2 2:1 3:2 4:3\nenumeration cross-check: ok\n",
+        _pspec_record([2, 1, 2, 3], True),
+        id="pspec-infinite",
+    ),
+    pytest.param(
+        ["pspec", "--matrix", "FULL2", "--max-len", "4"], _lost_class, 1,
+        _PSPEC_INFINITE + "1:2 2:1 3:1 4:3\nenumeration cross-check: FAILED\n",
+        _pspec_record([2, 1, 1, 3], False),
+        id="pspec-failed",
+    ),
+    pytest.param(
+        ["gp-check", "--matrix", "A3", "--word", "12", "--power", "2"], None, 0,
+        _GP_TEXT.format("ok"), _gp_record(True),
+        id="gp-check",
+    ),
+    pytest.param(
+        ["gp-check", "--matrix", "A3", "--word", "12", "--power", "2"],
+        lambda monkeypatch: monkeypatch.setattr(reps, "Phase", _WrongPhase), 1,
+        _GP_TEXT.format("FAILED"), _gp_record(False),
+        id="gp-check-failed",
+    ),
+    pytest.param(
+        ["twist", "--class", "P(12)", "--gauge", "1/4,1/4"], None, 0,
+        "P(12;1/2)\n", {"class": "P(12;1/2)"},
+        id="twist",
+    ),
+]
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("argv, setup, code, text, record", GOLDEN)
+def test_golden_output(capsys, monkeypatch, tmp_path, argv, setup, code, text, record, as_json):
+    for name, content in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(content)
+    if setup is not None:
+        setup(monkeypatch)
+    argv = [str(tmp_path / arg) if arg in GOLDEN_FILES else arg for arg in argv]
+    expected = json.dumps(record, indent=2, sort_keys=True) + "\n" if as_json else text
+    assert run(capsys, *argv, *(["--json"] if as_json else [])) == (code, expected)
