@@ -547,36 +547,20 @@ def a_cycle_set(a: TransitionMatrix) -> ACycleSet:
     seen: set[int] = set()
     cycles: list[Word] = []
     for start in range(1, a.n + 1):
-        if start in seen:
-            continue
         trail = []
         v = start
         while v not in seen:
             seen.add(v)
             trail.append(v)
             v = phi[v]
-        if v in trail:  # new cycle closed within this walk
+        if v in trail:  # new cycle closed within this walk; rotate it to its least letter
             cyc = trail[trail.index(v):]
-            head = min(cyc)
-            word = [head]
-            w = phi[head]
-            while w != head:
-                word.append(w)
-                w = phi[w]
-            cycles.append(tuple(word))
-
-    def is_delta_cycle(word: Word) -> bool:
-        k = len(word)
-        for idx, i in enumerate(word):
-            nxt = word[(idx + 1) % k]
-            row = a.rows[i - 1]
-            if any(row[j] != (1 if j == nxt - 1 else 0) for j in range(a.n)):
-                return False
-        return True
-
+            head = cyc.index(min(cyc))
+            cycles.append(tuple(cyc[head:] + cyc[:head]))
     cycles.sort(key=lambda w: (len(w), w))
-    infinite = tuple(w for w in cycles if is_delta_cycle(w))
-    once = tuple(w for w in cycles if not is_delta_cycle(w))
+    # a cycle of phi lies on delta rows exactly when each of its letters has one successor
+    infinite = tuple(w for w in cycles if all(len(a.successors(i)) == 1 for i in w))
+    once = tuple(w for w in cycles if w not in infinite)
     return ACycleSet(cycles=tuple(cycles), once=once, infinite=infinite)
 
 

@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Thin adapters only: every verb parses arguments, calls the library, and
-prints a deterministic text or JSON report.  Exit codes: 0 on success,
-1 on any validation problem (including usage), 2 on an internal error.
+returns its report as `(ok, record, text)`, printing nothing.  `main` is
+the one output path: it prints `text`, or under `--json` the `record` as
+one JSON object (indent 2, sorted keys), so the two forms carry the same
+report.  Exit codes: 0 on success, 1 on any validation problem
+(including usage) and on a report whose check failed (`ok` False), 2 on
+an internal error.
 
 Only `words` is imported up front; each verb imports `reps` or
 `branching` when it runs, and calls them through the module, so a verb
@@ -52,12 +56,6 @@ def _load_matrix(path: str) -> words.TransitionMatrix:
     return words.TransitionMatrix.from_text(_read_text(path))
 
 
-def _emit_json(obj) -> None:
-    import json
-
-    print(json.dumps(obj, indent=2, sort_keys=True))
-
-
 def render_report(d: reps.Decomposition, fmt: str = "text") -> str:
     """Deterministic rendering of a decomposition; classes sort by literal."""
     from . import reps
@@ -86,8 +84,10 @@ def render_report(d: reps.Decomposition, fmt: str = "text") -> str:
     return "\n".join(lines)
 
 
-def _print_decomposition(d: reps.Decomposition, as_json: bool) -> None:
-    print(render_report(d, "json" if as_json else "text"))
+def _decomposition_report(d: reps.Decomposition) -> tuple[bool, dict, str]:
+    from . import reps
+
+    return True, reps.decomposition_json(d), render_report(d)
 
 
 def _maybe_dump(system: branching.BranchingSystem, path: str | None) -> None:
@@ -104,7 +104,7 @@ def _maybe_dump(system: branching.BranchingSystem, path: str | None) -> None:
             raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _cmd_classify_word(args) -> int:
+def _cmd_classify_word(args):
     a = _load_matrix(args.matrix)
     w = words.parse_word(args.word)
     if not w:
@@ -123,21 +123,8 @@ def _cmd_classify_word(args) -> int:
         "minimal": canon == w,
         "canonical_rotation": words.format_word(canon),
     }
-    if args.json:
-        _emit_json(info)
-    else:
-        for key in (
-            "word",
-            "admissible",
-            "cyclically_admissible",
-            "periodic",
-            "primitive_root",
-            "multiplicity",
-            "minimal",
-            "canonical_rotation",
-        ):
-            print(f"{key.replace('_', ' ')}: {_fmt_scalar(info[key])}")
-    return 0
+    text = "\n".join(f"{k.replace('_', ' ')}: {_fmt_scalar(v)}" for k, v in info.items())
+    return True, info, text
 
 
 def _fmt_scalar(v) -> str:
@@ -146,17 +133,12 @@ def _fmt_scalar(v) -> str:
     return str(v)
 
 
-def _cmd_canon(args) -> int:
-    w = words.parse_word(args.word)
-    canon = words.format_word(words.canonical_rotation(w))
-    if args.json:
-        _emit_json({"word": canon})
-    else:
-        print(canon)
-    return 0
+def _cmd_canon(args):
+    canon = words.format_word(words.canonical_rotation(words.parse_word(args.word)))
+    return True, {"word": canon}, canon
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args):
     from . import reps
 
     a = _load_matrix(args.matrix) if args.matrix else None
@@ -165,14 +147,10 @@ def _cmd_equiv(args) -> int:
     c1 = reps.parse_class_literal(args.cls[0], a)
     c2 = reps.parse_class_literal(args.cls[1], a)
     verdict = reps.equivalent(c1, c2)
-    if args.json:
-        _emit_json({"equivalent": verdict})
-    else:
-        print("equivalent" if verdict else "not equivalent")
-    return 0
+    return True, {"equivalent": verdict}, "equivalent" if verdict else "not equivalent"
 
 
-def _cmd_decompose_standard(args) -> int:
+def _cmd_decompose_standard(args):
     from . import branching, reps
 
     a = _load_matrix(args.matrix)
@@ -180,11 +158,10 @@ def _cmd_decompose_standard(args) -> int:
     system = branching.standard_bfs(a, args.truncate)
     reps.cross_check_standard(d, system)
     _maybe_dump(system, args.dump_bfs)
-    _print_decomposition(d, args.json)
-    return 0
+    return _decomposition_report(d)
 
 
-def _cmd_decompose_shift(args) -> int:
+def _cmd_decompose_shift(args):
     from . import reps
 
     a = _load_matrix(args.matrix)
@@ -193,22 +170,17 @@ def _cmd_decompose_shift(args) -> int:
         from . import branching
 
         _maybe_dump(branching.shift_bfs(a, max(2, args.max_period * 2)), args.dump_bfs)
-    _print_decomposition(d, args.json)
-    return 0
+    return _decomposition_report(d)
 
 
-def _cmd_decompose_bfs(args) -> int:
+def _cmd_decompose_bfs(args):
     from . import branching, reps
 
     a = _load_matrix(args.matrix)
-    text = _read_text(args.bfs)
-    system = branching.load_bfs(text, a)
-    d = reps.decompose(system)
-    _print_decomposition(d, args.json)
-    return 0
+    return _decomposition_report(reps.decompose(branching.load_bfs(_read_text(args.bfs), a)))
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args):
     from . import reps
 
     a = _load_matrix(args.matrix) if args.matrix else None
@@ -232,8 +204,7 @@ def _cmd_expand(args) -> int:
                 d.add(reps.integral_class(words.parse_word(comp["word"]), a), mult)
             else:
                 raise UsageError(f"unknown component kind {comp['kind']!r}")
-    _print_decomposition(reps.expand_irreducible(d), args.json)
-    return 0
+    return _decomposition_report(reps.expand_irreducible(d))
 
 
 def _read_report(text: str) -> dict:
@@ -282,7 +253,7 @@ def _build_system(args, a: words.TransitionMatrix) -> branching.BranchingSystem:
     raise UsageError(f"unknown system kind {kind!r}")
 
 
-def _cmd_verify_relations(args) -> int:
+def _cmd_verify_relations(args):
     from . import reps
 
     a = _load_matrix(args.matrix)
@@ -290,101 +261,74 @@ def _cmd_verify_relations(args) -> int:
     _maybe_dump(system, args.dump_bfs)
     report = reps.verify_ck_relations(reps.realize(system))
     checked = report.checked_points  # per point: a domain check per symbol, a completeness check
-    if args.json:
-        _emit_json(
-            {
-                "checked_points": checked,
-                "domain_checks": checked * a.n,
-                "completeness_checks": checked,
-                "violations": [
-                    {"kind": v.kind, "symbols": list(v.symbols), "points": [str(p) for p in v.points]}
-                    for v in report.violations
-                ],
-                "ok": report.ok,
-            }
-        )
-    else:
-        print(f"checked points: {checked}")
-        print(f"domain checks: {checked * a.n}")
-        print(f"completeness checks: {checked}")
-        if report.ok:
-            print("relations: ok")
-        else:
-            for v in report.violations:
-                print(f"violation: {v.kind} symbols={v.symbols} points={v.points}")
-    return 0 if report.ok else 1
+    counts = {
+        "checked_points": checked,
+        "domain_checks": checked * a.n,
+        "completeness_checks": checked,
+    }
+    lines = [f"{k.replace('_', ' ')}: {v}" for k, v in counts.items()]
+    lines += [
+        f"violation: {v.kind} symbols={v.symbols} points={v.points}" for v in report.violations
+    ] or ["relations: ok"]
+    record = {
+        **counts,
+        "violations": [
+            {"kind": v.kind, "symbols": list(v.symbols), "points": [str(p) for p in v.points]}
+            for v in report.violations
+        ],
+        "ok": report.ok,
+    }
+    return report.ok, record, "\n".join(lines)
 
 
-def _cmd_state(args) -> int:
+def _cmd_state(args):
     from . import reps
 
     a = _load_matrix(args.matrix)
     c = reps.parse_class_literal(args.cls, a)
     value = reps.state_value(a, c, words.parse_word(args.left), words.parse_word(args.right))
-    if args.json:
-        _emit_json({"value": value})
-    else:
-        print(value)
-    return 0
+    return True, {"value": value}, str(value)
 
 
-def _cmd_pspec(args) -> int:
-    a = _load_matrix(args.matrix)
-    summary = words.pspec_summary(a, args.max_len)
-    if args.json:
-        _emit_json(
-            {
-                "finite": summary.finite,
-                "class_count": summary.class_count,
-                "tails_empty": summary.tails_empty,
-                "counts_by_length": list(summary.counts_by_length),
-                "cycle_words": [words.format_word(w) for w in summary.cycle_words],
-                "cross_check_ok": summary.cross_check_ok,
-            }
-        )
-    else:
-        print(f"verdict: {'finite' if summary.finite else 'infinite'}")
-        if summary.finite:
-            print(f"primitive classes: {summary.class_count}")
-            print(f"cycle words: {' '.join(words.format_word(w) for w in summary.cycle_words)}")
-        print(f"tail classes: {'empty' if summary.tails_empty else 'nonempty'}")
-        counts = " ".join(
-            f"{k}:{c}" for k, c in enumerate(summary.counts_by_length, start=1)
-        )
-        print(f"primitive counts by length: {counts}")
-        print(f"enumeration cross-check: {'ok' if summary.cross_check_ok else 'FAILED'}")
-    return 0 if summary.cross_check_ok else 1
+def _check(ok: bool) -> str:
+    return "ok" if ok else "FAILED"
 
 
-def _cmd_gp_check(args) -> int:
+def _cmd_pspec(args):
+    summary = words.pspec_summary(_load_matrix(args.matrix), args.max_len)
+    record = summary._asdict()
+    record["cycle_words"] = [words.format_word(w) for w in summary.cycle_words]
+    lines = [f"verdict: {'finite' if summary.finite else 'infinite'}"]
+    if summary.finite:
+        lines += [
+            f"primitive classes: {summary.class_count}",
+            f"cycle words: {' '.join(record['cycle_words'])}",
+        ]
+    counts = " ".join(f"{k}:{c}" for k, c in enumerate(summary.counts_by_length, start=1))
+    lines += [
+        f"tail classes: {'empty' if summary.tails_empty else 'nonempty'}",
+        f"primitive counts by length: {counts}",
+        f"enumeration cross-check: {_check(summary.cross_check_ok)}",
+    ]
+    return summary.cross_check_ok, record, "\n".join(lines)
+
+
+def _cmd_gp_check(args):
     from . import reps
 
     a = _load_matrix(args.matrix)
     report = reps.gp_vector_check(a, words.parse_word(args.word), args.power, depth=args.depth)
-    if args.json:
-        _emit_json(
-            {
-                "word": words.format_word(report.word),
-                "p": report.p,
-                "fixed_point_ok": report.fixed_point_ok,
-                "orthonormal_ok": report.orthonormal_ok,
-                "family_size": report.family_size,
-                "decomposition_matches": report.decomposition_matches,
-                "ok": report.ok,
-            }
-        )
-    else:
-        print(f"word: {words.format_word(report.word)} power: {report.p}")
-        print(f"fixed point: {'ok' if report.fixed_point_ok else 'FAILED'}")
-        print(
-            f"orthonormal family of {report.family_size}: "
-            f"{'ok' if report.orthonormal_ok else 'FAILED'}"
-        )
-        print(f"decomposition match: {'ok' if report.decomposition_matches else 'FAILED'}")
-    return 0 if report.ok else 1
+    record = {**report._asdict(), "word": words.format_word(report.word), "ok": report.ok}
+    text = (
+        f"word: {record['word']} power: {report.p}\n"
+        f"fixed point: {_check(report.fixed_point_ok)}\n"
+        f"orthonormal family of {report.family_size}: {_check(report.orthonormal_ok)}\n"
+        f"decomposition match: {_check(report.decomposition_matches)}"
+    )
+    return report.ok, record, text
 
 
-def _cmd_twist(args) -> int:
+def _cmd_twist(args):
     from . import reps
 
     a = _load_matrix(args.matrix) if args.matrix else None
@@ -395,11 +339,7 @@ def _cmd_twist(args) -> int:
     if isinstance(c, reps.FiniteClass) and max(c.word) > len(gauge):
         raise UsageError(f"gauge too short for word {words.format_word(c.word)}")
     literal = reps.class_literal(reps.twist_by_gauge(c, gauge))
-    if args.json:
-        _emit_json({"class": literal})
-    else:
-        print(literal)
-    return 0
+    return True, {"class": literal}, literal
 
 
 def _add_common(sub, *, matrix_required=True):
@@ -513,7 +453,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        ok, record, text = args.fn(args)
+        if args.json:
+            import json
+
+            text = json.dumps(record, indent=2, sort_keys=True)
+        print(text)
+        return 0 if ok else 1
     except BrokenPipeError:
         return 1
     except Exception as exc:

@@ -86,11 +86,6 @@ class Phase(_Key, namedtuple("Phase", "turns approx")):
             return Phase(turns=(-self.turns) % 1)
         return Phase(approx=self.approx.conjugate())
 
-    def __pow__(self, k: int) -> Phase:
-        if self.turns is not None:
-            return Phase(turns=(self.turns * k) % 1)
-        return Phase(approx=self.as_complex() ** k)
-
     def root(self, p: int) -> Phase:
         """Principal p-th root: rotation k/q becomes k/(p*q)."""
         if p < 1:

@@ -15,6 +15,8 @@ counts per length come independently from the trace formula.  The
 carrier oracles are the earlier cycle, chain and shift constructors,
 which list every point word first (the trees from `tree` below) and then
 find each point's edges and frontier status by membership in that list.
+The cycle-set oracle is the earlier `a_cycle_set`, which reads each cycle
+word off a second walk and tests each row on it against a delta row.
 The dump oracles are the earlier `dump_bfs` and `load_bfs`, which format,
 check and intern one endpoint at a time.  The vector oracles are the
 earlier `RootSum`-valued vector calculus: a vector maps carrier labels to
@@ -34,6 +36,7 @@ from functools import lru_cache
 from typing import Callable
 
 from ckrep.branching import (
+    ACycleSet,
     BranchingError,
     BranchingSystem,
     ComponentSkeleton,
@@ -45,6 +48,7 @@ from ckrep.branching import (
     Violation,
     _chain_letters,
     _periodic_extension,
+    phi_map,
 )
 from ckrep.phases import Phase, PhaseError, RootSum
 from ckrep.reps import MatrixRealization
@@ -189,6 +193,47 @@ def random_matrices(n: int, count: int, seed: int) -> list[TransitionMatrix]:
         except WordError:
             pass
     return out
+
+
+def oracle_a_cycle_set(a: TransitionMatrix) -> ACycleSet:
+    """The earlier `a_cycle_set`: each cycle word is read off by a second
+    walk from its least letter, and a cycle is infinite when every row on
+    it is the delta row at the next letter."""
+    phi = phi_map(a)
+    seen: set[int] = set()
+    cycles: list[Word] = []
+    for start in range(1, a.n + 1):
+        if start in seen:
+            continue
+        trail = []
+        v = start
+        while v not in seen:
+            seen.add(v)
+            trail.append(v)
+            v = phi[v]
+        if v in trail:  # new cycle closed within this walk
+            cyc = trail[trail.index(v):]
+            head = min(cyc)
+            word = [head]
+            w = phi[head]
+            while w != head:
+                word.append(w)
+                w = phi[w]
+            cycles.append(tuple(word))
+
+    def is_delta_cycle(word: Word) -> bool:
+        k = len(word)
+        for idx, i in enumerate(word):
+            nxt = word[(idx + 1) % k]
+            row = a.rows[i - 1]
+            if any(row[j] != (1 if j == nxt - 1 else 0) for j in range(a.n)):
+                return False
+        return True
+
+    cycles.sort(key=lambda w: (len(w), w))
+    infinite = tuple(w for w in cycles if is_delta_cycle(w))
+    once = tuple(w for w in cycles if not is_delta_cycle(w))
+    return ACycleSet(cycles=tuple(cycles), once=once, infinite=infinite)
 
 
 def oracle_enumerate_cyclic_classes(a: TransitionMatrix, max_len: int) -> list[tuple[Word, bool]]:

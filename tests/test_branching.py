@@ -13,10 +13,12 @@ from conftest import (
     A4_ROWS,
     ALL_2X2,
     NAIVE1_ROWS,
+    all_valid_matrices,
     brute_cyclic_words,
     random_matrices,
     corpus,
     full_matrix,
+    oracle_a_cycle_set,
     oracle_build_chain_system,
     oracle_build_cycle_system,
     oracle_dump_bfs,
@@ -428,6 +430,12 @@ class TestPhiMap:
     def test_a4(self):
         cycles = a_cycle_set(A4)
         assert cycles.once == ((1,), (2,)) and cycles.infinite == ()
+
+    def test_matches_oracle(self):
+        small = all_valid_matrices(2) + all_valid_matrices(3)
+        large = [a for n in range(4, 10) for a in random_matrices(n, 170, seed=n)]
+        for a in small + large:
+            assert a_cycle_set(a) == oracle_a_cycle_set(a), a.rows
 
 
 class TestShiftSystem:

@@ -492,6 +492,116 @@ class TestContract:
         assert out == "P(1) (+) P(2)^(inf)\n"
 
 
+# The options argparse must refuse to do without, verb by verb.
+REQUIRED_OPTIONS = {
+    "classify-word": ("--matrix", "--word"),
+    "canon": ("--word",),
+    "equiv": ("--class",),
+    "decompose-standard": ("--matrix",),
+    "decompose-shift": ("--matrix",),
+    "decompose-bfs": ("--matrix", "--bfs"),
+    "verify-relations": ("--matrix",),
+    "state": ("--matrix", "--class", "--left", "--right"),
+    "pspec": ("--matrix",),
+    "gp-check": ("--matrix", "--word", "--power"),
+    "twist": ("--class", "--gauge"),
+}
+
+
+@pytest.mark.parametrize(
+    "verb, option", [(verb, option) for verb, options in REQUIRED_OPTIONS.items() for option in options]
+)
+def test_each_required_option_is_required(capsys, verb, option):
+    verb, *rest = next(param.values[0] for param in GOLDEN if param.values[0][0] == verb)
+    pairs = [rest[k : k + 2] for k in range(0, len(rest), 2) if rest[k] != option]
+    code = main([verb, *(arg for pair in pairs for arg in pair)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines()[0] == f"error: the following arguments are required: {option}"
+
+
+@pytest.mark.parametrize(
+    "stdin, message",
+    [
+        ('{"components": [{"kind": "finite"}]}', "{'kind': 'finite'} needs a string kind and word"),
+        (
+            '{"components": [{"kind": "tail", "word": "1", "multiplicity": 0}]}',
+            "{'kind': 'tail', 'word': '1', 'multiplicity': 0} needs multiplicity \"inf\" "
+            "or a positive integer",
+        ),
+    ],
+)
+def test_expand_names_the_bad_component(capsys, monkeypatch, stdin, message):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert main(["expand"]) == 1
+    assert capsys.readouterr() == ("", f"error: component {message}\n")
+
+
+def test_internal_error_names_its_type(capsys, a1_file, monkeypatch):
+    def boom(*_args, **_kwargs):
+        raise RuntimeError("invariant broken")
+
+    monkeypatch.setattr("ckrep.reps.decompose_standard", boom)
+    assert main(["decompose-standard", "--matrix", a1_file]) == 2
+    assert capsys.readouterr() == ("", "internal error: RuntimeError: invariant broken\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code, out", [(["--word", "211"], 0, "112\n"), (["--word", "x1"], 1, "")], ids=["ok", "bad-word"]
+)
+def test_module_entry_point_exits_with_mains_code(argv, code, out):
+    import os
+    import subprocess
+    import sys
+
+    import ckrep
+
+    src = os.path.dirname(os.path.dirname(ckrep.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ckrep.cli", "canon", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (proc.returncode, proc.stdout) == (code, out)
+
+
+def test_main_is_the_one_output_path():
+    # the verbs return their reports; only main prints to stdout or reads --json
+    import ast
+    import inspect
+
+    from ckrep import cli
+
+    source = inspect.getsource(cli)
+    module = ast.parse(source)
+    functions = {node.name: node for node in ast.walk(module) if isinstance(node, ast.FunctionDef)}
+
+    def stdout_prints(tree):
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "print"
+            and not any(
+                kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr" for kw in node.keywords
+            )
+        ]
+
+    def reads_json_flag(tree):
+        return any(ast.unparse(node) == "args.json" for node in ast.walk(tree))
+
+    verbs = [name for name in functions if name.startswith("_cmd_")]
+    assert len(verbs) == 12
+    assert len(stdout_prints(module)) == 1
+    assert len(stdout_prints(functions["main"])) == 1
+    assert [name for name in verbs if reads_json_flag(functions[name])] == []
+    assert "stdout" not in source
+
+
 class TestWideAlphabet:
     """Matrices with ten or more symbols: dumps of every word-labelled
     system load back, and word literals round-trip through the CLI."""

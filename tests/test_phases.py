@@ -18,7 +18,7 @@ def test_exact_phase_normalization():
 def test_phase_arithmetic_is_exact():
     i = Phase.exact(1, 4)
     assert (i * i).turns == Fraction(1, 2)
-    assert (i ** 4).is_one()
+    assert (i * i * i * i).is_one()
     assert i.conjugate().turns == Fraction(3, 4)
     assert i.root(2).turns == Fraction(1, 8)
     assert Phase.exact(0).root(3).turns == 0
