@@ -860,3 +860,82 @@ def test_golden_output(capsys, monkeypatch, tmp_path, argv, setup, code, text, r
     argv = [str(tmp_path / arg) if arg in GOLDEN_FILES else arg for arg in argv]
     expected = json.dumps(record, indent=2, sort_keys=True) + "\n" if as_json else text
     assert run(capsys, *argv, *(["--json"] if as_json else [])) == (code, expected)
+
+
+# The parse errors and help texts, byte for byte: argparse writes them, so
+# the width is pinned, and a help text ends the call with SystemExit.
+_VERB_CHOICES = (
+    "{classify-word,canon,equiv,decompose-standard,decompose-shift,decompose-bfs,expand,"
+    "verify-relations,state,pspec,gp-check,twist}"
+)
+_TOP_HELP = f"""usage: ck [-h]
+          {_VERB_CHOICES}
+          ...
+
+Permutative representation calculator
+
+positional arguments:
+  {_VERB_CHOICES}
+    classify-word       admissibility and canonical form of a word
+    canon               canonical rotation of a word
+    equiv               equivalence of two class literals
+    decompose-standard  decompose the standard representation
+    decompose-shift     decompose the shift representation
+    decompose-bfs       decompose a dumped system
+    expand              irreducible-level expansion
+    verify-relations    check the defining relations on a system
+    state               evaluate the class state at s_left s_right^*
+    pspec               finite/infinite verdict for the class spectrum
+    gp-check            cyclic-vector check for a power class
+    twist               gauge-twist a class literal
+
+options:
+  -h, --help            show this help message and exit
+"""
+_CANON_HELP = """usage: ck canon [-h] --word WORD [--json]
+
+options:
+  -h, --help   show this help message and exit
+  --word WORD
+  --json
+"""
+_DECOMPOSE_STANDARD_HELP = """usage: ck decompose-standard [-h] --matrix MATRIX [--json]
+                             [--truncate TRUNCATE] [--dump-bfs DUMP_BFS]
+
+options:
+  -h, --help           show this help message and exit
+  --matrix MATRIX      matrix file (0/1 rows)
+  --json               emit the JSON report
+  --truncate TRUNCATE
+  --dump-bfs DUMP_BFS  also write the truncated system dump here
+"""
+_CHOICE_LIST = ", ".join(f"'{verb}'" for verb in _VERB_CHOICES[1:-1].split(","))
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        ([], 1, "", f"error: the following arguments are required: verb\n\n{_TOP_HELP}\n"),
+        (["--help"], 0, _TOP_HELP, ""),
+        (["-h", "canon"], 0, _TOP_HELP, ""),
+        (["bogus"], 1, "",
+         f"error: argument verb: invalid choice: 'bogus' (choose from {_CHOICE_LIST})\n\n{_TOP_HELP}\n"),
+        (["canon", "-h"], 0, _CANON_HELP, ""),
+        (["--json", "canon", "--word", "1"], 1, "",
+         f"error: unrecognized arguments: --json\n\n{_TOP_HELP}\n"),
+        (["canon", "--word", "1", "extra"], 1, "",
+         f"error: unrecognized arguments: extra\n\n{_TOP_HELP}\n"),
+        (["decompose-standard", "--matrix", "m", "--truncate", "x"], 1, "",
+         f"error: argument --truncate: invalid int value: 'x'\n\n{_DECOMPOSE_STANDARD_HELP}\n"),
+        (["canon", "--word"], 1, "", f"error: argument --word: expected one argument\n\n{_CANON_HELP}\n"),
+    ],
+    ids=["no-verb", "help", "help-before-verb", "unknown-verb", "verb-help", "option-before-verb",
+         "extra-argument", "bad-int", "missing-value"],
+)
+def test_golden_usage(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert (got, *capsys.readouterr()) == (code, out, err)
