@@ -342,93 +342,136 @@ def _cmd_twist(args):
     return True, {"class": literal}, literal
 
 
-def _add_common(sub, *, matrix_required=True):
-    if matrix_required:
-        sub.add_argument("--matrix", required=True, help="matrix file (0/1 rows)")
-    else:
-        sub.add_argument("--matrix", help="matrix file (0/1 rows)")
-    sub.add_argument("--json", action="store_true", help="emit the JSON report")
+_MATRIX = ("--matrix", {"required": True, "help": "matrix file (0/1 rows)"})
+_OPTIONAL_MATRIX = ("--matrix", {"help": "matrix file (0/1 rows)"})
+_JSON = ("--json", {"action": "store_true", "help": "emit the JSON report"})
+_DUMP = ("--dump-bfs", {"help": "also write the truncated system dump here"})
+
+# The verb table: each verb's handler, its one-line help and its options
+# in help order, an option being its flag and the keywords of add_argument.
+_VERBS = {
+    "classify-word": (
+        _cmd_classify_word,
+        "admissibility and canonical form of a word",
+        [_MATRIX, _JSON, ("--word", {"required": True})],
+    ),
+    "canon": (
+        _cmd_canon,
+        "canonical rotation of a word",
+        [("--word", {"required": True}), ("--json", {"action": "store_true"})],
+    ),
+    "equiv": (
+        _cmd_equiv,
+        "equivalence of two class literals",
+        [_OPTIONAL_MATRIX, _JSON, ("--class", {"dest": "cls", "action": "append", "required": True})],
+    ),
+    "decompose-standard": (
+        _cmd_decompose_standard,
+        "decompose the standard representation",
+        [_MATRIX, _JSON, ("--truncate", {"type": int, "default": DEFAULT_TRUNCATION}), _DUMP],
+    ),
+    "decompose-shift": (
+        _cmd_decompose_shift,
+        "decompose the shift representation",
+        [_MATRIX, _JSON, ("--max-period", {"type": int, "default": DEFAULT_MAX_PERIOD}), _DUMP],
+    ),
+    "decompose-bfs": (
+        _cmd_decompose_bfs,
+        "decompose a dumped system",
+        [_MATRIX, _JSON, ("--bfs", {"required": True, "help": "dump file, or - for stdin"})],
+    ),
+    "expand": (
+        _cmd_expand,
+        "irreducible-level expansion",
+        [
+            _OPTIONAL_MATRIX,
+            _JSON,
+            ("--class", {"dest": "cls", "action": "append", "help": "class literal (repeatable)"}),
+        ],
+    ),
+    "verify-relations": (
+        _cmd_verify_relations,
+        "check the defining relations on a system",
+        [
+            _MATRIX,
+            _JSON,
+            ("--system", {"choices": ["standard", "shift", "cycle", "chain"], "default": "standard"}),
+            ("--word", {"help": "cycle word for --system cycle"}),
+            ("--tail", {"help": "tail literal for --system chain"}),
+            ("--truncate", {"type": int, "default": DEFAULT_TRUNCATION}),
+            ("--depth", {"type": int, "default": DEFAULT_DEPTH}),
+            ("--chain-len", {"type": int, "default": DEFAULT_CHAIN_LEN}),
+            ("--word-len", {"type": int, "default": 6}),
+            ("--dump-bfs", {"help": "also write the system dump here"}),
+        ],
+    ),
+    "state": (
+        _cmd_state,
+        "evaluate the class state at s_left s_right^*",
+        [
+            _MATRIX,
+            _JSON,
+            ("--class", {"dest": "cls", "required": True}),
+            ("--left", {"required": True, "help": "word literal (0 for the unit)"}),
+            ("--right", {"required": True, "help": "word literal (0 for the unit)"}),
+        ],
+    ),
+    "pspec": (
+        _cmd_pspec,
+        "finite/infinite verdict for the class spectrum",
+        [_MATRIX, _JSON, ("--max-len", {"type": int, "default": DEFAULT_MAX_PERIOD})],
+    ),
+    "gp-check": (
+        _cmd_gp_check,
+        "cyclic-vector check for a power class",
+        [
+            _MATRIX,
+            _JSON,
+            ("--word", {"required": True}),
+            ("--power", {"type": int, "required": True}),
+            ("--depth", {"type": int, "default": 2}),
+        ],
+    ),
+    "twist": (
+        _cmd_twist,
+        "gauge-twist a class literal",
+        [
+            _OPTIONAL_MATRIX,
+            _JSON,
+            ("--class", {"dest": "cls", "required": True}),
+            ("--gauge", {"required": True, "help": "comma-separated phase literals"}),
+        ],
+    ),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="ck", description="Permutative representation calculator")
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The `ck` parser, with every verb's subparser, or with `verb`'s
+    alone, which parses every call of that verb the same way.  Options
+    are spelled in full: no parser accepts an abbreviation."""
+    parser = _Parser(
+        prog="ck", description="Permutative representation calculator", allow_abbrev=False
+    )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    s = sub.add_parser("classify-word", help="admissibility and canonical form of a word")
-    _add_common(s)
-    s.add_argument("--word", required=True)
-    s.set_defaults(fn=_cmd_classify_word)
-
-    s = sub.add_parser("canon", help="canonical rotation of a word")
-    s.add_argument("--word", required=True)
-    s.add_argument("--json", action="store_true")
-    s.set_defaults(fn=_cmd_canon)
-
-    s = sub.add_parser("equiv", help="equivalence of two class literals")
-    _add_common(s, matrix_required=False)
-    s.add_argument("--class", dest="cls", action="append", required=True)
-    s.set_defaults(fn=_cmd_equiv)
-
-    s = sub.add_parser("decompose-standard", help="decompose the standard representation")
-    _add_common(s)
-    s.add_argument("--truncate", type=int, default=DEFAULT_TRUNCATION)
-    s.add_argument("--dump-bfs", help="also write the truncated system dump here")
-    s.set_defaults(fn=_cmd_decompose_standard)
-
-    s = sub.add_parser("decompose-shift", help="decompose the shift representation")
-    _add_common(s)
-    s.add_argument("--max-period", type=int, default=DEFAULT_MAX_PERIOD)
-    s.add_argument("--dump-bfs", help="also write the truncated system dump here")
-    s.set_defaults(fn=_cmd_decompose_shift)
-
-    s = sub.add_parser("decompose-bfs", help="decompose a dumped system")
-    _add_common(s)
-    s.add_argument("--bfs", required=True, help="dump file, or - for stdin")
-    s.set_defaults(fn=_cmd_decompose_bfs)
-
-    s = sub.add_parser("expand", help="irreducible-level expansion")
-    _add_common(s, matrix_required=False)
-    s.add_argument("--class", dest="cls", action="append", help="class literal (repeatable)")
-    s.set_defaults(fn=_cmd_expand)
-
-    s = sub.add_parser("verify-relations", help="check the defining relations on a system")
-    _add_common(s)
-    s.add_argument("--system", choices=["standard", "shift", "cycle", "chain"], default="standard")
-    s.add_argument("--word", help="cycle word for --system cycle")
-    s.add_argument("--tail", help="tail literal for --system chain")
-    s.add_argument("--truncate", type=int, default=DEFAULT_TRUNCATION)
-    s.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    s.add_argument("--chain-len", type=int, default=DEFAULT_CHAIN_LEN)
-    s.add_argument("--word-len", type=int, default=6)
-    s.add_argument("--dump-bfs", help="also write the system dump here")
-    s.set_defaults(fn=_cmd_verify_relations)
-
-    s = sub.add_parser("state", help="evaluate the class state at s_left s_right^*")
-    _add_common(s)
-    s.add_argument("--class", dest="cls", required=True)
-    s.add_argument("--left", required=True, help="word literal (0 for the unit)")
-    s.add_argument("--right", required=True, help="word literal (0 for the unit)")
-    s.set_defaults(fn=_cmd_state)
-
-    s = sub.add_parser("pspec", help="finite/infinite verdict for the class spectrum")
-    _add_common(s)
-    s.add_argument("--max-len", type=int, default=DEFAULT_MAX_PERIOD)
-    s.set_defaults(fn=_cmd_pspec)
-
-    s = sub.add_parser("gp-check", help="cyclic-vector check for a power class")
-    _add_common(s)
-    s.add_argument("--word", required=True)
-    s.add_argument("--power", type=int, required=True)
-    s.add_argument("--depth", type=int, default=2)
-    s.set_defaults(fn=_cmd_gp_check)
-
-    s = sub.add_parser("twist", help="gauge-twist a class literal")
-    _add_common(s, matrix_required=False)
-    s.add_argument("--class", dest="cls", required=True)
-    s.add_argument("--gauge", required=True, help="comma-separated phase literals")
-    s.set_defaults(fn=_cmd_twist)
-
+    for name, (fn, help_text, options) in _VERBS.items():
+        if verb in (None, name):
+            s = sub.add_parser(name, help=help_text, allow_abbrev=False)
+            for flag, keywords in options:
+                s.add_argument(flag, **keywords)
+            s.set_defaults(fn=fn)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with the parser of the verb `argv` names.  A call that names
+    no verb, or that the lean parser refuses, is parsed by the full tree,
+    so every usage error and help text lists all the verbs."""
+    if argv and argv[0] in _VERBS:
+        try:
+            return build_parser(argv[0]).parse_args(argv)
+        except UsageError:
+            pass
+    return build_parser().parse_args(argv)
 
 
 # The typed user errors, by module.  A module that was never imported
@@ -450,9 +493,8 @@ def _is_user_error(exc: Exception) -> bool:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         ok, record, text = args.fn(args)
         if args.json:
             import json

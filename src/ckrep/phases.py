@@ -2,10 +2,12 @@
 
 A :class:`Phase` is a point on the unit circle.  Phases produced by the
 library itself are always *exact* roots of unity, stored as a reduced
-rotation count ``k/p`` (meaning ``exp(2*pi*i*k/p)``); user supplied phases
-may instead be approximate unit complex numbers, compared within
-``APPROX_TOL``.  Exact phases multiply, invert, take roots and compare
-without any floating point at all.
+integer pair ``(num, den)`` with ``0 <= num < den`` (meaning
+``exp(2*pi*i*num/den)``); user supplied phases may instead be approximate
+unit complex numbers, compared within ``APPROX_TOL``.  Exact phases
+multiply, invert, take roots and compare in integers alone, so neither
+`fractions` nor `cmath` is imported until a caller asks for a `Fraction`
+(``Phase.turns``) or a complex value.
 
 :class:`RootSum` is the ring of finite rational linear combinations of
 roots of unity, stored as a sparse map from integer exponents to
@@ -16,13 +18,15 @@ exact phases is decided exactly.
 
 from __future__ import annotations
 
-import cmath
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .words import _Key
+
+TYPE_CHECKING = False  # typing's flag, without importing typing
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 APPROX_TOL = 1e-12
 
@@ -31,30 +35,45 @@ class PhaseError(ValueError):
     """A value does not describe a usable unit phase."""
 
 
-class Phase(_Key, namedtuple("Phase", "turns approx")):
-    """A unit complex number, exact (rational turns) or approximate.
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms, reduced modulo 1 to 0 <= num < den."""
+    g = gcd(num, den)  # a TypeError unless both are integers
+    if den == 0:
+        raise PhaseError(f"phase {num}/{den} has a zero denominator")
+    if den < 0:
+        g = -g
+    den //= g
+    return num // g % den, den
 
-    Exactly one of ``turns`` / ``approx`` is set.  ``turns`` is reduced to
-    ``[0, 1)`` so structural equality of exact phases is semantic equality.
+
+class Phase(_Key, namedtuple("Phase", "pair approx")):
+    """A unit complex number, exact (a root of unity) or approximate.
+
+    Exactly one of ``pair`` / ``approx`` is set.  ``pair`` is the reduced
+    ``(num, den)``, ``0 <= num < den``, of exp(2*pi*i*num/den), so
+    structural equality of exact phases is semantic equality.
     """
 
     __slots__ = ()
 
-    def __new__(cls, turns: Fraction | None = None, approx: complex | None = None):
+    def __new__(cls, turns: int | Fraction | None = None, approx: complex | None = None):
         if (turns is None) == (approx is None):
             raise PhaseError("phase needs exactly one of turns/approx")
-        if turns is not None and not 0 <= turns < 1:
-            turns = turns % 1
-        if approx is not None and not abs(abs(approx) - 1.0) <= APPROX_TOL:  # NaN too
+        if turns is not None:
+            return tuple.__new__(cls, (_reduced(turns.numerator, turns.denominator), None))
+        if not abs(abs(approx) - 1.0) <= APPROX_TOL:  # NaN too
             raise PhaseError(f"|z| = {abs(approx)} is not 1 within {APPROX_TOL}")
-        return super().__new__(cls, turns, approx)
+        return tuple.__new__(cls, (None, approx))
+
+    def __reduce__(self):
+        # pickle and copy: namedtuple's __getnewargs__ would hand the stored
+        # fields to __new__, which takes turns
+        return type(self)._make, (tuple(self),)
 
     @staticmethod
     def exact(num: int, den: int = 1) -> Phase:
         """The root of unity exp(2*pi*i*num/den)."""
-        if den == 0:
-            raise PhaseError(f"phase {num}/{den} has a zero denominator")
-        return Phase(turns=Fraction(num, den) % 1)
+        return tuple.__new__(Phase, (_reduced(num, den), None))
 
     @staticmethod
     def from_complex(z: complex) -> Phase:
@@ -62,36 +81,54 @@ class Phase(_Key, namedtuple("Phase", "turns approx")):
 
     @property
     def is_exact(self) -> bool:
-        return self.turns is not None
+        return self.pair is not None
+
+    @property
+    def turns(self) -> Fraction | None:
+        """The rotation num/den of an exact phase as a `Fraction` in
+        [0, 1); None for an approximate phase."""
+        if self.pair is None:
+            return None
+        from fractions import Fraction
+
+        return Fraction(*self.pair)
 
     def as_complex(self) -> complex:
-        if self.turns is not None:
-            return cmath.exp(2j * cmath.pi * float(self.turns))
+        if self.pair is not None:
+            import cmath
+
+            num, den = self.pair
+            return cmath.exp(2j * cmath.pi * (num / den))
         return self.approx
 
     def is_one(self) -> bool:
-        if self.turns is not None:
-            return self.turns == 0
+        if self.pair is not None:
+            return self.pair[0] == 0
         return abs(self.approx - 1.0) <= APPROX_TOL
 
     def __mul__(self, other: Phase) -> Phase:
         if not isinstance(other, Phase):
             return NotImplemented
-        if self.turns is not None and other.turns is not None:
-            return Phase(turns=(self.turns + other.turns) % 1)
+        if self.pair is not None and other.pair is not None:
+            (a, b), (c, d) = self.pair, other.pair
+            return Phase.exact(a * d + c * b, b * d)
         return Phase(approx=self.as_complex() * other.as_complex())
 
     def conjugate(self) -> Phase:
-        if self.turns is not None:
-            return Phase(turns=(-self.turns) % 1)
+        if self.pair is not None:
+            num, den = self.pair
+            return Phase.exact(-num, den)
         return Phase(approx=self.approx.conjugate())
 
     def root(self, p: int) -> Phase:
         """Principal p-th root: rotation k/q becomes k/(p*q)."""
         if p < 1:
             raise PhaseError("root order must be >= 1")
-        if self.turns is not None:
-            return Phase(turns=self.turns / p)
+        if self.pair is not None:
+            num, den = self.pair
+            return Phase.exact(num, den * p)
+        import cmath
+
         r, phi = cmath.polar(self.approx)
         return Phase(approx=cmath.rect(1.0, (phi % (2 * cmath.pi)) / p))
 
@@ -102,7 +139,7 @@ ONE = Phase.exact(0)
 def phases_equal(a: Phase, b: Phase, tol: float = APPROX_TOL) -> bool:
     """Semantic equality: exact vs exact compares rotations, else within tol."""
     if a.is_exact and b.is_exact:
-        return a.turns == b.turns
+        return a.pair == b.pair
     return abs(a.as_complex() - b.as_complex()) <= tol
 
 
@@ -165,13 +202,16 @@ class RootSum:
 
     @staticmethod
     def rational(q) -> RootSum:
+        from fractions import Fraction
+
         return RootSum(1, {0: Fraction(q)})
 
     @staticmethod
     def from_phase(phase: Phase) -> RootSum:
         if not phase.is_exact:
             raise PhaseError("exact arithmetic requires an exact phase")
-        return RootSum(phase.turns.denominator, {phase.turns.numerator: 1})
+        num, den = phase.pair
+        return RootSum(den, {num: 1})
 
     def _lifted(self, order: int) -> dict[int, int | Fraction]:
         step = order // self.order
@@ -201,6 +241,8 @@ class RootSum:
         return RootSum(order, out)
 
     def scaled(self, q) -> RootSum:
+        from fractions import Fraction
+
         q = Fraction(q)
         return RootSum(self.order, {k: c * q for k, c in self._terms.items()})
 
@@ -224,6 +266,8 @@ class RootSum:
     __hash__ = None
 
     def as_complex(self) -> complex:
+        import cmath
+
         n, terms = self.order, self._terms.items()
         return sum((float(c) * cmath.exp(2j * cmath.pi * (k / n)) for k, c in terms), 0j)
 

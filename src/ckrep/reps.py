@@ -151,7 +151,7 @@ def class_literal(c: RepClass) -> str:
 
 def format_phase(p: Phase) -> str:
     if p.is_exact:
-        return f"{p.turns.numerator}/{p.turns.denominator}"
+        return "%d/%d" % p.pair
     z = p.as_complex()
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
@@ -300,10 +300,11 @@ class MatrixRealization:
         twists = [(i, x, t) for i, per in self.weights.items() for x, t in per.items()]
         if not all(t.is_exact for _, _, t in twists):
             raise PhaseError("exact arithmetic requires an exact phase")
-        order = lcm(*(t.turns.denominator for _, _, t in twists))
+        order = lcm(*(t.pair[1] for _, _, t in twists))
         exps: list[dict[int, int]] = [{} for _ in range(f.n)]
         for i, x, t in twists:
-            exps[i - 1][f.position[x]] = t.turns.numerator * (order // t.turns.denominator)
+            num, den = t.pair
+            exps[i - 1][f.position[x]] = num * (order // den)
         return order, exps
 
 
@@ -550,7 +551,7 @@ def gp_vector_check(a: TransitionMatrix, word: Word, p: int, depth: int = 2) -> 
             v = apply_word(m, (letter,), v)
             family.append(v)
     gram_ok = True
-    expect_p = RootSum.rational(p)
+    expect_p = RootSum(1, {0: p})
     for u_idx, u in enumerate(family):
         for w_idx, w in enumerate(family):
             ip = inner_product(m, u, w)
@@ -644,7 +645,8 @@ def standard_is_irreducible(a: TransitionMatrix) -> bool:
 
 def phase_json(p: Phase) -> dict:
     if p.is_exact:
-        return {"num": p.turns.numerator, "den": p.turns.denominator}
+        num, den = p.pair
+        return {"num": num, "den": den}
     z = p.as_complex()
     return {"re": z.real, "im": z.imag}
 

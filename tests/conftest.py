@@ -21,7 +21,9 @@ The dump oracles are the earlier `dump_bfs` and `load_bfs`, which format,
 check and intern one endpoint at a time.  The vector oracles are the
 earlier `RootSum`-valued vector calculus: a vector maps carrier labels to
 `RootSum` coefficients, and each twisted edge multiplies by the twist's
-`RootSum`.
+`RootSum`.  The phase oracle is the earlier `Phase`, which keeps an exact
+phase as a `Fraction` of a turn, with the earlier `format_phase`,
+`phase_json` and `phases_equal` that read it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -50,7 +52,7 @@ from ckrep.branching import (
     _periodic_extension,
     phi_map,
 )
-from ckrep.phases import Phase, PhaseError, RootSum
+from ckrep.phases import APPROX_TOL, Phase, PhaseError, RootSum
 from ckrep.reps import MatrixRealization
 from ckrep.words import (
     EmptyWordError,
@@ -59,6 +61,7 @@ from ckrep.words import (
     TransitionMatrix,
     Word,
     WordError,
+    _Key,
     admissible_words,
     canonical_rotation,
     format_word,
@@ -849,3 +852,86 @@ class OracleRootSum:
     def __repr__(self) -> str:
         body = " + ".join(f"{c}*e({t})" for t, c in sorted(self._terms.items()))
         return f"OracleRootSum({body or '0'})"
+
+
+class OraclePhase(_Key, namedtuple("OraclePhase", "turns approx")):
+    """A unit complex number, exact (rational turns) or approximate.
+
+    Exactly one of ``turns`` / ``approx`` is set.  ``turns`` is reduced to
+    ``[0, 1)`` so structural equality of exact phases is semantic equality.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, turns: Fraction | None = None, approx: complex | None = None):
+        if (turns is None) == (approx is None):
+            raise PhaseError("phase needs exactly one of turns/approx")
+        if turns is not None and not 0 <= turns < 1:
+            turns = turns % 1
+        if approx is not None and not abs(abs(approx) - 1.0) <= APPROX_TOL:  # NaN too
+            raise PhaseError(f"|z| = {abs(approx)} is not 1 within {APPROX_TOL}")
+        return super().__new__(cls, turns, approx)
+
+    @staticmethod
+    def exact(num: int, den: int = 1) -> OraclePhase:
+        if den == 0:
+            raise PhaseError(f"phase {num}/{den} has a zero denominator")
+        return OraclePhase(turns=Fraction(num, den) % 1)
+
+    @staticmethod
+    def from_complex(z: complex) -> OraclePhase:
+        return OraclePhase(approx=complex(z))
+
+    @property
+    def is_exact(self) -> bool:
+        return self.turns is not None
+
+    def as_complex(self) -> complex:
+        if self.turns is not None:
+            return cmath.exp(2j * cmath.pi * float(self.turns))
+        return self.approx
+
+    def is_one(self) -> bool:
+        if self.turns is not None:
+            return self.turns == 0
+        return abs(self.approx - 1.0) <= APPROX_TOL
+
+    def __mul__(self, other: OraclePhase) -> OraclePhase:
+        if not isinstance(other, OraclePhase):
+            return NotImplemented
+        if self.turns is not None and other.turns is not None:
+            return OraclePhase(turns=(self.turns + other.turns) % 1)
+        return OraclePhase(approx=self.as_complex() * other.as_complex())
+
+    def conjugate(self) -> OraclePhase:
+        if self.turns is not None:
+            return OraclePhase(turns=(-self.turns) % 1)
+        return OraclePhase(approx=self.approx.conjugate())
+
+    def root(self, p: int) -> OraclePhase:
+        if p < 1:
+            raise PhaseError("root order must be >= 1")
+        if self.turns is not None:
+            return OraclePhase(turns=self.turns / p)
+        r, phi = cmath.polar(self.approx)
+        return OraclePhase(approx=cmath.rect(1.0, (phi % (2 * cmath.pi)) / p))
+
+
+def oracle_phases_equal(a: OraclePhase, b: OraclePhase, tol: float = APPROX_TOL) -> bool:
+    if a.is_exact and b.is_exact:
+        return a.turns == b.turns
+    return abs(a.as_complex() - b.as_complex()) <= tol
+
+
+def oracle_format_phase(p: OraclePhase) -> str:
+    if p.is_exact:
+        return f"{p.turns.numerator}/{p.turns.denominator}"
+    z = p.as_complex()
+    return f"{z.real:.12g}{z.imag:+.12g}i"
+
+
+def oracle_phase_json(p: OraclePhase) -> dict:
+    if p.is_exact:
+        return {"num": p.turns.numerator, "den": p.turns.denominator}
+    z = p.as_complex()
+    return {"re": z.real, "im": z.imag}

@@ -939,3 +939,19 @@ def test_golden_usage(capsys, monkeypatch, argv, code, out, err):
     except SystemExit as exc:
         got = exc.code
     assert (got, *capsys.readouterr()) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["twist", "--cl", "P(12)", "--gau", "1/4,1/4"],
+        ["twist", "--class", "P(12)", "--gauge", "1/4,1/4", "--js"],
+        ["canon", "--wo", "211"],
+        ["--he"],
+    ],
+    ids=["twist", "twist-json", "canon", "top-level-help"],
+)
+def test_abbreviated_options_are_refused(capsys, argv):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")

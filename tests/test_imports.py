@@ -2,9 +2,11 @@
 the library's imports, which name only standard-library modules.
 
 `import ckrep` loads no submodule, a `ck` verb loads only the modules it
-runs, no verb loads `dataclasses`, and only JSON paths load `json`; each
-budget is checked in a fresh interpreter, because this process has long
-since imported everything.
+runs, no verb loads `dataclasses` or `fractions` (nor `decimal` and
+`numbers`, which it imports), a verb on exact phases leaves `cmath`
+unloaded, and only JSON paths load `json`; each budget is checked in a
+fresh interpreter, because this process has long since imported
+everything.  A call of a verb builds that verb's subparser alone.
 """
 
 import ast
@@ -77,11 +79,26 @@ def a3_file(tmp_path):
     return str(path)
 
 
+# Standard-library modules no verb may load.
+UNUSED = ("dataclasses", "fractions", "decimal", "numbers")
+
+
+@pytest.fixture
+def files(a3_file, tmp_path):
+    """A3 and, as DUMP, the dump of the cycle carrier of P(12) over A3 at depth 1."""
+    dump = tmp_path / "cycle.bfs"
+    dump.write_text(
+        "3 8\n1: 2->12, 32->~132, 312->~1312\n2: 12->2, 32->~232, 312->~2312\n"
+        "3: 2->32, 12->312\n"
+    )
+    return {"A3": a3_file, "DUMP": str(dump)}
+
+
 def all_loaded_by(argv: list[str]) -> list[str]:
     """Every module in sys.modules after `main(argv)` returns."""
     code, modules = json.loads(run_python(VERB_PROBE, *argv))
     assert code == 0, argv
-    assert "dataclasses" not in modules, argv
+    assert not set(UNUSED) & set(modules), argv
     return modules
 
 
@@ -186,6 +203,66 @@ class TestStartUpBudget:
         argv = [a3_file if arg == "A3" else arg for arg in argv]
         assert "json" not in all_loaded_by(argv)
         assert "json" in all_loaded_by([*argv, "--json"])
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose-standard", "--matrix", "A3", "--json"],
+            ["decompose-shift", "--matrix", "A3", "--json"],
+            ["decompose-bfs", "--matrix", "A3", "--bfs", "DUMP", "--json"],
+            ["verify-relations", "--matrix", "A3", "--system", "cycle", "--word", "12"],
+            ["gp-check", "--matrix", "A3", "--word", "12", "--power", "3", "--json"],
+            ["expand", "--class", "P(121212;2/5)", "--json"],
+            ["twist", "--class", "P(12;1/3)", "--gauge", "1/4,-3/4"],
+            ["equiv", "--class", "P(12;1/2)", "--class", "P(21;3/6)"],
+        ],
+        ids=["decompose-standard", "decompose-shift", "decompose-bfs", "verify-relations",
+             "gp-check", "expand", "twist", "equiv"],
+    )
+    def test_exact_phase_verbs_leave_cmath_unloaded(self, files, argv):
+        argv = [files.get(arg, arg) for arg in argv]
+        assert "cmath" not in all_loaded_by(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["canon", "--word", "211"],
+        ["classify-word", "--matrix", "A3", "--word", "121"],
+        ["pspec", "--matrix", "A3", "--json"],
+        ["equiv", "--class", "P(12)", "--class", "P(21)"],
+        ["expand", "--class", "P(1212)"],
+        ["twist", "--class", "P(12)", "--gauge", "1/4,1/4"],
+        ["state", "--matrix", "A3", "--class", "P(12)", "--left", "1", "--right", "1"],
+        ["decompose-standard", "--matrix", "A3", "--truncate", "64"],
+        ["decompose-shift", "--matrix", "A3", "--max-period", "3"],
+        ["decompose-bfs", "--matrix", "A3", "--bfs", "DUMP"],
+        ["verify-relations", "--matrix", "A3", "--system", "shift", "--word-len", "3"],
+        ["gp-check", "--matrix", "A3", "--word", "12", "--power", "2", "--depth", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_verb_call_builds_that_verbs_subparser_alone(capsys, monkeypatch, files, argv):
+    import argparse
+
+    from ckrep import cli
+
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert cli.main([files.get(arg, arg) for arg in argv]) == 0
+    assert built == [argv[0]]
+    capsys.readouterr()
+    # a refused call is parsed again by the full tree, for its usage text
+    built.clear()
+    assert cli.main([argv[0], "--no-such-option"]) == 1
+    assert built == [argv[0], *cli._VERBS]
 
 
 class TestExportSurface:

@@ -1,12 +1,22 @@
 import cmath
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import OracleRootSum, oracle_cyclotomic_polynomial
+from conftest import (
+    OraclePhase,
+    OracleRootSum,
+    oracle_cyclotomic_polynomial,
+    oracle_format_phase,
+    oracle_phase_json,
+    oracle_phases_equal,
+)
 from ckrep.phases import Phase, PhaseError, RootSum, cyclotomic_polynomial, phases_equal
+from ckrep.reps import FiniteClass, format_phase, phase_json
 
 
 def test_exact_phase_normalization():
@@ -179,3 +189,68 @@ def test_rootsum_agrees_with_fraction_keyed_oracle(case):
     assert a + nonzero != a and oa + ononzero != oa
     _agree(a * zero + b, oa * ozero + ob)
 
+
+
+# Differential test of the integer-pair Phase against the earlier
+# Fraction-based one: every operation, comparison and rendering agrees, on
+# exact phases num/den of any sign and on approximate ones.
+
+NUMS = st.integers(-40, 40)
+DENS = st.integers(-24, 24).filter(bool)
+
+
+def _phase_pairs(a, b, c, d, p, angle):
+    x, y = Phase.exact(a, b), Phase.exact(c, d)
+    ox, oy = OraclePhase.exact(a, b), OraclePhase.exact(c, d)
+    z, oz = Phase.from_complex(cmath.exp(1j * angle)), OraclePhase.from_complex(cmath.exp(1j * angle))
+    return [
+        (x, ox),
+        (y, oy),
+        (Phase(turns=Fraction(a, b)), OraclePhase(turns=Fraction(a, b))),
+        (Phase(turns=a), OraclePhase(turns=Fraction(a))),
+        (x * y, ox * oy),
+        (x.conjugate(), ox.conjugate()),
+        (x.root(p), ox.root(p)),
+        (x * x.conjugate(), ox * ox.conjugate()),
+        (z, oz),
+        (x * z, ox * oz),
+        (z * y, oz * oy),
+        (z.conjugate(), oz.conjugate()),
+        (z.root(p), oz.root(p)),
+    ]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(NUMS, DENS, NUMS, DENS, st.integers(1, 7), st.floats(-7, 7))
+def test_phase_agrees_with_fraction_based_oracle(a, b, c, d, p, angle):
+    pairs = _phase_pairs(a, b, c, d, p, angle)
+    for new, old in pairs:
+        assert new.is_exact == old.is_exact
+        assert new.turns == old.turns and type(new.turns) is type(old.turns)
+        assert new.as_complex() == old.as_complex()
+        assert new.is_one() == old.is_one()
+        assert format_phase(new) == oracle_format_phase(old)
+        assert phase_json(new) == oracle_phase_json(old)
+        if new.is_exact:
+            assert new.pair == (new.turns.numerator, new.turns.denominator)
+            assert 0 <= new.pair[0] < new.pair[1]
+    for new1, old1 in pairs:
+        for new2, old2 in pairs:
+            assert phases_equal(new1, new2) == oracle_phases_equal(old1, old2)
+            assert (new1 == new2) == (old1 == old2)
+            if new1 == new2:
+                assert hash(new1) == hash(new2)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(NUMS, DENS, NUMS, DENS, st.integers(1, 7), st.floats(-7, 7))
+def test_phase_survives_pickle_and_copy(a, b, c, d, p, angle):
+    for phase, _ in _phase_pairs(a, b, c, d, p, angle):
+        record = FiniteClass((1, 2), phase)
+        copies = [copy.copy(phase), copy.deepcopy(phase), copy.deepcopy(record).phase]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copies.append(pickle.loads(pickle.dumps(phase, protocol)))
+            copies.append(pickle.loads(pickle.dumps(record, protocol)).phase)
+        for twin in copies:
+            assert type(twin) is Phase and twin == phase and hash(twin) == hash(phase)
+            assert twin.is_exact == phase.is_exact and twin.turns == phase.turns
