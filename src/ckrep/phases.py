@@ -145,16 +145,15 @@ def phases_equal(a: Phase, b: Phase, tol: float = APPROX_TOL) -> bool:
 
 def _poly_divmod(num: list, den: tuple[int, ...]) -> tuple[list, list]:
     # Long division; `den` monic with integer coefficients, ascending order.
+    # The remainder keeps the length of `num`, zero above the degree of `den`.
     num = list(num)
-    q = [0] * max(1, len(num) - len(den) + 1)
+    q = [0] * (len(num) - len(den) + 1)
     for i in range(len(num) - len(den), -1, -1):
         c = num[i + len(den) - 1]
         if c:
             q[i] = c
             for k, d in enumerate(den):
                 num[i + k] -= c * d
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
     return q, num
 
 

@@ -374,6 +374,13 @@ class TestPSpec:
             assert words._trace_formula_counts(a, max_len) == enumerated, a.rows
             assert words._trace_formula_counts(a, max_len) == trace_formula_counts(a, max_len)
 
+    def test_finite_cross_check_holds_at_every_length(self):
+        # a cycle word exactly max_len long is enumerated, so it is expected too
+        for a in corpus():
+            s = pspec_summary(a, 1)
+            for max_len in range(1, max(map(len, s.cycle_words), default=0) + 2):
+                assert pspec_summary(a, max_len).cross_check_ok, (a.rows, max_len)
+
     @pytest.mark.parametrize("rows", [A1_ROWS, A2_ROWS, [[1, 1], [1, 1]]])
     def test_enumeration_missing_a_class_fails_the_cross_check(self, monkeypatch, rows):
         enumerate_all = words.enumerate_cyclic_classes
