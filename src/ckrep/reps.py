@@ -151,7 +151,8 @@ def class_literal(c: RepClass) -> str:
 
 def format_phase(p: Phase) -> str:
     if p.is_exact:
-        return "%d/%d" % p.pair
+        num, den = p.pair
+        return f"{num}/{den}"
     z = p.as_complex()
     return f"{z.real:.12g}{z.imag:+.12g}i"
 

@@ -204,7 +204,6 @@ class TestStartUpBudget:
         assert "json" not in all_loaded_by(argv)
         assert "json" in all_loaded_by([*argv, "--json"])
 
-
     @pytest.mark.parametrize(
         "argv",
         [
