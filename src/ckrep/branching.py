@@ -16,6 +16,8 @@ non-frontier part; nothing is ever guessed past the boundary.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter, namedtuple
 from collections.abc import Callable, Container, Iterable, Sequence
 from functools import cached_property
@@ -58,6 +60,40 @@ class DumpFormatError(BranchingError):
     pass
 
 
+#: The element type of the index tables: a machine int, 4 bytes per slot.
+_INT = "i"
+_WIDTH = array(_INT).itemsize
+#: Tables hold indices below this bound, so an entry's top byte is 0xFF at -1 only.
+_LIMIT = 1 << (8 * _WIDTH - 1)
+_TOP = _WIDTH - 1 if sys.byteorder == "little" else 0
+_DEFINED = b"\1" * 255 + b"\0"  # byte map: top byte 0xFF (the entry -1) -> 0, else 1
+
+
+def _table(size: int) -> array:
+    """An index table of `size` slots, all -1."""
+    return array(_INT, [-1]) * size
+
+
+def _defined(img: array) -> bytes:
+    """One byte per slot: 1 where the entry is an index, 0 where it is -1."""
+    return img.tobytes()[_TOP::_WIDTH].translate(_DEFINED)
+
+
+def _arange(size: int) -> array:
+    """The table 0, 1, ..., size-1, written one byte plane at a time.
+
+    Byte k of entry x is (x >> 8k) & 255: each value v < 256 repeated 256^k
+    times, the block repeated until it covers `size` entries.  Converting
+    `range(size)` entry by entry takes several times longer."""
+    planes = bytearray(size * _WIDTH)
+    for k in range(_WIDTH):
+        run = 1 << 8 * k
+        block = b"".join(bytes((v,)) * min(run, size) for v in range(min(256, -(-size // run))))
+        at = k if sys.byteorder == "little" else _WIDTH - 1 - k
+        planes[at::_WIDTH] = (block * -(-size // len(block)))[:size] if size else b""
+    return array(_INT, planes)
+
+
 class BranchingSystem:
     """A finite truncation of a branching function system.
 
@@ -65,7 +101,12 @@ class BranchingSystem:
     f_i(x), -1 where the recorded part of f_i is undefined; `front[x]` is
     1 at frontier points (points with incomplete data); `owner_sym[y]`
     and `owner_pre[y]` are i and x for the edge f_i(x) = y, 0 and -1 where
-    no edge ends; `tails` maps points to their declared tails.  `labels[x]`
+    no edge ends; `tails` maps points to their declared tails.  Each
+    `images[i-1]` and `owner_pre` is an `array('i')`, 4 bytes a slot, so B
+    stays below 2^31; `front` is a bytearray, and so is `owner_sym` while
+    symbols fit below 255 (a list beyond).  A point costs 4(N+1) + 2
+    bytes, 18 at N = 3.  `validate_bfs` reads an image table through
+    its top bytes, 0xFF exactly at the entries -1.  `labels[x]`
     names point x (x + 1 for integer-labelled systems) and is read only
     by dumps and messages.  The constructor takes label-level data;
     `carrier`, `maps`, `frontier`, `declared_tails` and `position` are
@@ -106,12 +147,12 @@ class BranchingSystem:
     def _fill(self, matrix, labels, maps, frontier, origin, tails) -> None:
         size = len(labels)
         owner_sym = bytearray(size) if matrix.n < 255 else [0] * size  # bytes while they fit
-        images, owner_pre = [], [-1] * size
-        for i in range(1, matrix.n + 1):
-            images.append(img := [-1] * size)
+        images, owner_pre = [_table(size) for _ in range(matrix.n)], _table(size)
+        pre = memoryview(owner_pre)  # a store through a view skips the array's argument parsing
+        for i, img in enumerate(map(memoryview, images), start=1):
             for x, y in maps.get(i, {}).items():
                 img[x] = y
-                owner_sym[y], owner_pre[y] = i, x
+                owner_sym[y], pre[y] = i, x
         front = bytearray(size)
         for x in frontier:
             front[x] = 1
@@ -121,7 +162,7 @@ class BranchingSystem:
         self.matrix, self.labels, self.images, self.front = matrix, labels, images, front
         self.owner_sym, self.owner_pre, self.origin, self.tails = owner_sym, owner_pre, origin, tails
         # some image is shared when there are more edges than points with an owner
-        edges = sum(len(img) - img.count(-1) for img in images)
+        edges = sum(_defined(img).count(1) for img in images)
         self.shared = edges > len(labels) - owner_sym.count(0)
 
     @property
@@ -129,7 +170,7 @@ class BranchingSystem:
         return self.matrix.n
 
     @cached_property
-    def owner(self) -> tuple[bytearray | list[int], list[int]]:
+    def owner(self) -> tuple[bytearray | list[int], array]:
         """(owner_sym, owner_pre); InvalidSystemError if two edges share an image."""
         if self.shared:
             first = _edge_violations(self)[0]
@@ -202,10 +243,10 @@ def _outside(points: Iterable[int], *sets: Container[int]) -> Iterable[int]:
     return points
 
 
-def _domain_table(row: Sequence[int], want: int) -> bytes:
+def _domain_table(row: Sequence[int]) -> bytes:
     """Byte map from owner symbol (0 = uncovered, 255 = frontier) to 1
-    where a point with that owner should be in D(f_i) iff `want`."""
-    return bytes(a == want for a in (0, *row)).ljust(256, b"\0")
+    where a point with that owner should be in D(f_i)."""
+    return bytes((0, *row)).ljust(256, b"\0")
 
 
 def validate_bfs(f: BranchingSystem) -> ValidationReport:
@@ -218,24 +259,27 @@ def validate_bfs(f: BranchingSystem) -> ValidationReport:
     entries, not exceptions.  When no image is shared and symbols fit a
     byte, the axioms are first checked at all points at once: a byte
     plane holds each point's owner symbol (255 at the frontier), and
-    `translate` turns it into the points that should and should not be
-    in each D(f_i).  Only when that check fails, or it cannot run, do
-    range and domain sets locate the suspect points: those in no range,
-    or in just one of D(f_i) and the union of R(f_j) over j with
-    a_ij = 1.  At every other point every per-point axiom holds.
+    `translate` turns it into the points that should be in each D(f_i).
+    Read as big ints, those planes must equal the defined slots of f_i
+    (from the top bytes of its table) off the frontier.  Only when that
+    check fails, or it cannot run, do range and domain sets locate the
+    suspect points: those in no range, or in just one of D(f_i) and the
+    union of R(f_j) over j with a_ij = 1.  At every other point every
+    per-point axiom holds.
     """
     images, front, size = f.images, f.front, len(f.labels)
     checked = size - front.count(1)
     if not f.shared and f.n < 255:
         plane = int.from_bytes(f.owner_sym, "little") | int.from_bytes(front, "little") * 255
         owners = plane.to_bytes(size, "little")
+        inside = int.from_bytes(front.translate(_NOT), "little")
         if 0 not in owners and all(
-            -1 not in compress(img, owners.translate(_domain_table(row, 1)))
-            and max(compress(img, owners.translate(_domain_table(row, 0))), default=-1) < 0
+            int.from_bytes(_defined(img), "little") & inside
+            == int.from_bytes(owners.translate(_domain_table(row)), "little")
             for row, img in zip(f.matrix.rows, images)
         ):
             return ValidationReport(checked_points=checked, violations=())
-    domains = [set(compress(range(size), map((-1).__lt__, img))) for img in images]
+    domains = [set(compress(range(size), _defined(img))) for img in images]
     ranges = [set(filter((0).__le__, img)) for img in images]
     frontier = set(compress(range(size), front))
     suspect = set(_outside(range(size), *ranges, frontier))
@@ -294,23 +338,26 @@ def find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
     # where it closed its cycle, or ~x when it ended at a dead end.
     group_of = [-1] * len(labels)
     ends: list[int] = []
-    for x in range(len(labels)):
+    for x, p in enumerate(owner_pre):
+        if p >= 0 and (g := group_of[p]) >= 0:
+            # the usual case: one step suffices; a grouped x has its
+            # preimage in its own group, so the store then changes nothing
+            group_of[x] = g
+            continue
         if group_of[x] >= 0:
             continue
-        if (p := owner_pre[x]) >= 0 and (g := group_of[p]) >= 0:
-            group_of[x] = g  # the usual case: one step suffices
-            continue
-        path = [x]
         group_of[x] = fresh = len(ends)
-        cur, g = x, -1
-        while (cur := owner_pre[cur]) >= 0 and (g := group_of[cur]) < 0:
-            path.append(cur)
+        cur, g = p, -1
+        while cur >= 0 and (g := group_of[cur]) < 0:
             group_of[cur] = fresh
+            cur = owner_pre[cur]
         if g < 0 or g == fresh:
             ends.append(cur if cur >= 0 else ~x)
-        else:
-            for p in path:
-                group_of[p] = g
+        else:  # the walk ran into group g: walk it again, moving its points to g
+            cur = x
+            while group_of[cur] == fresh:
+                group_of[cur] = g
+                cur = owner_pre[cur]
 
     anchors: dict[int, list[int]] = {}
     for x in f.tails:
@@ -353,8 +400,8 @@ def direct_sum(*systems: BranchingSystem) -> BranchingSystem:
         if g.matrix.rows != first.matrix.rows:
             raise MatrixMismatchError("summands live over different matrices")
     labels: list[Label] = []
-    images: list[list[int]] = [[] for _ in range(first.n)]
-    front, owner_sym, owner_pre = bytearray(), first.owner_sym[:0], []
+    images = [_table(0) for _ in range(first.n)]
+    front, owner_sym, owner_pre = bytearray(), first.owner_sym[:0], _table(0)
     tails: dict[int, TailSource] = {}
     for k, g in enumerate(systems):
         off = len(labels)
@@ -395,13 +442,17 @@ def _grow_trees(
     images lie outside the truncation.
     """
     sep = _separator(a.n)
-    prefix = [f"{i}{sep}" for i in range(a.n + 1)]
+    # per symbol s: the symbols i that may precede it, with f_i's edges and label prefix
+    feeders = [()] + [
+        [(i, maps[i], f"{i}{sep}") for i in a.predecessors(s)] for s in range(1, a.n + 1)
+    ]
     for _ in range(depth):
         children: list[tuple[int, int]] = []
         for s, x in level:
-            for i in a.predecessors(s):
-                maps[i][x] = y = len(labels)
-                labels.append(prefix[i] + labels[x])
+            name = labels[x]
+            for i, edges, prefix in feeders[s]:
+                edges[x] = y = len(labels)
+                labels.append(prefix + name)
                 children.append((i, y))
         level = children
     assert len(set(labels)) == len(labels)
@@ -499,10 +550,13 @@ def standard_bfs(a: TransitionMatrix, truncation: int) -> BranchingSystem:
     n = a.n
     if truncation < n:
         raise BranchingError(f"truncation must be >= {n}")
-    images = [[-1] * truncation for _ in range(n)]
+    if truncation >= _LIMIT:
+        raise BranchingError(f"truncation must be < {_LIMIT}")
+    pool = _arange(truncation)  # each progression is a slice of it
+    images = [_table(truncation) for _ in range(n)]
     front = bytearray(truncation)
     owner_sym = bytearray(truncation) if n < 255 else [0] * truncation
-    owner_pre = [-1] * truncation
+    owner_pre = _table(truncation)
     for i, img in enumerate(images, start=1):
         b_set = a.successors(i)
         for q, j in enumerate(b_set):
@@ -511,8 +565,8 @@ def standard_bfs(a: TransitionMatrix, truncation: int) -> BranchingSystem:
             sources = range(j - 1, truncation, n)
             targets = range(n * q + i - 1, truncation, n * len(b_set))
             k = min(len(sources), len(targets))
-            img[_slice(sources[:k])] = targets[:k]
-            owner_pre[_slice(targets[:k])] = sources[:k]
+            img[_slice(sources[:k])] = pool[_slice(targets[:k])]
+            owner_pre[_slice(targets[:k])] = pool[_slice(sources[:k])]
             owner_sym[_slice(targets[:k])] = [i] * k
             for tail in (sources[k:], targets[k:]):
                 front[_slice(tail)] = b"\1" * len(tail)
@@ -633,8 +687,20 @@ def truncated_from_rules(
 
 
 def _clashes(text: str) -> bool:
-    """Whether `text` holds a dump separator or a line break."""
-    return any(map(text.__contains__, (",", "->", "~", " "))) or "".join(text.splitlines()) != text
+    """Whether `text` holds a dump separator or a line break, or has
+    whitespace at either end, which a load would strip."""
+    return (
+        any(map(text.__contains__, (",", "->", "~", " ")))
+        or "".join(text.splitlines()) != text
+        or text != text.strip()
+    )
+
+
+def _may_clash(text: str, count: int) -> bool:
+    """Whether some of the `count` tab-joined labels in `text` may clash:
+    False only when none does.  Past the separators and line breaks, the
+    whitespace an ASCII label can hold is a tab or "\x1f"."""
+    return _clashes(text) or not text.isascii() or text.count("\t") >= count or "\x1f" in text
 
 
 def dump_bfs(f: BranchingSystem) -> str:
@@ -643,23 +709,28 @@ def dump_bfs(f: BranchingSystem) -> str:
     Frontier points carry a "~" prefix at each occurrence; points with no
     incident edge are listed on a trailing "0:" line.  Points go in (length,
     label) order, so a dump survives a load/dump cycle.  Labels may contain
-    neither the separators nor a line break.
+    neither the separators nor a line break, and may not begin or end with
+    whitespace, which a load strips; a point with no edge may not have the
+    empty label, which a load skips.
     """
     names = [str(x) for x in f.labels]
-    if _clashes("\t".join(names)):  # a tab is neither a separator nor a line break
-        bad = next(filter(_clashes, names))
-        raise DumpFormatError(f"label {bad!r} clashes with the dump separators")
+    if _may_clash("\t".join(names), len(names)):  # a tab is neither a separator nor a line break
+        if bad := next(filter(_clashes, names), None):
+            raise DumpFormatError(f"label {bad!r} clashes with the dump separators")
     order = sorted(range(len(names)), key=names.__getitem__)
     order.sort(key=list(map(len, names)).__getitem__)  # stable: by length, then by label
-    isolated = [x for x in order if not f.owner_sym[x]]
+    owner_sym = f.owner_sym
+    isolated = [x for x in order if not owner_sym[x]] if 0 in owner_sym else []
     names = ["~" + s if m else s for s, m in zip(names, f.front)]
     lines = [f"{f.n} {len(names)}"]
     for i, img in enumerate(f.images, start=1):
-        edges = ", ".join([f"{names[x]}->{names[img[x]]}" for x in order if img[x] >= 0])
+        edges = ", ".join([f"{names[x]}->{names[y]}" for x in order if (y := img[x]) >= 0])
         lines.append(f"{i}: " + edges)
         isolated = [x for x in isolated if img[x] < 0]
     if isolated:
-        lines.append("0: " + ", ".join([names[x] for x in isolated]))
+        if "" in (lone := [names[x] for x in isolated]):  # a load would skip it
+            raise DumpFormatError("the empty label names a point with no edge")
+        lines.append("0: " + ", ".join(lone))
     return "\n".join(lines) + "\n"
 
 
@@ -689,9 +760,9 @@ def load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
         raise DumpFormatError(f"dump is for {n} symbols, matrix has {matrix.n}")
 
     index: dict[str, int] = {}  # label -> point, in first-mention order
-    images: list[list[int]] = [[] for _ in range(n)]
-    front, owner_sym, owner_pre = bytearray(), bytearray() if n < 255 else [], []
-    blanks = [(front, 0), (owner_sym, 0), (owner_pre, -1), *zip(images, repeat(-1))]
+    images = [_table(0) for _ in range(n)]
+    front, owner_sym, owner_pre = bytearray(), bytearray() if n < 255 else [], _table(0)
+    blanks = [(front, bytes(1)), (owner_sym, bytes(1)), *zip((owner_pre, *images), repeat(_table(1)))]
     for line in lines[1:]:
         sym_text, _, rest = line.partition(":")
         sym = number(sym_text, "symbol")
@@ -710,17 +781,17 @@ def load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
             ids = [index.setdefault(name, len(index)) for name in names]
             if added := len(index) - len(front):  # new points, with no data yet
                 for arr, blank in blanks:
-                    arr.extend([blank] * added)
+                    arr += blank * added
             for x in compress(ids, map(str.startswith, tokens, repeat("~"))):
                 front[x] = 1
-            if sym:
-                img = images[sym - 1]
-                for y, x in zip(ids[::2], ids[1::2]):
-                    if img[x] >= 0:
-                        raise DumpFormatError(f"symbol {sym} maps {names[ids.index(x)]!r} twice")
-                    img[x] = y
-                    if owner_sym[y] <= sym:  # as in `_fill`: the top symbol's last edge owns y
-                        owner_sym[y], owner_pre[y] = sym, x
+            if sym:  # views as in `_fill`, released before the tables grow again
+                with memoryview(images[sym - 1]) as img, memoryview(owner_pre) as pre:
+                    for y, x in zip(ids[::2], ids[1::2]):
+                        if img[x] >= 0:
+                            raise DumpFormatError(f"symbol {sym} maps {names[ids.index(x)]!r} twice")
+                        img[x] = y
+                        if owner_sym[y] <= sym:  # as in `_fill`: the top symbol's last edge owns y
+                            owner_sym[y], pre[y] = sym, x
     if len(index) != size:
         raise DumpFormatError(f"header says {size} points, found {len(index)}")
     f = BranchingSystem.__new__(BranchingSystem)

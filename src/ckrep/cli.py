@@ -244,13 +244,10 @@ def _build_system(args, a: words.TransitionMatrix) -> branching.BranchingSystem:
         if not args.word:
             raise UsageError("--system cycle needs --word")
         return branching.build_cycle_system(a, words.parse_word(args.word), args.depth)
-    if kind == "chain":
-        if not args.tail:
-            raise UsageError("--system chain needs --tail")
-        return branching.build_chain_system(
-            a, words.parse_tail(args.tail), args.chain_len, args.depth
-        )
-    raise UsageError(f"unknown system kind {kind!r}")
+    # "chain", the one kind left: argparse's choices allow no other
+    if not args.tail:
+        raise UsageError("--system chain needs --tail")
+    return branching.build_chain_system(a, words.parse_tail(args.tail), args.chain_len, args.depth)
 
 
 def _cmd_verify_relations(args):

@@ -60,7 +60,11 @@ class Phase(_Key, namedtuple("Phase", "pair approx")):
         if (turns is None) == (approx is None):
             raise PhaseError("phase needs exactly one of turns/approx")
         if turns is not None:
-            return tuple.__new__(cls, (_reduced(turns.numerator, turns.denominator), None))
+            try:
+                num, den = turns.numerator, turns.denominator
+            except AttributeError:
+                raise PhaseError(f"turns {turns!r} is not a rational number") from None
+            return tuple.__new__(cls, (_reduced(num, den), None))
         if not abs(abs(approx) - 1.0) <= APPROX_TOL:  # NaN too
             raise PhaseError(f"|z| = {abs(approx)} is not 1 within {APPROX_TOL}")
         return tuple.__new__(cls, (None, approx))

@@ -334,7 +334,7 @@ def apply_word(m: MatrixRealization, word: Word, vec: Vector) -> Vector:
     images = f.images
     for i in reversed(word):
         img, twist = images[i - 1], exps[i - 1]
-        vec = {img[x]: (e + twist.get(x, 0)) % order for x, e in vec.items() if img[x] >= 0}
+        vec = {y: (e + twist.get(x, 0)) % order for x, e in vec.items() if (y := img[x]) >= 0}
     return vec
 
 

@@ -24,6 +24,9 @@ earlier `RootSum`-valued vector calculus: a vector maps carrier labels to
 `RootSum`.  The phase oracle is the earlier `Phase`, which keeps an exact
 phase as a `Fraction` of a turn, with the earlier `format_phase`,
 `phase_json` and `phases_equal` that read it.
+
+Every test runs under a time limit, so a loop that never ends fails its
+test instead of hanging the run.
 """
 
 from __future__ import annotations
@@ -31,11 +34,15 @@ from __future__ import annotations
 import cmath
 import itertools
 import random
+import signal
+import threading
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
+
+import pytest
 
 from ckrep.branching import (
     ACycleSet,
@@ -69,6 +76,38 @@ from ckrep.words import (
     is_periodic,
     validate_matrix,
 )
+
+# Seconds a test may run; the slowest test takes about 5 s.
+TEST_TIME_LIMIT = 60
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past TEST_TIME_LIMIT.  Not an Exception, so hypothesis
+    does not catch it and replay the example."""
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    """Fail the test once it has run TEST_TIME_LIMIT seconds of wall time.
+
+    The alarm interrupts Python code only, and only on the main thread,
+    where signal handlers run.  It goes off again every second after the
+    limit, in case the test catches it."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test ran longer than {TEST_TIME_LIMIT} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT, 1)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 # The seven 2x2 matrices without zero rows or columns.
 ALL_2X2 = [

@@ -1,6 +1,7 @@
 import random
 import re
 import tracemalloc
+from array import array
 from hashlib import sha256
 
 import pytest
@@ -49,8 +50,10 @@ from ckrep.branching import (
     truncated_from_rules,
     validate_bfs,
 )
+import ckrep.branching
 from ckrep.reps import decompose, realize, verify_ck_relations
 from ckrep.words import (
+    NotAdmissibleError,
     NotCyclicallyAdmissibleError,
     TailWord,
     canonical_rotation,
@@ -548,6 +551,90 @@ class TestRules:
             )
 
 
+class TestArgumentErrors:
+    def test_direct_sum_needs_a_system(self):
+        with pytest.raises(BranchingError, match="needs at least one system"):
+            direct_sum()
+
+    def test_cycle_depth_below_zero(self):
+        with pytest.raises(BranchingError, match="depth must be >= 0"):
+            build_cycle_system(A3, (1, 2), -1)
+
+    def test_chain_tail_not_admissible(self):
+        # 1 may not follow 1 in A3
+        with pytest.raises(NotAdmissibleError, match=re.escape("tail |(1) is not admissible")):
+            build_chain_system(A3, TailWord((), (1,)), 4, 1)
+
+    def test_chain_depth_below_zero(self):
+        with pytest.raises(BranchingError, match="depth must be >= 0"):
+            build_chain_system(A3, TailWord((), (1, 2)), 4, -1)
+
+    def test_shift_word_length_below_two(self):
+        with pytest.raises(BranchingError, match="word_len must be >= 2"):
+            shift_bfs(A3, 1)
+
+    def test_rules_one_per_symbol(self):
+        rule = (lambda x: True, lambda x: x)
+        with pytest.raises(BranchingError, match="need 3 rules, got 2"):
+            truncated_from_rules(A3, 8, [rule, rule])
+
+    def test_truncation_past_the_table_limit_refused_before_allocating(self, monkeypatch):
+        # a table slot is a 32-bit int; were the bound missing, the stub
+        # would fail the test at the first table instead of the host
+        # running out of memory
+        def no_table(*args):
+            pytest.fail("a table was allocated")
+
+        monkeypatch.setattr(ckrep.branching, "array", no_table)
+        with pytest.raises(BranchingError, match="truncation must be < 2147483648"):
+            standard_bfs(FULL2, 2**31)
+
+
+class TestTables:
+    """Every constructor holds `images` and `owner_pre` in int arrays and
+    `front` and `owner_sym` in bytes; nothing converts them."""
+
+    def systems(self):
+        rule = (lambda x: x % 2 == 1, lambda x: x + 1)
+        cycle = build_cycle_system(A3, (1, 2), 2)
+        return [
+            standard_bfs(A3, 50),
+            cycle,
+            build_chain_system(A3, TailWord((), (1, 2)), 4, 1),
+            shift_bfs(A3, 3),
+            truncated_from_rules(A3, 8, [rule] * 3),
+            BranchingSystem(FULL2, ("a", "b"), {1: {"a": "b"}}, frozenset({"a"})),
+            direct_sum(cycle, standard_bfs(A3, 9)),
+            load_bfs(dump_bfs(cycle), A3),
+        ]
+
+    def test_every_constructor_holds_int_arrays(self):
+        for f in self.systems():
+            for table in (*f.images, f.owner_pre):
+                assert type(table) is array and table.typecode == "i", f.origin
+                assert len(table) == len(f.labels)
+            assert type(f.front) is bytearray and type(f.owner_sym) is bytearray, f.origin
+
+    def test_defined_slots_read_from_the_top_bytes(self):
+        # an index at or above 2^24 has a nonzero top byte, but below 0xFF
+        img = array("i", [-1, 0, 2**24, 2**31 - 1, -1])
+        assert ckrep.branching._defined(img) == b"\0\1\1\1\0"
+
+    def test_standard_build_and_validate_peak_memory(self):
+        # tracemalloc peak of standard_bfs and validate_bfs at B = 2^17 on a
+        # 3-symbol matrix: 12.6 MiB with lists of ints, 3.0 MiB with int
+        # arrays (Python 3.11)
+        tracemalloc.start()
+        try:
+            f = standard_bfs(A3, 2**17)
+            report = validate_bfs(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.checked_points > 0
+        assert peak <= 6 * 2**20, peak
+
+
 class TestIndexCore:
     """Points are indices inside a system; labels live in a side table
     that dumps and messages read."""
@@ -665,6 +752,42 @@ def _small_dumps():
 SMALL_DUMPS = _small_dumps()
 
 
+def _writable(label: str) -> bool:
+    """No separator, no line break and no whitespace at an end, spelled
+    out character by character."""
+    breaks = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    return not (
+        any(sep in label for sep in (",", "->", "~", " "))
+        or any(ch in breaks for ch in label)
+        or (label and (label[0].isspace() or label[-1].isspace()))
+    )
+
+
+def _empty_and_edgeless(f: BranchingSystem) -> bool:
+    """Whether the empty label names a non-frontier point with no edge."""
+    ends = {x for m in f.maps.values() for edge in m.items() for x in edge}
+    return "" in f.carrier and "" not in ends and "" not in f.frontier
+
+
+@st.composite
+def labelled_systems(draw):
+    """A system over the full 2x2 matrix with up to five distinct labels,
+    random partial maps and a random frontier.  A label is drawn from
+    letters, from letters and whitespace, or from those and the separators."""
+    text = st.one_of(
+        st.text("ab:", max_size=3),
+        st.text("ab:\t\u00a0\x1f\u3000", max_size=3),
+        st.text("ab:-> ,~\t\n\u00a0\x1f\u3000", max_size=3),
+    )
+    labels = draw(st.lists(text, min_size=1, max_size=5, unique=True))
+    maps = {
+        i: {x: draw(st.sampled_from(labels)) for x in draw(st.sets(st.sampled_from(labels)))}
+        for i in (1, 2)
+    }
+    frontier = frozenset(draw(st.sets(st.sampled_from(labels))))
+    return BranchingSystem(FULL2, tuple(labels), maps, frontier)
+
+
 @st.composite
 def mutated_dumps(draw):
     """A real dump with one to three edits: a stretch cut out, whitespace
@@ -778,6 +901,42 @@ class TestDump:
         f = BranchingSystem(FULL2, ("a", label), {1: {"a": label}}, frozenset({label}))
         with pytest.raises(DumpFormatError, match="clashes with the dump separators"):
             dump_bfs(f)
+
+    @pytest.mark.parametrize("label", ["a\t", "\ta", "a ", "\u00a0a", "a\x1f", "a\u3000"])
+    def test_label_with_whitespace_at_an_end_rejected(self, label):
+        # a load strips it, so the point would come back renamed
+        f = BranchingSystem(FULL2, ("a", label), {1: {"a": label}}, frozenset())
+        with pytest.raises(DumpFormatError, match="clashes with the dump separators"):
+            dump_bfs(f)
+
+    @pytest.mark.parametrize("label", ["a\tb", "a\u00a0b", "a\x1fb", "\u00e9", "\x01"])
+    def test_inner_whitespace_and_non_ascii_labels_round_trip(self, label):
+        f = BranchingSystem(FULL2, ("a", label), {1: {"a": label}, 2: {label: "a"}}, frozenset())
+        text = dump_bfs(f)
+        g = load_bfs(text, FULL2)
+        assert label in g.labels and dump_bfs(g) == text
+
+    def test_empty_label_of_a_point_with_no_edge_rejected(self):
+        # the "0:" line would hold an empty token, which a load skips
+        f = BranchingSystem(FULL2, ("a", ""), {1: {"a": "a"}}, frozenset())
+        with pytest.raises(DumpFormatError, match="the empty label names a point with no edge"):
+            dump_bfs(f)
+        # as a frontier point it is written "~" and read back
+        g = BranchingSystem(FULL2, ("a", ""), {1: {"a": "a"}}, frozenset({""}))
+        assert dump_bfs(load_bfs(dump_bfs(g), FULL2)) == dump_bfs(g) == "2 2\n1: a->a\n2: \n0: ~\n"
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(labelled_systems())
+    def test_dump_load_dump_is_a_fixed_point(self, f):
+        if not all(map(_writable, f.labels)) or _empty_and_edgeless(f):
+            with pytest.raises(DumpFormatError):
+                dump_bfs(f)
+            return
+        text = dump_bfs(f)
+        g = load_bfs(text, FULL2)
+        assert sorted(g.labels) == sorted(f.labels)  # no point renamed
+        assert g.frontier == f.frontier
+        assert dump_bfs(g) == text
 
     def test_dumps_and_loads_match_oracles(self):
         for f in dump_corpus():

@@ -539,6 +539,20 @@ def test_expand_names_the_bad_component(capsys, monkeypatch, stdin, message):
     assert capsys.readouterr() == ("", f"error: component {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--matrix", "A3", "--class", "P(12)", "--gauge", "1/4,1/4"], "gauge needs 3 phases, got 2"),
+        (["--class", "P(13)", "--gauge", "1/4,1/4"], "gauge too short for word 13"),
+    ],
+    ids=["gauge-against-matrix", "gauge-against-word"],
+)
+def test_twist_gauge_errors(capsys, a3_file, argv, message):
+    argv = [a3_file if arg == "A3" else arg for arg in argv]
+    assert main(["twist", *argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_internal_error_names_its_type(capsys, a1_file, monkeypatch):
     def boom(*_args, **_kwargs):
         raise RuntimeError("invariant broken")

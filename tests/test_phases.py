@@ -39,6 +39,12 @@ def test_zero_denominator_is_a_phase_error():
         Phase.exact(1, 0)
 
 
+@pytest.mark.parametrize("turns", [0.5, 1e-3, "1/2", complex(1, 0)])
+def test_turns_that_are_not_rational_are_a_phase_error(turns):
+    with pytest.raises(PhaseError, match="is not a rational number"):
+        Phase(turns=turns)
+
+
 def test_approx_phase_tolerance():
     z = Phase.from_complex(cmath.exp(1j))
     assert not z.is_exact

@@ -177,6 +177,17 @@ class TestCanonicalRotation:
                 for w in itertools.product(range(1, n + 1), repeat=k):
                     assert canonical_rotation(w) == brute_min_rotation(w, n)
 
+    def test_runs_under_the_time_limit(self):
+        # a fault that keeps Booth's inner loop going fails the test when
+        # the alarm armed for every test goes off, rather than hanging
+        import signal
+
+        from conftest import TEST_TIME_LIMIT
+
+        remaining = signal.getitimer(signal.ITIMER_REAL)[0]
+        assert 0 < remaining <= TEST_TIME_LIMIT
+        assert canonical_rotation((2, 1, 2, 1, 1)) == (1, 1, 2, 1, 2)
+
     @given(short_words, st.integers(0, 11))
     def test_rotation_invariance(self, w, r):
         canon = canonical_rotation(w)
