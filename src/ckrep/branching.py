@@ -19,7 +19,8 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter, namedtuple
-from collections.abc import Callable, Container, Iterable, Sequence
+from bisect import bisect_left
+from collections.abc import Callable, Container, Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import chain, compress, filterfalse, repeat
 
@@ -122,6 +123,8 @@ class BranchingSystem:
         origin: str = "custom",
         declared_tails: dict[Label, TailSource] | None = None,
     ):
+        if origin == "standard":  # `reps.decompose` applies the standard system's structural rules
+            raise InvalidSystemError("only standard_bfs builds a system of standard origin")
         self.position = index = {x: k for k, x in enumerate(carrier)}
         if len(index) < len(carrier):
             repeated = next(x for k, x in enumerate(carrier) if index[x] != k)
@@ -703,35 +706,109 @@ def _may_clash(text: str, count: int) -> bool:
     return _clashes(text) or not text.isascii() or text.count("\t") >= count or "\x1f" in text
 
 
+def _printed_alike(labels: Sequence[Label], names: list[str], order: list[int]) -> tuple[int, int] | None:
+    """Two points whose labels print alike, an int and a str such as 7 and
+    "7", or None.  Two equal names sit side by side in (length, label)
+    `order`, so each int label's name is looked up there by bisection."""
+    ints = list(compress(range(len(labels)), map(isinstance, labels, repeat(int))))
+    if len(ints) == len(labels):  # no str label
+        return None
+
+    def rank(x: int) -> tuple[int, str]:
+        return len(names[x]), names[x]
+
+    for x in ints:
+        k = bisect_left(order, rank(x), key=rank)
+        if k + 1 < len(order) and names[order[k + 1]] == names[x]:
+            return order[k], order[k + 1]
+    return None
+
+
 def dump_bfs(f: BranchingSystem) -> str:
     """Line format: header "N B", one "i: x->y, ..." line per symbol.
 
     Frontier points carry a "~" prefix at each occurrence; points with no
     incident edge are listed on a trailing "0:" line.  Points go in (length,
-    label) order, so a dump survives a load/dump cycle.  Labels may contain
-    neither the separators nor a line break, and may not begin or end with
-    whitespace, which a load strips; a point with no edge may not have the
-    empty label, which a load skips.
+    label) order, so a dump survives a load/dump cycle; for the labels
+    1..B of `standard_bfs` and `truncated_from_rules` that is index order,
+    and nothing is sorted.  Labels may contain neither the separators nor a
+    line break, and may not begin or end with whitespace, which a load
+    strips; a point with no edge may not have the empty label, which a load
+    skips; and no two labels may print alike, as the int 7 and the str "7"
+    do.  Besides the text written so far and one name per point, a symbol
+    line holds the edge strings of 256 points at a time.
     """
-    names = [str(x) for x in f.labels]
-    if _may_clash("\t".join(names), len(names)):  # a tab is neither a separator nor a line break
-        if bad := next(filter(_clashes, names), None):
-            raise DumpFormatError(f"label {bad!r} clashes with the dump separators")
-    order = sorted(range(len(names)), key=names.__getitem__)
-    order.sort(key=list(map(len, names)).__getitem__)  # stable: by length, then by label
+    labels = f.labels
+    names = [str(x) for x in labels]
+    if labels == range(1, len(labels) + 1):  # (length, label) order is index order
+        order: Sequence[int] = range(len(names))
+    else:
+        try:  # all str: distinct labels print distinctly
+            text, mixed = "\t".join(labels), False
+        except TypeError:  # an int label may print as a str label does
+            text, mixed = "\t".join(names), True
+        if _may_clash(text, len(names)):  # a tab is neither a separator nor a line break
+            if bad := next(filter(_clashes, names), None):
+                raise DumpFormatError(f"label {bad!r} clashes with the dump separators")
+        del text
+        order = sorted(range(len(names)), key=names.__getitem__)
+        order.sort(key=list(map(len, names)).__getitem__)  # stable: by length, then by label
+        if mixed and (pair := _printed_alike(labels, names, order)):
+            a, b = pair
+            raise DumpFormatError(f"labels {labels[a]!r} and {labels[b]!r} both print as {names[a]}")
     owner_sym = f.owner_sym
     isolated = [x for x in order if not owner_sym[x]] if 0 in owner_sym else []
-    names = ["~" + s if m else s for s, m in zip(names, f.front)]
-    lines = [f"{f.n} {len(names)}"]
+    for x in compress(range(len(names)), f.front):
+        names[x] = "~" + names[x]
+    out = [f"{f.n} {len(names)}\n"]
     for i, img in enumerate(f.images, start=1):
-        edges = ", ".join([f"{names[x]}->{names[y]}" for x in order if (y := img[x]) >= 0])
-        lines.append(f"{i}: " + edges)
+        chunks = (
+            ", ".join([f"{names[x]}->{names[y]}" for x in order[k : k + 256] if (y := img[x]) >= 0])
+            for k in range(0, len(order), 256)
+        )
+        out += f"{i}: ", ", ".join(filter(None, chunks)), "\n"
         isolated = [x for x in isolated if img[x] < 0]
     if isolated:
         if "" in (lone := [names[x] for x in isolated]):  # a load would skip it
             raise DumpFormatError("the empty label names a point with no edge")
-        lines.append("0: " + ", ".join(lone))
-    return "\n".join(lines) + "\n"
+        out.append("0: " + ", ".join(lone) + "\n")
+    return "".join(out)
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of `text`, cut where `str.splitlines` cuts them, one at a
+    time; an empty line may be dropped.  A line is cut at each "\n" and
+    then at any other break inside it, and the reader keeps no reference
+    to a line it has yielded."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        lines = text[start:end].splitlines()[::-1]
+        start = end + 1
+        while lines:
+            yield lines.pop()
+
+
+def _batches(line: str) -> Iterator[list[str]]:
+    """The items of `line`, as `line.split(",")` cuts them, 256 at a time.
+
+    Each batch is split off a window of the line that starts at 256
+    characters and doubles until it holds 256 commas, so a batch copies a
+    small multiple of the widest batch's span and never the rest of the
+    line, however long the line."""
+    pos, span = 0, 256
+    while pos < len(line):
+        window = line[pos : pos + span]
+        items = window.split(",", 256)
+        if len(items) > 256:  # the last one is the window's unsplit rest
+            pos += len(window) - len(items.pop())
+        elif pos + span < len(line):  # the window cut an item
+            span *= 2
+            continue
+        else:
+            pos = len(line)
+        yield items
 
 
 def load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
@@ -740,10 +817,13 @@ def load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
     Whitespace around a token is ignored, lines for one symbol merge, and
     a "~" on any occurrence marks a point as frontier.  Labels come back as
     strings; the carrier keeps first-mention order, target before source.
-    Components and decompositions do not depend on either choice.
+    Components and decompositions do not depend on either choice.  Lines
+    are read one at a time and a symbol line is split 256 items at a time,
+    so besides the text and the tables and labels built so far a load
+    holds one line, a window of it and one batch of its items.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    lines = filter(str.strip, _lines(text))
+    if (first := next(lines, None)) is None:
         raise DumpFormatError("empty dump")
 
     def number(token: str, what: str) -> int:
@@ -752,9 +832,9 @@ def load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
         except ValueError:
             raise DumpFormatError(f"bad {what} {token!r}") from None
 
-    head = lines[0].split()
+    head = first.split()
     if len(head) != 2:
-        raise DumpFormatError(f"bad header {lines[0]!r}")
+        raise DumpFormatError(f"bad header {first!r}")
     n, size = number(head[0], "header field"), number(head[1], "header field")
     if n != matrix.n:
         raise DumpFormatError(f"dump is for {n} symbols, matrix has {matrix.n}")
@@ -763,15 +843,13 @@ def load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
     images = [_table(0) for _ in range(n)]
     front, owner_sym, owner_pre = bytearray(), bytearray() if n < 255 else [], _table(0)
     blanks = [(front, bytes(1)), (owner_sym, bytes(1)), *zip((owner_pre, *images), repeat(_table(1)))]
-    for line in lines[1:]:
-        sym_text, _, rest = line.partition(":")
+    for sym_text, _, rest in map(str.partition, lines, repeat(":")):  # map lets each line go
         sym = number(sym_text, "symbol")
         if not 0 <= sym <= n:
             raise DumpFormatError(f"bad symbol {sym_text!r}")
-        items = rest.split(",")
-        # batches of 256 free their strings before the next is read: kept labels pack densely
-        for k in range(0, len(items), 256):
-            tokens = list(filter(None, map(str.strip, items[k : k + 256])))
+        # batches of 256 free their strings before the next is split off: kept labels pack densely
+        for items in _batches(rest):
+            tokens = list(filter(None, map(str.strip, items)))
             if sym and tokens:
                 sources, arrows, targets = zip(*map(str.partition, tokens, repeat("->")))
                 if "" in arrows:
@@ -792,8 +870,11 @@ def load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
                         img[x] = y
                         if owner_sym[y] <= sym:  # as in `_fill`: the top symbol's last edge owns y
                             owner_sym[y], pre[y] = sym, x
+        del rest  # the last line is not kept while the system is built
     if len(index) != size:
         raise DumpFormatError(f"header says {size} points, found {len(index)}")
+    labels = list(index)
+    del index  # the system reads labels only
     f = BranchingSystem.__new__(BranchingSystem)
-    f._set(matrix, list(index), images, front, owner_sym, owner_pre, "loaded", {})
+    f._set(matrix, labels, images, front, owner_sym, owner_pre, "loaded", {})
     return f

@@ -400,10 +400,13 @@ def decompose(
 
     Counts the resolved components per canonical class; unresolved
     components are listed untouched.  For an untwisted standard-system
-    truncation the delta-row cycle classes recur with infinite
-    multiplicity; their observed counts corroborate that and the reported
-    multiplicity is the structural "inf".  Without twists, every cycle has
-    phase 1, and cycles that read the same word are classified once.
+    truncation (origin "standard", which only `standard_bfs` sets) the
+    delta-row cycle classes recur with infinite multiplicity; their
+    observed counts corroborate that and the reported multiplicity is the
+    structural "inf".  The other cycle classes appear once each there, as
+    the paper shows; `cross_check_standard` compares those counts.
+    Without twists, every cycle has phase 1, and cycles that read the same
+    word are classified once.
     """
     from .branching import a_cycle_set, find_components, validate_bfs
 
@@ -425,14 +428,10 @@ def decompose(
         out.add(finite_class(word, ONE, f.matrix), count)
     out.unresolved = tuple(unresolved)
     if structural_infinities and not phases and f.origin == "standard":
-        cycles = a_cycle_set(f.matrix)
-        for word in cycles.infinite:
+        for word in a_cycle_set(f.matrix).infinite:
             key = finite_class(word)
             if key in out.entries:
                 out.entries[key] = INFINITY
-        for word in cycles.once:
-            if out.entries.get(finite_class(word), 0) > 1:
-                raise RepError(f"standard system shows {format_word(word)} more than once")
     return out
 
 

@@ -173,7 +173,6 @@ def corrupted(f: BranchingSystem, rng: random.Random, steps: int) -> BranchingSy
         carrier=f.carrier,
         maps=maps,
         frontier=frozenset(frontier),
-        origin=f.origin,
         declared_tails=f.declared_tails,
     )
 
@@ -789,6 +788,20 @@ def labelled_systems(draw):
 
 
 @st.composite
+def mixed_label_systems(draw):
+    """A system over the full 2x2 matrix with up to six distinct labels,
+    ints and digit strings, so that an int and a str may print alike."""
+    label = st.one_of(st.integers(-3, 12), st.text("-0129a", max_size=2))
+    labels = draw(st.lists(label, min_size=1, max_size=6, unique=True))
+    maps = {
+        i: {x: draw(st.sampled_from(labels)) for x in draw(st.sets(st.sampled_from(labels)))}
+        for i in (1, 2)
+    }
+    frontier = frozenset(draw(st.sets(st.sampled_from(labels))))
+    return BranchingSystem(FULL2, tuple(labels), maps, frontier)
+
+
+@st.composite
 def mutated_dumps(draw):
     """A real dump with one to three edits: a stretch cut out, whitespace
     around a token, a symbol line duplicated, split in two or swapped with
@@ -972,24 +985,86 @@ class TestDump:
             assert system_arrays(load_bfs(text, a)) == want
 
     def test_peak_memory(self):
-        # tracemalloc peaks on a delta self-loop at B = 2^15 (Python 3.11):
-        # the whole write-then-read was 9.27 MB and the dump alone 5.08 MB
-        # with the endpoint-at-a-time dump and per-symbol edge dicts; each
-        # bound allows 5% over those figures
+        # tracemalloc peaks on a delta self-loop at B = 2^15 (Python 3.11),
+        # whose loaded system holds 2.53 MiB: the whole write-then-read
+        # was 9.27 MB and the dump alone 5.08 MB with the endpoint-at-a-time
+        # dump and per-symbol edge dicts; 6.26, 4.65 and, for the load
+        # alone, 5.80 MiB with every line and every item of a line held at
+        # once; 4.81, 2.84 and 4.37 MiB with lines read and written in
+        # batches of 256 points.  Each bound allows 5% over the last figures.
         a = validate_matrix([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
-        tracemalloc.start()
-        try:
-            g = load_bfs(dump_bfs(standard_bfs(a, 2**15)), a)
-            round_trip = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                return run(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        g, round_trip = peak(lambda: load_bfs(dump_bfs(standard_bfs(a, 2**15)), a))
         f = standard_bfs(a, 2**15)
-        tracemalloc.start()
-        try:
+        text, dump = peak(lambda: dump_bfs(f))
+        h, load = peak(lambda: load_bfs(text, a))
+        assert len(g.labels) == 2**15 and text == dump_bfs(g) == dump_bfs(h)
+        assert round_trip < 1.05 * 4.81 * 2**20, round_trip
+        assert dump < 1.05 * 2.84 * 2**20, dump
+        assert load < 1.05 * 4.37 * 2**20, load
+
+    @pytest.mark.parametrize("labels", [(7, "7"), ("7", 7), ("b", -1, "a", "-1")])
+    def test_labels_that_print_alike_rejected(self, labels):
+        # the int 7 and the str "7" are two points, but a dump names both 7
+        # and a load would find one
+        f = BranchingSystem(FULL2, labels, {1: {labels[0]: labels[1]}}, frozenset())
+        a, b = (x for x in labels if str(x) == str(labels[1]))
+        with pytest.raises(DumpFormatError, match=re.escape(f"labels {a!r} and {b!r} both print as {b}")):
+            dump_bfs(f)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(mixed_label_systems())
+    def test_mixed_labels_dump_load_dump_is_a_fixed_point(self, f):
+        printed = [str(x) for x in f.labels]
+        if len(set(printed)) < len(printed):
+            with pytest.raises(DumpFormatError, match="both print as"):
+                dump_bfs(f)
+            return
+        if _empty_and_edgeless(f):
+            with pytest.raises(DumpFormatError):
+                dump_bfs(f)
+            return
+        text = dump_bfs(f)
+        assert text == oracle_dump_bfs(f)
+        g = load_bfs(text, FULL2)
+        assert sorted(g.labels) == sorted(printed)
+        assert g.frontier == {str(x) for x in f.frontier}
+        assert dump_bfs(g) == text
+
+    @pytest.mark.parametrize("brk", ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_every_line_break_of_splitlines_ends_a_line(self, brk):
+        # a dump re-joined with any break `str.splitlines` knows, alone or
+        # before a "\n", loads as its "\n" form does
+        for a, text in SMALL_DUMPS:
+            want = system_arrays(load_bfs(text, a))
+            for joined in (text.replace("\n", brk), text.replace("\n", brk + "\n")):
+                assert system_arrays(load_bfs(joined, a)) == want, (text, brk)
+
+    def test_lines_past_one_batch_match_oracles(self):
+        # standard, cycle and chain dumps whose symbol lines hold more than
+        # 256 edges, some batches none (tree leaves sort last), and a "0:"
+        # line; each is written and read back in batches as the oracles do
+        # it in one piece
+        rules = [(lambda x: True, lambda x, i=i: 3 * (x - 1) + i) for i in (1, 2, 3)]
+        isolated = frozenset(range(1400, 1500))
+        for f in (
+            standard_bfs(A3, 3000),
+            build_cycle_system(FULL2, (1, 2), 9),
+            build_chain_system(A3, TailWord((), (1, 2)), 12, 7),
+            truncated_from_rules(A3, 2000, rules),
+            # int labels, not 1..B; points 1200.. have no edge, 1400.. are frontier
+            BranchingSystem(FULL2, tuple(range(1500)), {1: {x: x + 1 for x in range(0, 1200, 2)}}, isolated),
+        ):
             text = dump_bfs(f)
-            dump = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(g.labels) == 2**15 and text == dump_bfs(g)
-        assert round_trip < 1.05 * 9.27 * 2**20, round_trip
-        assert dump < 1.05 * 5.08 * 2**20, dump
+            assert max(line.count(",") for line in text.splitlines()) > 2 * 256
+            assert text == oracle_dump_bfs(f), f.origin
+            loaded = load_bfs(text, f.matrix)
+            assert system_arrays(loaded) == system_arrays(oracle_load_bfs(text, f.matrix))
+            assert dump_bfs(loaded) == text

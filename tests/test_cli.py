@@ -562,6 +562,17 @@ def test_internal_error_names_its_type(capsys, a1_file, monkeypatch):
     assert capsys.readouterr() == ("", "internal error: RuntimeError: invariant broken\n")
 
 
+def test_a_closed_stdout_exits_1_quietly(capsys, monkeypatch):
+    # as when `ck canon ... | head -0` closes the pipe before the report is written
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(["canon", "--word", "211"]) == 1
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "argv, code, out", [(["--word", "211"], 0, "112\n"), (["--word", "x1"], 1, "")], ids=["ok", "bad-word"]
 )

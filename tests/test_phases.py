@@ -34,6 +34,12 @@ def test_phase_arithmetic_is_exact():
     assert Phase.exact(0).root(3).turns == 0
 
 
+@pytest.mark.parametrize("kwargs", [{}, {"turns": 0, "approx": 1}])
+def test_a_phase_takes_exactly_one_of_turns_and_approx(kwargs):
+    with pytest.raises(PhaseError, match="exactly one of turns/approx"):
+        Phase(**kwargs)
+
+
 def test_zero_denominator_is_a_phase_error():
     with pytest.raises(PhaseError, match="zero denominator"):
         Phase.exact(1, 0)
@@ -80,6 +86,8 @@ def test_cyclotomic_polynomials_known_values():
     assert cyclotomic_polynomial(2) == (1, 1)
     assert cyclotomic_polynomial(3) == (1, 1, 1)
     assert cyclotomic_polynomial(4) == (1, 0, 1)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        cyclotomic_polynomial(0)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 

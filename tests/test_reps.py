@@ -246,13 +246,16 @@ class TestDecompose:
         assert got["P(1)"] == 1 and 1 < got["P(2)"] < INFINITY
 
     def test_standard_origin_with_a_repeated_once_cycle_raises(self):
-        # standard_bfs never shows P(1) twice over A4; a system that claims
-        # the standard origin for two copies is refused
+        # the standard origin brings the structural rules: two copies of
+        # the A4 system, or one depth-2 cycle carrier of P(2) over A1,
+        # would report P(1) twice or P(2)^(inf); the constructor refuses it
         f = direct_sum(standard_bfs(A4, 81), standard_bfs(A4, 81))
-        g = BranchingSystem(A4, f.carrier, f.maps, f.frontier, origin="standard")
-        with pytest.raises(RepError, match=r"standard system shows 1 more than once"):
-            decompose(g)
+        cycle = build_cycle_system(A1, (2,), 2)
+        for g in (f, cycle):
+            with pytest.raises(InvalidSystemError, match="only standard_bfs builds"):
+                BranchingSystem(g.matrix, g.carrier, g.maps, g.frontier, origin="standard")
         assert entries_by_literal(decompose(f)) == {"P(1)": 2, "P(2)": 2}
+        assert entries_by_literal(decompose(cycle)) == {"P(2)": 1}
 
     def test_direct_sum_doubles(self):
         f = build_cycle_system(A3, (1, 2), 2)
@@ -320,6 +323,12 @@ class TestIrreducibility:
         assert not is_irreducible(IntegralClass((1, 2)))
         assert is_irreducible(OpaqueTailClass((1, 2), lambda m: 1))
 
+    def test_integral_classes_need_admissible_non_periodic_words(self):
+        with pytest.raises(RepError, match="21 is not cyclically admissible"):
+            integral_class((2, 1), A1)
+        with pytest.raises(RepError, match="non-periodic words only"):
+            parse_class_literal("Int(1212)")
+
 
 class TestEquivalence:
     def test_examples(self):
@@ -340,6 +349,9 @@ class TestEquivalence:
         assert equivalent(c1, c2)  # same generator, shifted prefix
         with pytest.raises(UndecidableEquivalenceError):
             equivalent(c1, OpaqueTailClass((1,), gen2))
+        # as keys, opaque classes are one class per generator object
+        assert c1 == c2 and hash(c1) == hash(c2)
+        assert c1 != OpaqueTailClass((1,), gen2) and c1 != finite_class((1,))
 
     def test_matches_canonical_keys_on_random_pairs(self):
         rng = random.Random(17)
@@ -475,6 +487,8 @@ class TestPurity:
         assert not is_pure(tail_class(TailWord((), (1,))))
         with pytest.raises(PhaseUnsupportedError):
             is_pure(FiniteClass((1,), Phase.exact(1, 2)))
+        with pytest.raises(RepError, match="cycle and tail classes only"):
+            is_pure(integral_class((1, 2)))
 
 
 def _primitive_cycle_words(a, max_len=3):
@@ -790,7 +804,7 @@ class TestJsonSchema:
         with pytest.raises(RepError, match="bad phase"):
             phase_from_json(data)
 
-    @pytest.mark.parametrize("text", ["x/4", "1/x", "1/", "1/2/3", "x", "x+1i", "1+yi", "1.5/2"])
+    @pytest.mark.parametrize("text", ["x/4", "1/x", "1/", "1/2/3", "x", "x+1i", "1+yi", "1.5/2", "2i", "-1i"])
     def test_malformed_phase_literal_is_a_rep_error(self, text):
         from ckrep.reps import RepError, parse_phase
 

@@ -102,6 +102,7 @@ class TestAdmissibility:
 
     def test_unit_is_admissible(self):
         assert is_admissible(A1, ())
+        assert words.admissible_words(A1, 0) == [()]
 
     def test_symbol_out_of_range(self):
         with pytest.raises(SymbolOutOfRangeError):
@@ -131,6 +132,8 @@ class TestWordOps:
     def test_power_unit(self):
         assert power((1, 2), 2) == (1, 2, 1, 2)
         assert power((1,), 0) == ()
+        with pytest.raises(WordError, match="power needs p >= 0"):
+            power((1, 2), -1)
 
     def test_rotate(self):
         assert rotate((1, 2, 3), 1) == (2, 3, 1)
@@ -200,6 +203,9 @@ class TestFiniteEquivalence:
         assert words_equivalent_finite((1, 2, 3), (3, 1, 2))
         assert not words_equivalent_finite((1, 2), (1, 2, 1, 2))
         assert not words_equivalent_finite((1, 1, 2), (1, 2, 2))
+        for pair in (((), (1,)), ((1,), ()), ((), ())):
+            with pytest.raises(EmptyWordError):
+                words_equivalent_finite(*pair)
 
     def test_equivalence_relation_on_samples(self):
         rng = random.Random(7)
@@ -456,3 +462,5 @@ class TestLiterals:
             assert parse_tail(format_tail(t)) == t
         assert format_tail(TailWord((), (2,))) == "|(2)"
         assert parse_tail("1|(2)") == TailWord((1,), (2,))
+        with pytest.raises(WordError, match="missing '[|]'"):
+            parse_tail("12")
