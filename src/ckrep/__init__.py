@@ -26,8 +26,7 @@ _EXPORTS = {
         cross_check_standard decompose decompose_shift decompose_standard decomposition_json
         equivalent expand_irreducible finite_class gp_vector_check integral_class
         is_irreducible is_pure parse_class_literal realize standard_is_irreducible
-        standard_is_multiplicity_free state_value tail_class twist_by_gauge
-        verify_ck_relations""",
+        standard_is_multiplicity_free state_value tail_class twist_by_gauge""",
     "words": """PSpecSummary TailWord TransitionMatrix Word WordError canonical_rotation
         enumerate_cyclic_classes format_tail format_word is_admissible
         is_cyclically_admissible is_periodic parse_tail parse_word power primitive_root

@@ -253,22 +253,35 @@ def _domain_table(row: Sequence[int]) -> bytes:
 
 
 def validate_bfs(f: BranchingSystem) -> ValidationReport:
-    """Check the system axioms on all recorded data.
+    """Check the system axioms on all recorded data; this is also the
+    check of both defining relations of the algebra on the basis.
 
     Injectivity and range disjointness are checked edge by edge in
     carrier order; coverage (every point in some range) and the domain
     law D(f_i) = union of R(f_j) over j with a_ij = 1 are then checked
     at every non-frontier point, in carrier order.  Violations are report
-    entries, not exceptions.  When no image is shared and symbols fit a
-    byte, the axioms are first checked at all points at once: a byte
-    plane holds each point's owner symbol (255 at the frontier), and
-    `translate` turns it into the points that should be in each D(f_i).
-    Read as big ints, those planes must equal the defined slots of f_i
-    (from the top bytes of its table) off the frontier.  Only when that
-    check fails, or it cannot run, do range and domain sets locate the
-    suspect points: those in no range, or in just one of D(f_i) and the
-    union of R(f_j) over j with a_ij = 1.  At every other point every
-    per-point axiom holds.
+    entries, not exceptions.
+
+    The axioms and the relations agree.  A realization (`reps.realize`)
+    weights each edge by a phase of unit modulus, which neither relation
+    sees: s_i^* s_i projects onto D(f_i) and s_i s_i^* onto R(f_i) once
+    f_i is injective.  The first relation then holds at a point exactly
+    where the domain law does, and the second exactly where the point
+    lies in one range.  Edge violations (a non-injective map, an image in
+    two ranges) count at every point, frontier included, since there the
+    sum of the s_j s_j^* already exceeds the identity whatever data is
+    missing; coverage and the domain law are checked at non-frontier
+    points only.
+
+    When no image is shared and symbols fit a byte, the axioms are first
+    checked at all points at once: a byte plane holds each point's owner
+    symbol (255 at the frontier), and `translate` turns it into the
+    points that should be in each D(f_i).  Read as big ints, those planes
+    must equal the defined slots of f_i (from the top bytes of its table)
+    off the frontier.  Only when that check fails, or it cannot run, do
+    range and domain sets locate the suspect points: those in no range,
+    or in just one of D(f_i) and the union of R(f_j) over j with
+    a_ij = 1.  At every other point every per-point axiom holds.
     """
     images, front, size = f.images, f.front, len(f.labels)
     checked = size - front.count(1)

@@ -56,14 +56,10 @@ def _load_matrix(path: str) -> words.TransitionMatrix:
     return words.TransitionMatrix.from_text(_read_text(path))
 
 
-def render_report(d: reps.Decomposition, fmt: str = "text") -> str:
-    """Deterministic rendering of a decomposition; classes sort by literal."""
+def render_report(d: reps.Decomposition) -> str:
+    """Deterministic text of a decomposition; classes sort by literal."""
     from . import reps
 
-    if fmt == "json":
-        import json
-
-        return json.dumps(reps.decomposition_json(d), indent=2, sort_keys=True)
     parts = []
     for c, mult in d.sorted_entries():
         lit = reps.class_literal(c)
@@ -251,12 +247,12 @@ def _build_system(args, a: words.TransitionMatrix) -> branching.BranchingSystem:
 
 
 def _cmd_verify_relations(args):
-    from . import reps
+    from . import branching
 
     a = _load_matrix(args.matrix)
     system = _build_system(args, a)
     _maybe_dump(system, args.dump_bfs)
-    report = reps.verify_ck_relations(reps.realize(system))
+    report = branching.validate_bfs(system)
     checked = report.checked_points  # per point: a domain check per symbol, a completeness check
     counts = {
         "checked_points": checked,

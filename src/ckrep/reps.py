@@ -4,11 +4,11 @@ The cyclic building blocks are P(J; z) for a cyclically admissible finite
 word J and unit phase z (a cycle with one phase-twisted edge), P(K) for an
 infinite word K (a chain), and the direct-integral class into which an
 eventually periodic chain splits.  This module realizes branching systems
-as sparse phase-weighted partial permutations, verifies the two defining
-relations of the algebra, classifies components, and produces cyclic and
-irreducible-level decomposition reports.  The functions that build or
-scan a branching system import `branching` when they run, so the class
-calculus alone loads without it.
+as sparse phase-weighted partial permutations, classifies components,
+and produces cyclic and irreducible-level decomposition reports; the two
+defining relations of the algebra are `branching.validate_bfs`'s check.
+The functions that build or scan a branching system import `branching`
+when they run, so the class calculus alone loads without it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .words import (
 
 TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:
-    from .branching import BranchingSystem, ComponentSkeleton, Label, ValidationReport
+    from .branching import BranchingSystem, ComponentSkeleton, Label
 
     Vector = dict[int, int]  # {x: e}, the sum of zeta_N^e e_x over distinct points x
 
@@ -349,23 +349,6 @@ def inner_product(m: MatrixRealization, v: Vector, w: Vector) -> RootSum:
     return RootSum(order, counts)
 
 
-def verify_ck_relations(m: MatrixRealization) -> ValidationReport:
-    """Both defining relations on the basis, as `validate_bfs`'s report on
-    the underlying system.
-
-    The weights have unit modulus, so neither relation sees them: s_i^* s_i
-    projects onto D(f_i) and s_i s_i^* onto R(f_i) once f_i is injective.
-    The first relation then holds at a point exactly where the domain law
-    does, and the second exactly where the point lies in one range.  Edge
-    violations (a non-injective map, an image in two ranges) are reported
-    at every point, frontier included, since there the sum of the
-    s_j s_j^* already exceeds the identity whatever data is missing;
-    coverage and the domain law are checked at non-frontier points."""
-    from .branching import validate_bfs
-
-    return validate_bfs(m.system)
-
-
 def classify_component(c: ComponentSkeleton, m: MatrixRealization) -> RepClass:
     """Read off the class of a resolved component.
 
@@ -573,17 +556,14 @@ def gp_vector_check(a: TransitionMatrix, word: Word, p: int, depth: int = 2) -> 
     )
 
 
-def decompose_standard(
-    a: TransitionMatrix, cross_check_truncation: int | None = None
-) -> Decomposition:
+def decompose_standard(a: TransitionMatrix) -> Decomposition:
     """Exact decomposition of the standard representation.
 
     Each cycle of the min-successor map contributes once, except the
-    delta-row cycles, which contribute with infinite multiplicity.  With a
-    truncation bound the symbolic answer is checked against an actual
-    truncated system.
+    delta-row cycles, which contribute with infinite multiplicity.
+    `cross_check_standard` checks the answer against a truncated system.
     """
-    from .branching import a_cycle_set, standard_bfs
+    from .branching import a_cycle_set
 
     cycles = a_cycle_set(a)
     out = Decomposition(matrix=a)
@@ -591,8 +571,6 @@ def decompose_standard(
         out.add(finite_class(word, ONE, a), 1)
     for word in cycles.infinite:
         out.add(finite_class(word, ONE, a), INFINITY)
-    if cross_check_truncation is not None:
-        cross_check_standard(out, standard_bfs(a, cross_check_truncation))
     return out
 
 
@@ -652,15 +630,18 @@ def phase_json(p: Phase) -> dict:
 
 
 def phase_from_json(data) -> Phase:
-    """Read the form `phase_json` writes; a missing phase is trivial."""
+    """Read the form `phase_json` writes; a missing phase is trivial.  A
+    boolean is not a number here, as JSON's true and false are not."""
     if data is None:
         return ONE
     try:
-        if "num" in data:
-            return Phase.exact(data["num"], data["den"])
-        return Phase.from_complex(complex(data["re"], data["im"]))
+        exact = "num" in data
+        values = [data[key] for key in (("num", "den") if exact else ("re", "im"))]
+        if not any(isinstance(v, bool) for v in values):
+            return Phase.exact(*values) if exact else Phase.from_complex(complex(*values))
     except (KeyError, TypeError):
-        raise RepError(f"bad phase {data!r}: need num/den integers or re/im numbers") from None
+        pass
+    raise RepError(f"bad phase {data!r}: need num/den integers or re/im numbers")
 
 
 def decomposition_json(d: Decomposition) -> dict:

@@ -125,7 +125,8 @@ class TransitionMatrix(_Key, namedtuple("TransitionMatrix", "rows")):
 
 
 def validate_matrix(entries) -> TransitionMatrix:
-    """Validate a square 0/1 array and wrap it as a TransitionMatrix.
+    """Validate a square array of the ints 0 and 1 and wrap it as a
+    TransitionMatrix; a float or a bool entry is refused, even 1.0 or True.
 
     Raises MatrixShapeError, MatrixTooSmallError, NonBinaryEntryError,
     ZeroRowError or ZeroColumnError.
@@ -138,7 +139,7 @@ def validate_matrix(entries) -> TransitionMatrix:
         raise MatrixTooSmallError("need at least 2 symbols")
     for row in rows:
         for e in row:
-            if e not in (0, 1):
+            if type(e) is not int or e not in (0, 1):
                 raise NonBinaryEntryError(f"entry {e!r} is not 0 or 1")
     for i, row in enumerate(rows, start=1):
         if not any(row):

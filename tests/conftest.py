@@ -58,9 +58,10 @@ from ckrep.branching import (
     _chain_letters,
     _periodic_extension,
     phi_map,
+    standard_bfs,
 )
 from ckrep.phases import APPROX_TOL, Phase, PhaseError, RootSum
-from ckrep.reps import MatrixRealization
+from ckrep.reps import Decomposition, MatrixRealization, cross_check_standard, decompose_standard
 from ckrep.words import (
     EmptyWordError,
     NotCyclicallyAdmissibleError,
@@ -146,6 +147,14 @@ def corpus() -> list[TransitionMatrix]:
 
 def full_matrix(n: int) -> TransitionMatrix:
     return validate_matrix([[1] * n for _ in range(n)])
+
+
+def checked_standard(a: TransitionMatrix, bound: int) -> Decomposition:
+    """The structural standard decomposition of `a`, checked against the
+    system truncated at `bound`, as `ck decompose-standard` runs them."""
+    d = decompose_standard(a)
+    cross_check_standard(d, standard_bfs(a, bound))
+    return d
 
 
 def all_words(n: int, length: int):

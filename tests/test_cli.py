@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import A1_ROWS, A3_ROWS
+from conftest import A1_ROWS, A3_ROWS, checked_standard
 from ckrep import branching, reps
 from ckrep.cli import main, render_report
 from ckrep.phases import Phase
@@ -377,6 +377,17 @@ class TestContract:
              ' "phase": {"num": 1}}]}', "bad phase"),
             ('{"components": [{"kind": "cycle", "word": "1", "multiplicity": 1}]}',
              "unknown component kind 'cycle'"),
+            # JSON numbers and booleans that Python would read as 0/1 or as ints
+            ('{"matrix": [[1.0, 1], [1, 0.0]], "components": []}', "entry 1.0 is not 0 or 1"),
+            ('{"matrix": [[true, 1], [1, 0]], "components": []}', "entry True is not 0 or 1"),
+            ('{"components": [{"kind": "finite", "word": "1", "multiplicity": 1,'
+             ' "phase": {"num": true, "den": 2}}]}', "bad phase"),
+            ('{"components": [{"kind": "finite", "word": "1", "multiplicity": 1,'
+             ' "phase": {"num": 1, "den": true}}]}', "bad phase"),
+            ('{"components": [{"kind": "finite", "word": "1", "multiplicity": 1,'
+             ' "phase": {"re": true, "im": false}}]}', "bad phase"),
+            ('{"components": [{"kind": "finite", "word": "1", "multiplicity": 1,'
+             ' "phase": {"re": 1.0, "im": false}}]}', "bad phase"),
         ],
     )
     def test_expand_bad_stdin_exits_1(self, capsys, monkeypatch, stdin, message):
@@ -386,6 +397,7 @@ class TestContract:
         code = main(["expand"])
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -477,12 +489,11 @@ class TestContract:
 
     def test_cli_is_thin_adapter(self, capsys, a1_file):
         # text and JSON outputs equal the library renderings verbatim
-        a1 = validate_matrix(A1_ROWS)
-        d = reps.decompose_standard(a1, cross_check_truncation=256)
+        d = checked_standard(validate_matrix(A1_ROWS), 256)
         _, out = run(capsys, "decompose-standard", "--matrix", a1_file)
-        assert out == render_report(d, "text") + "\n"
+        assert out == render_report(d) + "\n"
         _, out = run(capsys, "decompose-standard", "--matrix", a1_file, "--json")
-        assert out == render_report(d, "json") + "\n"
+        assert out == json.dumps(reps.decomposition_json(d), indent=2, sort_keys=True) + "\n"
 
     def test_empty_decomposition_renders(self):
         assert render_report(reps.Decomposition()) == "(empty)"

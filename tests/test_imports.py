@@ -37,7 +37,7 @@ EXPORTED = """
     load_bfs parse_class_literal parse_tail parse_word phases_equal phi_map power
     primitive_root pspec_summary realize shift_bfs standard_bfs standard_is_irreducible
     standard_is_multiplicity_free state_value tail_canonical tail_class truncated_from_rules
-    twist_by_gauge validate_bfs validate_matrix verify_ck_relations words_equivalent_finite
+    twist_by_gauge validate_bfs validate_matrix words_equivalent_finite
     words_equivalent_infinite
 """.split()
 
@@ -144,23 +144,29 @@ class TestStartUpBudget:
         [
             ["decompose-standard", "--matrix", "A3"],
             ["decompose-shift", "--matrix", "A3", "--dump-bfs", "DUMP"],
-            ["verify-relations", "--matrix", "A3", "--system", "cycle", "--word", "12"],
-            ["verify-relations", "--matrix", "A3", "--system", "chain", "--tail", "|(12)",
-             "--dump-bfs", "DUMP"],
             ["gp-check", "--matrix", "A3", "--word", "12", "--power", "2"],
         ],
-        ids=[
-            "decompose-standard",
-            "decompose-shift-dump",
-            "verify-relations",
-            "verify-relations-dump",
-            "gp-check",
-        ],
+        ids=["decompose-standard", "decompose-shift-dump", "gp-check"],
     )
     def test_system_verbs_load_branching(self, a3_file, tmp_path, argv):
         dump = str(tmp_path / "dump.bfs")
         modules = loaded_by([{"A3": a3_file, "DUMP": dump}.get(arg, arg) for arg in argv])
         assert modules == ["ckrep", *(f"ckrep.{m}" for m in SUBMODULES)]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-relations", "--matrix", "A3", "--system", "cycle", "--word", "12"],
+            ["verify-relations", "--matrix", "A3", "--system", "chain", "--tail", "|(12)",
+             "--dump-bfs", "DUMP"],
+        ],
+        ids=["verify-relations", "verify-relations-dump"],
+    )
+    def test_verify_relations_loads_branching_alone(self, a3_file, tmp_path, argv):
+        # the relations check is `validate_bfs`: no realization, no phases
+        dump = str(tmp_path / "dump.bfs")
+        modules = loaded_by([{"A3": a3_file, "DUMP": dump}.get(arg, arg) for arg in argv])
+        assert modules == ["ckrep", "ckrep.branching", "ckrep.cli", "ckrep.words"]
 
     def test_decompose_bfs_loads_branching(self, a3_file, tmp_path):
         from ckrep import branching, words
@@ -171,13 +177,15 @@ class TestStartUpBudget:
         modules = loaded_by(["decompose-bfs", "--matrix", a3_file, "--bfs", str(dump)])
         assert "ckrep.branching" in modules
 
-    def test_dump_writer_and_reader_load_the_same_modules(self, a3_file, tmp_path):
+    def test_dump_reader_loads_reps_and_phases_beyond_the_writer(self, a3_file, tmp_path):
+        # writing a dump needs `branching` alone; decomposing it needs `reps`
         dump = str(tmp_path / "dump.bfs")
         write = ["verify-relations", "--matrix", a3_file, "--system", "cycle", "--word", "12",
                  "--dump-bfs", dump]
         written = all_loaded_by(write)
         read = all_loaded_by(["decompose-bfs", "--matrix", a3_file, "--bfs", dump])
-        assert set(written) == set(read)
+        assert set(written) <= set(read)
+        assert set(read) - set(written) == {"ckrep.reps", "ckrep.phases"}
 
     def test_branching_imports_only_array_beyond_the_cli(self):
         # dump_bfs and load_bfs work with what `ckrep.cli` and `ckrep.words`

@@ -16,6 +16,7 @@ from conftest import (
     brute_cyclic_words,
     brute_is_periodic,
     brute_min_rotation,
+    checked_standard,
     corpus,
     full_matrix,
     oracle_apply_word,
@@ -36,6 +37,7 @@ from ckrep.branching import (
     shift_bfs,
     standard_bfs,
     truncated_from_rules,
+    validate_bfs,
 )
 from ckrep.phases import ONE, Phase, PhaseError, RootSum
 from ckrep.reps import (
@@ -73,7 +75,6 @@ from ckrep.reps import (
     state_value,
     tail_class,
     twist_by_gauge,
-    verify_ck_relations,
 )
 from ckrep.words import (
     EmptyWordError,
@@ -144,6 +145,8 @@ class TestRealize:
 
 
 class TestCKRelations:
+    """Both defining relations, as `validate_bfs` checks them on the basis."""
+
     def test_corpus_is_exactly_relational(self):
         for a in corpus():
             systems = [standard_bfs(a, 128), shift_bfs(a, 5)]
@@ -151,7 +154,7 @@ class TestCKRelations:
                 for w in brute_cyclic_words(a, k)[:3]:
                     systems.append(build_cycle_system(a, w, 3))
             for f in systems:
-                report = verify_ck_relations(realize(f))
+                report = validate_bfs(f)
                 assert report.ok, (a.rows, f.origin, report.violations[:2])
                 assert report.checked_points > 0
 
@@ -160,7 +163,7 @@ class TestCKRelations:
         maps = {i: dict(g.maps[i]) for i in (1, 2, 3)}
         lost = maps[1].pop(sorted(maps[1])[0])
         f = BranchingSystem(matrix=A3, carrier=g.carrier, maps=maps, frontier=g.frontier)
-        report = verify_ck_relations(realize(f))
+        report = validate_bfs(f)
         assert ("NotCovered", (), (lost,), "") in report.violations
 
     def test_frontier_overlap_breaks_the_relations(self):
@@ -171,12 +174,12 @@ class TestCKRelations:
         assert 31 in g.frontier and 31 in maps[1].values() and 60 in g.frontier
         maps[2][60] = 31
         f = BranchingSystem(matrix=A3, carrier=g.carrier, maps=maps, frontier=g.frontier)
-        report = verify_ck_relations(realize(f))
+        report = validate_bfs(f)
         assert report.violations == (("RangeOverlap", (1, 2), (31,), ""),)
 
     def test_chain_systems_pass(self):
         f = build_chain_system(A1, TailWord((), (2,)), 8, 3)
-        assert verify_ck_relations(realize(f)).ok
+        assert validate_bfs(f).ok
 
 
 class TestClassify:
@@ -637,12 +640,12 @@ class TestStandardReports:
     def test_m2_table_with_cross_check(self):
         for rows, want in self.M2_TABLE.items():
             a = validate_matrix([list(r) for r in rows])
-            d = decompose_standard(a, cross_check_truncation=128)
+            d = checked_standard(a, 128)
             assert entries_by_literal(d) == want, rows
 
     def test_3x3_and_4x4(self):
-        assert entries_by_literal(decompose_standard(A3, 81)) == {"P(12)": 1}
-        assert entries_by_literal(decompose_standard(A4, 81)) == {"P(1)": 1, "P(2)": 1}
+        assert entries_by_literal(checked_standard(A3, 81)) == {"P(12)": 1}
+        assert entries_by_literal(checked_standard(A4, 81)) == {"P(1)": 1, "P(2)": 1}
 
     def test_verdicts(self):
         assert standard_is_multiplicity_free(A3) and standard_is_irreducible(A3)
@@ -653,14 +656,14 @@ class TestStandardReports:
     def test_cross_check_failure_raises(self):
         # bound too small to see the once-cycle resolved
         with pytest.raises(RepError):
-            decompose_standard(A3, cross_check_truncation=3)
+            checked_standard(A3, 3)
 
     def test_cross_check_failure_names_the_differences(self):
         # too small a truncation misses a cycle; the error says which one
         with pytest.raises(RepError, match=r": P\(12\) structural 1, observed 0$"):
-            decompose_standard(A3, cross_check_truncation=3)
+            checked_standard(A3, 3)
         with pytest.raises(RepError, match=r"at 2 .*: P\(2\) structural inf, observed 0$"):
-            decompose_standard(A1, cross_check_truncation=2)
+            checked_standard(A1, 2)
 
 
 class TestShiftReports:

@@ -83,6 +83,11 @@ class TestValidateMatrix:
         with pytest.raises(NonBinaryEntryError):
             validate_matrix([[1, 2], [1, 1]])
 
+    @pytest.mark.parametrize("entry", [1.0, True, 0.0, False])
+    def test_only_the_ints_0_and_1(self, entry):
+        with pytest.raises(NonBinaryEntryError, match=f"entry {entry!r} is not 0 or 1"):
+            validate_matrix([[entry, 1], [1, 1]])
+
     def test_matrix_text_round_trip(self):
         a = validate_matrix(A3_ROWS)
         assert words.TransitionMatrix.from_text(a.to_text()) == a
