@@ -16,10 +16,9 @@ __version__ = "0.1.0"
 _SUBMODULES = ("branching", "cli", "phases", "reps", "words")
 
 _EXPORTS = {
-    "branching": """ACycleSet BranchingError BranchingSystem ComponentSkeleton
-        MatrixMismatchError ValidationReport Violation a_cycle_set build_chain_system
-        build_cycle_system direct_sum dump_bfs find_components load_bfs phi_map shift_bfs
-        standard_bfs truncated_from_rules validate_bfs""",
+    "branching": """BranchingError BranchingSystem ComponentSkeleton MatrixMismatchError
+        ValidationReport Violation build_chain_system build_cycle_system direct_sum dump_bfs
+        find_components load_bfs shift_bfs standard_bfs truncated_from_rules validate_bfs""",
     "phases": "ONE Phase PhaseError RootSum phases_equal",
     "reps": """Decomposition FiniteClass GPReport INFINITY IntegralClass MatrixRealization
         OpaqueTailClass RepClass RepError TailClass class_literal classify_component
@@ -27,10 +26,10 @@ _EXPORTS = {
         equivalent expand_irreducible finite_class gp_vector_check integral_class
         is_irreducible is_pure parse_class_literal realize standard_is_irreducible
         standard_is_multiplicity_free state_value tail_class twist_by_gauge""",
-    "words": """PSpecSummary TailWord TransitionMatrix Word WordError canonical_rotation
-        enumerate_cyclic_classes format_tail format_word is_admissible
-        is_cyclically_admissible is_periodic parse_tail parse_word power primitive_root
-        pspec_summary tail_canonical validate_matrix words_equivalent_finite
+    "words": """ACycleSet PSpecSummary TailWord TransitionMatrix Word WordError a_cycle_set
+        canonical_rotation enumerate_cyclic_classes format_tail format_word is_admissible
+        is_cyclically_admissible is_periodic parse_tail parse_word phi_map power
+        primitive_root pspec_summary tail_canonical validate_matrix words_equivalent_finite
         words_equivalent_infinite""",
 }
 

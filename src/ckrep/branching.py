@@ -7,6 +7,8 @@ may precede.  This module holds finite truncations of such systems:
 axiom validation, orbit/cycle/chain analysis, direct sums, and the
 explicit constructions (cycle carriers, chain carriers, the standard
 system on {1..B}, and a fixed-width stand-in for the one-sided shift).
+The cycles of the min-successor map, which give the standard system's
+decomposition without building it, are `words.a_cycle_set`.
 
 Truncation honesty: a carrier point is *frontier* when some axiom-relevant
 datum (an image under some f_i, or the coding preimage) falls outside the
@@ -594,44 +596,6 @@ def standard_bfs(a: TransitionMatrix, truncation: int) -> BranchingSystem:
 def _slice(points: range) -> slice:
     """The extended slice that selects the indices of an ascending range."""
     return slice(points.start, points.stop, points.step)
-
-
-def phi_map(a: TransitionMatrix) -> dict[int, int]:
-    """The min-successor map i -> min{j : a_ij = 1}."""
-    return {i: min(a.successors(i)) for i in range(1, a.n + 1)}
-
-
-class ACycleSet(namedtuple("ACycleSet", "cycles once infinite")):
-    """Cycle words of the min-successor map, split by multiplicity.
-
-    `once` lists the cycles appearing once in the standard system;
-    `infinite` those whose letters all sit on delta rows, which recur with
-    infinite multiplicity.
-    """
-
-    __slots__ = ()
-
-
-def a_cycle_set(a: TransitionMatrix) -> ACycleSet:
-    phi = phi_map(a)
-    seen: set[int] = set()
-    cycles: list[Word] = []
-    for start in range(1, a.n + 1):
-        trail = []
-        v = start
-        while v not in seen:
-            seen.add(v)
-            trail.append(v)
-            v = phi[v]
-        if v in trail:  # new cycle closed within this walk; rotate it to its least letter
-            cyc = trail[trail.index(v):]
-            head = cyc.index(min(cyc))
-            cycles.append(tuple(cyc[head:] + cyc[:head]))
-    cycles.sort(key=lambda w: (len(w), w))
-    # a cycle of phi lies on delta rows exactly when each of its letters has one successor
-    infinite = tuple(w for w in cycles if all(len(a.successors(i)) == 1 for i in w))
-    once = tuple(w for w in cycles if w not in infinite)
-    return ACycleSet(cycles=tuple(cycles), once=once, infinite=infinite)
 
 
 def _periodic_extension(word: Word) -> int:

@@ -186,7 +186,7 @@ def _cmd_expand(args):
             d.add(reps.parse_class_literal(lit, a))
     else:
         payload = _read_report(_read_text("-"))
-        if a is None and payload.get("matrix"):
+        if a is None and payload.get("matrix") is not None:
             a = words.validate_matrix(payload["matrix"])
             d.matrix = a
         for comp in payload["components"]:
@@ -225,6 +225,8 @@ def _read_report(text: str) -> dict:
         mult = fields.get("multiplicity")
         if mult != "inf" and not (type(mult) is int and mult >= 1):
             raise UsageError(f'component {comp!r} needs multiplicity "inf" or a positive integer')
+        if "phase" in fields and fields["kind"] != "finite":
+            raise UsageError(f"component {comp!r} has a phase, which only a finite class takes")
     return payload
 
 

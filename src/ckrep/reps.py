@@ -25,6 +25,7 @@ from .words import (
     TransitionMatrix,
     Word,
     _cycle_words,
+    a_cycle_set,
     canonical_rotation,
     enumerate_cyclic_classes,
     format_tail,
@@ -391,7 +392,7 @@ def decompose(
     Without twists, every cycle has phase 1, and cycles that read the same
     word are classified once.
     """
-    from .branching import a_cycle_set, find_components, validate_bfs
+    from .branching import find_components, validate_bfs
 
     report = validate_bfs(f)
     if not report.ok:
@@ -563,8 +564,6 @@ def decompose_standard(a: TransitionMatrix) -> Decomposition:
     delta-row cycles, which contribute with infinite multiplicity.
     `cross_check_standard` checks the answer against a truncated system.
     """
-    from .branching import a_cycle_set
-
     cycles = a_cycle_set(a)
     out = Decomposition(matrix=a)
     for word in cycles.once:
@@ -609,14 +608,10 @@ def decompose_shift(a: TransitionMatrix, max_period: int) -> Decomposition:
 
 
 def standard_is_multiplicity_free(a: TransitionMatrix) -> bool:
-    from .branching import a_cycle_set
-
     return not a_cycle_set(a).infinite
 
 
 def standard_is_irreducible(a: TransitionMatrix) -> bool:
-    from .branching import a_cycle_set
-
     cycles = a_cycle_set(a)
     return not cycles.infinite and len(cycles.once) == 1
 
@@ -630,16 +625,18 @@ def phase_json(p: Phase) -> dict:
 
 
 def phase_from_json(data) -> Phase:
-    """Read the form `phase_json` writes; a missing phase is trivial.  A
-    boolean is not a number here, as JSON's true and false are not."""
+    """Read the form `phase_json` writes, with exactly its keys; a missing
+    phase is trivial.  A boolean is not a number here, as JSON's true and
+    false are not."""
     if data is None:
         return ONE
     try:
-        exact = "num" in data
-        values = [data[key] for key in (("num", "den") if exact else ("re", "im"))]
-        if not any(isinstance(v, bool) for v in values):
-            return Phase.exact(*values) if exact else Phase.from_complex(complex(*values))
-    except (KeyError, TypeError):
+        if not any(isinstance(v, bool) for v in data.values()):
+            if data.keys() == {"num", "den"}:
+                return Phase.exact(data["num"], data["den"])
+            if data.keys() == {"re", "im"}:
+                return Phase.from_complex(complex(data["re"], data["im"]))
+    except (AttributeError, OverflowError, TypeError):
         pass
     raise RepError(f"bad phase {data!r}: need num/den integers or re/im numbers")
 

@@ -2,9 +2,11 @@
 
 Multiindices over the alphabet {1..N}: admissibility along a transition
 matrix, the base-N positional order on each fixed length, canonical
-rotations, primitive roots, eventually periodic tails, enumeration of
-cyclic rotation classes, and the finite/infinite verdict for the set of
-irreducible permutative classes.
+rotations, primitive roots, eventually periodic tails, and enumeration of
+cyclic rotation classes.  The cycle structure of A lives here too, read
+by one walk over the cycles of a map on the alphabet: the finite/infinite
+verdict for the set of irreducible permutative classes, and the cycles of
+the min-successor map that give the standard representation.
 
 A word is a plain tuple of 1-based symbols; the empty tuple is the unit
 index.  Everything here is a pure function of immutable values.
@@ -13,7 +15,6 @@ index.  Everything here is a pure function of immutable values.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
 from functools import cached_property
 
 
@@ -345,87 +346,98 @@ def enumerate_cyclic_classes(a: TransitionMatrix, max_len: int) -> list[tuple[Wo
     return [entry for level in by_len for entry in level]
 
 
-def _strongly_connected_components(a: TransitionMatrix) -> list[list[int]]:
-    # Tarjan, on vertices 1..N with edges i -> j where a_ij = 1.  The
-    # depth-first walk keeps (vertex, successor iterator) pairs on its own
-    # stack, so its depth is not bounded by the interpreter's recursion limit.
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    out: list[list[int]] = []
-    work: list[tuple[int, Iterator[int]]] = []
-
-    def visit(v: int) -> None:
-        index[v] = low[v] = len(index)
-        stack.append(v)
-        on_stack.add(v)
-        work.append((v, iter(a.successors(v))))
-
-    for root in range(1, a.n + 1):
-        if root not in index:
-            visit(root)
-        while work:
-            v, successors = work[-1]
-            for w in successors:
-                if w not in index:
-                    visit(w)
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    out.append(sorted(comp))
-    return out
-
-
-def _simple_cycle_word(a: TransitionMatrix, comp: list[int]) -> Word | None:
-    """The cycle word of an SCC that is a bare cycle, else None.
-
-    A nontrivial SCC is a simple cycle iff every vertex has exactly one
-    successor and one predecessor inside the component.
-    """
-    inside = set(comp)
-    succ: dict[int, int] = {}
-    for v in comp:
-        nxt = [w for w in a.successors(v) if w in inside]
-        prv = [w for w in a.predecessors(v) if w in inside]
-        if len(nxt) != 1 or len(prv) != 1:
-            return None
-        succ[v] = nxt[0]
-    start = min(comp)
-    word = [start]
-    v = succ[start]
-    while v != start:
-        word.append(v)
-        v = succ[v]
-    return tuple(word)
+def _cycles(step: dict[int, int]) -> tuple[Word, ...]:
+    """The cycles of the map v -> step[v], each read from its least letter,
+    in (length, base-N) order; a walk that leaves the map's domain closes
+    no cycle."""
+    seen: set[int] = set()
+    cycles: list[Word] = []
+    for start in step:
+        trail: list[int] = []
+        v = start
+        while v in step and v not in seen:
+            seen.add(v)
+            trail.append(v)
+            v = step[v]
+        if v in trail:  # the walk closed a new cycle; rotate it to its least letter
+            cyc = trail[trail.index(v):]
+            head = cyc.index(min(cyc))
+            cycles.append(tuple(cyc[head:] + cyc[:head]))
+    return tuple(sorted(cycles, key=lambda w: (len(w), w)))
 
 
 def _cycle_words(a: TransitionMatrix) -> tuple[Word, ...] | None:
     """The structural spectrum verdict: the simple cycle words of A in
     (length, base-N) order when every nontrivial strongly connected
-    component is a bare cycle, else None (infinitely many classes)."""
-    cycle_words: list[Word] = []
-    for comp in _strongly_connected_components(a):
-        if len(comp) == 1 and not a.entry(comp[0], comp[0]):
-            continue  # trivial component, no cycle through it
-        word = _simple_cycle_word(a, comp)
-        if word is None:
+    component is a bare cycle, else None (infinitely many classes).
+
+    The components come from Kosaraju's two walks, each with its own
+    stack: a forward walk for the finishing order, then backward walks
+    over the predecessors in reverse finishing order.  A component is a
+    bare cycle iff each of its vertices has exactly one successor inside
+    it; a vertex with none lies on no cycle.
+    """
+    succ, pred = a._successor_table, a._predecessor_table
+    order: list[int] = []
+    visited = [False] * (a.n + 1)
+    for root in range(1, a.n + 1):
+        if visited[root]:
+            continue
+        visited[root] = True
+        work = [(root, iter(succ[root - 1]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if not visited[w]:
+                    visited[w] = True
+                    work.append((w, iter(succ[w - 1])))
+                    break
+            else:
+                work.pop()
+                order.append(v)
+    comp = [0] * (a.n + 1)  # the root of each vertex's component
+    for root in reversed(order):
+        if comp[root]:
+            continue
+        comp[root] = root
+        stack = [root]
+        while stack:
+            for u in pred[stack.pop() - 1]:
+                if not comp[u]:
+                    comp[u] = root
+                    stack.append(u)
+    step: dict[int, int] = {}
+    for v in range(1, a.n + 1):
+        inside = [w for w in succ[v - 1] if comp[w] == comp[v]]
+        if len(inside) > 1:
             return None
-        cycle_words.append(word)
-    return tuple(sorted(cycle_words, key=lambda w: (len(w), w)))
+        if inside:
+            step[v] = inside[0]
+    return _cycles(step)
+
+
+def phi_map(a: TransitionMatrix) -> dict[int, int]:
+    """The min-successor map i -> min{j : a_ij = 1}."""
+    return {i: min(a.successors(i)) for i in range(1, a.n + 1)}
+
+
+class ACycleSet(namedtuple("ACycleSet", "cycles once infinite")):
+    """Cycle words of the min-successor map, split by multiplicity.
+
+    `once` lists the cycles appearing once in the standard system;
+    `infinite` those whose letters all sit on delta rows, which recur with
+    infinite multiplicity.
+    """
+
+    __slots__ = ()
+
+
+def a_cycle_set(a: TransitionMatrix) -> ACycleSet:
+    cycles = _cycles(phi_map(a))
+    # a cycle of phi lies on delta rows exactly when each of its letters has one successor
+    infinite = tuple(w for w in cycles if all(len(a.successors(i)) == 1 for i in w))
+    once = tuple(w for w in cycles if w not in infinite)
+    return ACycleSet(cycles=cycles, once=once, infinite=infinite)
 
 
 class PSpecSummary(

@@ -45,7 +45,6 @@ from typing import Callable
 import pytest
 
 from ckrep.branching import (
-    ACycleSet,
     BranchingError,
     BranchingSystem,
     ComponentSkeleton,
@@ -57,12 +56,12 @@ from ckrep.branching import (
     Violation,
     _chain_letters,
     _periodic_extension,
-    phi_map,
     standard_bfs,
 )
 from ckrep.phases import APPROX_TOL, Phase, PhaseError, RootSum
 from ckrep.reps import Decomposition, MatrixRealization, cross_check_standard, decompose_standard
 from ckrep.words import (
+    ACycleSet,
     EmptyWordError,
     NotCyclicallyAdmissibleError,
     SymbolOutOfRangeError,
@@ -75,6 +74,7 @@ from ckrep.words import (
     format_word,
     is_cyclically_admissible,
     is_periodic,
+    phi_map,
     validate_matrix,
 )
 

@@ -37,14 +37,12 @@ from ckrep.branching import (
     InvalidSystemError,
     MatrixMismatchError,
     ValidationReport,
-    a_cycle_set,
     build_chain_system,
     build_cycle_system,
     direct_sum,
     dump_bfs,
     find_components,
     load_bfs,
-    phi_map,
     shift_bfs,
     standard_bfs,
     truncated_from_rules,
@@ -56,9 +54,11 @@ from ckrep.words import (
     NotAdmissibleError,
     NotCyclicallyAdmissibleError,
     TailWord,
+    a_cycle_set,
     canonical_rotation,
     format_word,
     is_periodic,
+    phi_map,
     validate_matrix,
     words_equivalent_finite,
 )

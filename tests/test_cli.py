@@ -1,12 +1,18 @@
+import cmath
+import contextlib
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import A1_ROWS, A3_ROWS, checked_standard
+from conftest import A1_ROWS, A3_ROWS, all_valid_matrices, brute_cyclic_words, checked_standard
 from ckrep import branching, reps
 from ckrep.cli import main, render_report
 from ckrep.phases import Phase
-from ckrep.words import validate_matrix
+from ckrep.words import TailWord, is_periodic, validate_matrix
 
 
 @pytest.fixture
@@ -388,6 +394,17 @@ class TestContract:
              ' "phase": {"re": true, "im": false}}]}', "bad phase"),
             ('{"components": [{"kind": "finite", "word": "1", "multiplicity": 1,'
              ' "phase": {"re": 1.0, "im": false}}]}', "bad phase"),
+            # an empty matrix is a matrix, not a missing one
+            ('{"matrix": [], "components": []}', "need at least 2 symbols"),
+            # input that expand would not read: a phase with extra keys, a phase off a finite class
+            ('{"components": [{"kind": "finite", "word": "1", "multiplicity": 1,'
+             ' "phase": {"num": 1, "den": 2, "re": 5}}]}', "bad phase"),
+            ('{"components": [{"kind": "finite", "word": "1", "multiplicity": 1,'
+             ' "phase": {"re": 0.0, "im": 1.0, "den": 4}}]}', "bad phase"),
+            ('{"components": [{"kind": "tail", "word": "1", "multiplicity": 1,'
+             ' "phase": {"num": 1, "den": 2}}]}', "only a finite class"),
+            ('{"components": [{"kind": "integral", "word": "12", "multiplicity": 1,'
+             ' "phase": {"num": 1, "den": 2}}]}', "only a finite class"),
         ],
     )
     def test_expand_bad_stdin_exits_1(self, capsys, monkeypatch, stdin, message):
@@ -548,6 +565,42 @@ def test_expand_names_the_bad_component(capsys, monkeypatch, stdin, message):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     assert main(["expand"]) == 1
     assert capsys.readouterr() == ("", f"error: component {message}\n")
+
+
+@st.composite
+def decompositions(draw):
+    """A cyclic-level decomposition over a valid 2x2 or 3x3 matrix, which it
+    may or may not carry: finite classes with exact and approximate
+    phases, tails and integrals, each of multiplicity 1 to 5 or inf."""
+    a = draw(st.sampled_from([a for n in (2, 3) for a in all_valid_matrices(n)]))
+    cyclic = [w for k in range(1, 5) for w in brute_cyclic_words(a, k)]
+    exact = st.builds(Phase.exact, st.integers(-12, 12), st.integers(1, 12))
+    approx = st.floats(0, 1, exclude_max=True).map(
+        lambda t: Phase.from_complex(cmath.exp(2j * cmath.pi * t))
+    )
+    finite = st.builds(
+        reps.finite_class, st.sampled_from(cyclic), st.one_of(exact, approx), st.just(a)
+    )
+    tail = st.sampled_from(cyclic).map(lambda w: reps.tail_class(TailWord((), w), a))
+    primitive = [w for w in cyclic if not is_periodic(w)]
+    integral = st.sampled_from(primitive).map(lambda w: reps.integral_class(w, a))
+    d = reps.Decomposition(matrix=draw(st.sampled_from([a, None])))
+    for c in draw(st.lists(st.one_of(finite, tail, integral), max_size=5)):
+        d.add(c, draw(st.one_of(st.integers(1, 5), st.just(reps.INFINITY))))
+    return d
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(decompositions())
+def test_expand_reads_back_the_report_json(d):
+    stdin = json.dumps(reps.decomposition_json(d))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), contextlib.redirect_stdout(
+        out
+    ), contextlib.redirect_stderr(err):
+        code = main(["expand"])
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue() == render_report(reps.expand_irreducible(d)) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ everything.  A call of a verb builds that verb's subparser alone.
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -285,6 +286,18 @@ class TestExportSurface:
             exec(f"from ckrep import {name}", namespace)
             assert any(ns.get(name) is namespace[name] for ns in modules), name
             assert name in listed, name
+
+    def test_each_name_is_defined_where_the_table_says(self):
+        # the test above accepts a name from any submodule, so a stale
+        # re-export in a second module would pass it; this one does not
+        values = {"ONE", "INFINITY", "Word", "RepClass"}
+        for name, module in ckrep._MODULE_OF.items():
+            obj = getattr(ckrep, name)
+            if name in values:
+                assert obj is vars(importlib.import_module(f"ckrep.{module}"))[name], name
+            else:
+                assert inspect.isclass(obj) or inspect.isfunction(obj), name
+                assert obj.__module__ == f"ckrep.{module}", name
 
     def test_submodules_load_on_attribute_access(self):
         # the traced benchmark reaches the layers as attributes of the package

@@ -799,7 +799,10 @@ class TestJsonSchema:
         assert phase_from_json(phase_json(Phase.exact(5, 12))) == Phase.exact(5, 12)
 
     @pytest.mark.parametrize(
-        "data", [{"num": 1}, {"re": 1.0}, {"num": 0.5, "den": 2}, {"num": "1", "den": 2}, 5, "x"]
+        "data",
+        [{"num": 1}, {"re": 1.0}, {"num": 0.5, "den": 2}, {"num": "1", "den": 2}, 5, "x"]
+        # extra keys, and an integer too large for a float
+        + [{"num": 1, "den": 2, "re": 5}, {"re": 0.0, "im": 1.0, "den": 4}, {"re": 10**400, "im": 0}],
     )
     def test_malformed_phase_json_is_a_rep_error(self, data):
         from ckrep.reps import RepError, phase_from_json

@@ -14,6 +14,7 @@ from conftest import (
     brute_cyclic_words,
     brute_is_periodic,
     brute_min_rotation,
+    brute_simple_cycles,
     brute_spectrum_finite,
     corpus,
     full_matrix,
@@ -359,6 +360,17 @@ class TestPSpec:
         for a in corpus():
             verdict = pspec_summary(a, 6).finite
             assert verdict == brute_spectrum_finite(a), a.rows
+
+    def test_cycle_words_match_the_simple_cycle_oracle(self):
+        # the words themselves, not only the verdict: each simple cycle read
+        # from its least letter, in (length, word) order
+        # (60, 61 and 9 of the 265, 1000 and 1000 matrices have a finite spectrum)
+        matrices = all_valid_matrices(3) + random_matrices(4, 1000, seed=4) + random_matrices(
+            5, 1000, seed=5
+        )
+        for a in matrices:
+            expected = tuple(brute_simple_cycles(a)) if brute_spectrum_finite(a) else None
+            assert words._cycle_words(a) == expected, a.rows
 
     def test_verdict_matches_enumeration_growth(self):
         # finite <=> the primitive count stabilizes once all simple cycles fit
