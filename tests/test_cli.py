@@ -567,12 +567,15 @@ def test_expand_names_the_bad_component(capsys, monkeypatch, stdin, message):
     assert capsys.readouterr() == ("", f"error: component {message}\n")
 
 
+SMALL_MATRICES = [a for n in (2, 3) for a in all_valid_matrices(n)]
+
+
 @st.composite
 def decompositions(draw):
     """A cyclic-level decomposition over a valid 2x2 or 3x3 matrix, which it
     may or may not carry: finite classes with exact and approximate
     phases, tails and integrals, each of multiplicity 1 to 5 or inf."""
-    a = draw(st.sampled_from([a for n in (2, 3) for a in all_valid_matrices(n)]))
+    a = draw(st.sampled_from(SMALL_MATRICES))
     cyclic = [w for k in range(1, 5) for w in brute_cyclic_words(a, k)]
     exact = st.builds(Phase.exact, st.integers(-12, 12), st.integers(1, 12))
     approx = st.floats(0, 1, exclude_max=True).map(
