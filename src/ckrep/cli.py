@@ -12,17 +12,25 @@ Only `words` is imported up front; each verb imports `reps` or
 `branching` when it runs, and calls them through the module, so a verb
 that reads words alone never compiles the rest of the package.  `json`
 is imported only by the paths that write or read JSON.
+
+A well-formed call is parsed from the verb table `_VERBS` alone, without
+importing `argparse` (which imports `gettext`, and its parser `locale`).
+Any call that parser is not sure of, help and every usage error among
+them, is parsed by the full `argparse` tree, which writes every usage
+error and help text.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import words
 
 TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:
+    import argparse
+
     from . import branching, reps
 
 DEFAULT_TRUNCATION = 256
@@ -33,11 +41,6 @@ DEFAULT_CHAIN_LEN = 8
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(f"{message}\n\n{self.format_help()}")
 
 
 def _read_text(path: str) -> str:
@@ -242,7 +245,7 @@ def _build_system(args, a: words.TransitionMatrix) -> branching.BranchingSystem:
         if not args.word:
             raise UsageError("--system cycle needs --word")
         return branching.build_cycle_system(a, words.parse_word(args.word), args.depth)
-    # "chain", the one kind left: argparse's choices allow no other
+    # "chain", the one kind left: the option's choices allow no other
     if not args.tail:
         raise UsageError("--system chain needs --tail")
     return branching.build_chain_system(a, words.parse_tail(args.tail), args.chain_len, args.depth)
@@ -440,33 +443,73 @@ _VERBS = {
 }
 
 
-def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The `ck` parser, with every verb's subparser, or with `verb`'s
-    alone, which parses every call of that verb the same way.  Options
-    are spelled in full: no parser accepts an abbreviation."""
+def build_parser() -> argparse.ArgumentParser:
+    """The `ck` parser, with every verb's subparser.  Options are spelled
+    in full: no parser accepts an abbreviation."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(f"{message}\n\n{self.format_help()}")
+
     parser = _Parser(
         prog="ck", description="Permutative representation calculator", allow_abbrev=False
     )
     sub = parser.add_subparsers(dest="verb", required=True)
     for name, (fn, help_text, options) in _VERBS.items():
-        if verb in (None, name):
-            s = sub.add_parser(name, help=help_text, allow_abbrev=False)
-            for flag, keywords in options:
-                s.add_argument(flag, **keywords)
-            s.set_defaults(fn=fn)
+        s = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag, keywords in options:
+            s.add_argument(flag, **keywords)
+        s.set_defaults(fn=fn)
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse with the parser of the verb `argv` names.  A call that names
-    no verb, or that the lean parser refuses, is parsed by the full tree,
-    so every usage error and help text lists all the verbs."""
-    if argv and argv[0] in _VERBS:
+def _parse_well_formed(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments `build_parser()` gives `argv`, read from `_VERBS`, or
+    None unless the result is sure: the verb, then only its own flags in
+    full, each value one that no parser reads as an option (not starting
+    with "-", or "-" alone) and that its `type` and `choices` take, and
+    every required option given."""
+    if not argv or argv[0] not in _VERBS:
+        return None
+    fn, _, options = _VERBS[argv[0]]
+    args = {"verb": argv[0], "fn": fn}
+    table = {}
+    for flag, keywords in options:
+        dest = keywords.get("dest") or flag[2:].replace("-", "_")
+        table[flag] = dest, keywords
+        args[dest] = keywords.get("default", False if keywords.get("action") == "store_true" else None)
+    missing = {flag for flag, keywords in options if keywords.get("required")}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in table:
+            return None
+        dest, keywords = table[flag]
+        action = keywords.get("action")
+        missing.discard(flag)
+        if action == "store_true":
+            args[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-") and value != "-":
+            return None
         try:
-            return build_parser(argv[0]).parse_args(argv)
-        except UsageError:
-            pass
-    return build_parser().parse_args(argv)
+            value = keywords.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        args[dest] = [*(args[dest] or ()), value] if action == "append" else value
+    if missing:
+        return None
+    return SimpleNamespace(**args)
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
+    """Parse a well-formed call from the verb table; any other call is
+    parsed by the full tree, so every usage error and help text lists all
+    the verbs."""
+    return _parse_well_formed(argv) or build_parser().parse_args(argv)
 
 
 # The typed user errors, by module.  A module that was never imported

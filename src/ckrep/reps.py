@@ -24,6 +24,7 @@ from .words import (
     TailWord,
     TransitionMatrix,
     Word,
+    _check_symbols,
     _cycle_words,
     a_cycle_set,
     canonical_rotation,
@@ -454,9 +455,12 @@ def state_value(a: TransitionMatrix, c: RepClass, left: Word, right: Word) -> in
 
     Cycle case: 1 iff both words lie in a common set
     I_p = {J^a + J[:p] : a >= 0}, 0 <= p < |J|.  Chain case: 1 iff both
-    words are the same prefix of the tail.  Inadmissible words give 0.
-    The state is written for phase 1 only; other phases are refused.
+    words are the same prefix of the tail.  Inadmissible words give 0; a
+    letter outside 1..N is refused.  The state is written for phase 1
+    only; other phases are refused.
     """
+    _check_symbols(a, left)
+    _check_symbols(a, right)
     if isinstance(c, FiniteClass):
         if not c.phase.is_one():
             raise PhaseUnsupportedError("the state formula covers phase 1 only")

@@ -82,6 +82,10 @@ class _Key(tuple):
     __hash__ = tuple.__hash__
 
 
+# The bytes of the ASCII characters 0 and 1, mapped to the entries 0 and 1.
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 class TransitionMatrix(_Key, namedtuple("TransitionMatrix", "rows")):
     """An N x N matrix over {0,1} with no zero row and no zero column."""
 
@@ -113,13 +117,22 @@ class TransitionMatrix(_Key, namedtuple("TransitionMatrix", "rows")):
 
     @staticmethod
     def from_text(text: str) -> TransitionMatrix:
-        """Parse the matrix file format: one row of 0/1 characters per line."""
+        """Parse the matrix file format: one row of 0/1 characters per line.
+
+        The entries are the ASCII characters 0 and 1, read a row at a time.
+        A row with any other character is refused, naming the first one
+        that is not an ASCII digit, or else the first other digit.
+        """
         lines = [line.strip() for line in text.splitlines() if line.strip()]
-        try:
-            entries = [[int(ch) for ch in line] for line in lines]
-        except ValueError as exc:
-            raise NonBinaryEntryError(f"bad matrix line: {exc}") from None
-        return validate_matrix(entries)
+        if any(line.strip("01") for line in lines):
+            for ch in "".join(lines):
+                if ch not in "0123456789":
+                    raise NonBinaryEntryError(
+                        f"bad matrix line: invalid literal for int() with base 10: {ch!r}"
+                    )
+            return validate_matrix([[int(ch) for ch in line] for line in lines])
+        rows = tuple(tuple(line.encode().translate(_BITS)) for line in lines)
+        return _checked_matrix(rows, entries_known=True)
 
     def to_text(self) -> str:
         return "\n".join("".join(str(e) for e in row) for row in self.rows) + "\n"
@@ -132,22 +145,28 @@ def validate_matrix(entries) -> TransitionMatrix:
     Raises MatrixShapeError, MatrixTooSmallError, NonBinaryEntryError,
     ZeroRowError or ZeroColumnError.
     """
-    rows = tuple(tuple(row) for row in entries)
+    return _checked_matrix(tuple(tuple(row) for row in entries), entries_known=False)
+
+
+def _checked_matrix(rows: tuple[tuple[int, ...], ...], entries_known: bool) -> TransitionMatrix:
+    """`validate_matrix` of `rows`, whose entries are only checked unless
+    `entries_known` says that each is the int 0 or 1."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise MatrixShapeError("matrix is not square")
     if n < 2:
         raise MatrixTooSmallError("need at least 2 symbols")
-    for row in rows:
-        for e in row:
-            if type(e) is not int or e not in (0, 1):
-                raise NonBinaryEntryError(f"entry {e!r} is not 0 or 1")
+    if not entries_known:
+        for row in rows:
+            for e in row:
+                if type(e) is not int or e not in (0, 1):
+                    raise NonBinaryEntryError(f"entry {e!r} is not 0 or 1")
     for i, row in enumerate(rows, start=1):
         if not any(row):
             raise ZeroRowError(i)
-    for j in range(n):
-        if not any(row[j] for row in rows):
-            raise ZeroColumnError(j + 1)
+    for j, column in enumerate(zip(*rows), start=1):
+        if not any(column):
+            raise ZeroColumnError(j)
     return TransitionMatrix(rows)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import A1_ROWS, A3_ROWS, all_valid_matrices, brute_cyclic_words, checked_standard
-from ckrep import branching, reps
+from ckrep import branching, cli, reps
 from ckrep.cli import main, render_report
 from ckrep.phases import Phase
 from ckrep.words import TailWord, is_periodic, validate_matrix
@@ -211,6 +211,14 @@ class TestVerbs:
         )
         assert code == 0 and out == "1\n"
 
+    @pytest.mark.parametrize("left, right", [("5", "0"), ("1", "5")])
+    def test_state_refuses_letters_outside_the_alphabet(self, capsys, tmp_path, left, right):
+        matrix = tmp_path / "full4.txt"
+        matrix.write_text("1111\n" * 4)
+        argv = ["--matrix", str(matrix), "--class", "P(12)", "--left", left, "--right", right]
+        assert main(["state", *argv]) == 1
+        assert capsys.readouterr() == ("", "error: symbol 5 outside 1..4\n")
+
     def test_pspec(self, capsys, a1_file):
         code, out = run(capsys, "pspec", "--matrix", a1_file, "--json")
         payload = json.loads(out)
@@ -309,6 +317,14 @@ class TestContract:
         code = main(["decompose-standard", "--matrix", str(bad)])
         err = capsys.readouterr().err
         assert code == 1 and "column" in err
+
+    def test_non_ascii_digits_in_a_matrix_file_exit_1(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("١١\n١٠\n", encoding="utf-8")  # 11/10 in Arabic-Indic digits
+        assert main(["decompose-standard", "--matrix", str(bad)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: bad matrix line: invalid literal for int() with base 10: '١'\n"
+        )
 
     def test_dump_with_repeated_source_exits_1(self, capsys, a3_file, tmp_path):
         dump = tmp_path / "sys.txt"
@@ -1047,3 +1063,43 @@ def test_abbreviated_options_are_refused(capsys, argv):
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
+
+
+# Values a call may carry: plain ones, by the kind of option that takes
+# them (int() takes " 7", "5_0" and "٣"), and odd ones that argparse
+# reads as options, as "--" or as negative numbers.
+_INT_VALUES = ["7", " 7", "5_0", "٣", "0"]
+_STR_VALUES = ["x", "", "-", "P(12)", "1/4,1/4"]
+_ODD_VALUES = ["-5", "--", "--word=1", "-h", "--help", "-x", "--bogus", "bogus"]
+_ALL_VALUES = ["standard", *_INT_VALUES, *_STR_VALUES, *_ODD_VALUES]
+_ALL_FLAGS = sorted({flag for _, _, options in cli._VERBS.values() for flag, _ in options})
+_FULL_PARSER = cli.build_parser()
+
+
+@st.composite
+def verb_calls(draw, verb):
+    """`verb`, then each of its options up to twice (a required one most
+    often once, any other most often not at all), each flag with a value
+    drawn mostly from the option's own kind, in any order; and up to two
+    lone flags of any verb or lone values, put in anywhere."""
+    parts = []
+    for flag, keywords in cli._VERBS[verb][2]:
+        plain = keywords.get("choices") or (_INT_VALUES if "type" in keywords else _STR_VALUES)
+        value = st.sampled_from(plain * 8 + _ALL_VALUES)
+        times = [1, 1, 1, 0, 2] if keywords.get("required") else [0, 0, 0, 1, 2]
+        for _ in range(draw(st.sampled_from(times))):
+            parts.append([flag] if keywords.get("action") == "store_true" else [flag, draw(value)])
+    parts = draw(st.permutations(parts))
+    for token in draw(st.lists(st.sampled_from(_ALL_FLAGS + _ALL_VALUES), max_size=2)):
+        parts.insert(draw(st.integers(0, len(parts))), [token])
+    return [verb, *(t for part in parts for t in part)]
+
+
+@pytest.mark.parametrize("verb", list(cli._VERBS))
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_the_verb_table_parses_a_call_as_argparse_does(verb, data):
+    argv = data.draw(verb_calls(verb))
+    args = cli._parse_well_formed(argv)
+    if args is not None:
+        assert vars(args) == vars(_FULL_PARSER.parse_args(argv))

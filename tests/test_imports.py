@@ -6,7 +6,8 @@ runs, no verb loads `dataclasses` or `fractions` (nor `decimal` and
 `numbers`, which it imports), a verb on exact phases leaves `cmath`
 unloaded, and only JSON paths load `json`; each budget is checked in a
 fresh interpreter, because this process has long since imported
-everything.  A call of a verb builds that verb's subparser alone.
+everything.  A well-formed call of a verb loads no `argparse`, nor the
+`gettext` and `locale` it imports; a refused call builds the full parser.
 """
 
 import ast
@@ -252,7 +253,12 @@ class TestStartUpBudget:
     ],
     ids=lambda argv: argv[0],
 )
-def test_a_verb_call_builds_that_verbs_subparser_alone(capsys, monkeypatch, files, argv):
+def test_a_well_formed_call_loads_no_argparse(monkeypatch, capsys, files, argv):
+    # the verb table parses it: argparse, and the gettext and locale it
+    # pulls in, stay unloaded
+    modules = all_loaded_by([files.get(arg, arg) for arg in argv])
+    assert not {"argparse", "gettext", "locale"} & set(modules)
+    # a refused call is parsed by the full tree, for its usage text
     import argparse
 
     from ckrep import cli
@@ -265,13 +271,9 @@ def test_a_verb_call_builds_that_verbs_subparser_alone(capsys, monkeypatch, file
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-    assert cli.main([files.get(arg, arg) for arg in argv]) == 0
-    assert built == [argv[0]]
-    capsys.readouterr()
-    # a refused call is parsed again by the full tree, for its usage text
-    built.clear()
     assert cli.main([argv[0], "--no-such-option"]) == 1
-    assert built == [argv[0], *cli._VERBS]
+    assert built == [*cli._VERBS]
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestExportSurface:

@@ -78,6 +78,7 @@ from ckrep.reps import (
 )
 from ckrep.words import (
     EmptyWordError,
+    SymbolOutOfRangeError,
     TailWord,
     canonical_rotation,
     format_word,
@@ -447,6 +448,16 @@ class TestStates:
     def test_inadmissible_word_gives_zero(self):
         c = finite_class((1,), matrix=A1)
         assert state_value(A1, c, (2, 1), (2, 1)) == 0
+
+    @pytest.mark.parametrize(
+        "c", [finite_class((1, 2), matrix=A3), tail_class(TailWord((), (1, 2)), A3)],
+        ids=["cycle", "chain"],
+    )
+    @pytest.mark.parametrize("left, right", [((4,), ()), ((), (1, 4)), ((0,), (0,))])
+    def test_letters_outside_the_alphabet_are_refused(self, c, left, right):
+        # the formula reads neither letter, so it would answer 0 for both words
+        with pytest.raises(SymbolOutOfRangeError, match=r"symbol [04] outside 1\.\.3"):
+            state_value(A3, c, left, right)
 
     def test_phase_refused(self):
         c = FiniteClass((1, 2), Phase.exact(1, 2))

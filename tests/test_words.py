@@ -32,6 +32,7 @@ from ckrep.words import (
     NotAdmissibleError,
     SymbolOutOfRangeError,
     TailWord,
+    TransitionMatrix,
     WordError,
     ZeroColumnError,
     ZeroRowError,
@@ -90,7 +91,44 @@ class TestValidateMatrix:
             validate_matrix([[entry, 1], [1, 1]])
 
     def test_matrix_text_round_trip(self):
-        a = validate_matrix(A3_ROWS)
+        for a in SPECTRUM_CORPUS:
+            assert words.TransitionMatrix.from_text(a.to_text()) == a, a
+
+
+def int_per_entry_matrix(text: str) -> TransitionMatrix:
+    """The matrix file reader that converts one int() per entry, which
+    takes any Unicode digit: the messages of an ASCII file are its own."""
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    try:
+        entries = [[int(ch) for ch in line] for line in lines]
+    except ValueError as exc:
+        raise NonBinaryEntryError(f"bad matrix line: {exc}") from None
+    return validate_matrix(entries)
+
+
+class TestMatrixText:
+    @given(st.text(alphabet="01 2x9\t\n", max_size=30))
+    def test_ascii_text_reads_as_with_one_int_per_entry(self, text):
+        try:
+            expected = int_per_entry_matrix(text)
+        except WordError as exc:
+            with pytest.raises(type(exc)) as got:
+                words.TransitionMatrix.from_text(text)
+            assert str(got.value) == str(exc)
+        else:
+            assert words.TransitionMatrix.from_text(text) == expected
+
+    @pytest.mark.parametrize("text", ["١١\n١٠\n", "11\n1٠\n", "11\n12\n٣\n", "11\n1１\n"])
+    def test_only_ascii_digits_are_entries(self, text):
+        with pytest.raises(NonBinaryEntryError, match="bad matrix line: invalid literal"):
+            words.TransitionMatrix.from_text(text)
+
+    def test_the_1000_state_ring_reads_row_by_row(self):
+        n = 1000
+        rows = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+        text = "".join("".join(map(str, row)) + "\n" for row in rows)
+        a = words.TransitionMatrix.from_text(text)
+        assert a == validate_matrix(rows)
         assert words.TransitionMatrix.from_text(a.to_text()) == a
 
 

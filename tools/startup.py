@@ -1,0 +1,147 @@
+"""Start-up cost of each `ck` verb: wall time of a small call, and the
+modules it loads.
+
+    python3 tools/startup.py [--runs 15] [--src path/to/src]
+
+Each verb runs one small call as `python -m ckrep.cli ...` in a fresh
+interpreter, `--runs` times, round robin over the verbs, and the median
+wall time is printed in ms, then as ms above a bare interpreter
+(`python -c pass`, whose median heads the table), which takes out much
+of the host's drift between two runs of the tool, then the modules the
+call loaded beyond those of the bare interpreter.
+Two bytecode settings are measured:
+
+- `PYTHONDONTWRITEBYTECODE=1`: no bytecode is written, so each call
+  compiles `ckrep` from source (unless `src` holds a `__pycache__`, which
+  the output then names); the standard library reads its installed
+  bytecode.
+- bytecode written, to a temporary `PYTHONPYCACHEPREFIX`, after one
+  warm-up call of each verb: each timed call reads every module's
+  bytecode from there.
+
+No bytecode is written into `src`.  `--src` times another checkout's
+`src`, for a comparison of two trees.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# A 3x3 matrix and the dump of the cycle carrier of P(12) over it at depth 1.
+FILES = {
+    "A3": "011\n101\n110\n",
+    "DUMP": "3 8\n1: 2->12, 32->~132, 312->~1312\n2: 12->2, 32->~232, 312->~2312\n"
+    "3: 2->32, 12->312\n",
+}
+
+CALLS = {
+    "classify-word": ["--matrix", "A3", "--word", "121"],
+    "canon": ["--word", "211"],
+    "equiv": ["--class", "P(12)", "--class", "P(21)"],
+    "decompose-standard": ["--matrix", "A3", "--truncate", "64"],
+    "decompose-shift": ["--matrix", "A3", "--max-period", "3"],
+    "decompose-bfs": ["--matrix", "A3", "--bfs", "DUMP"],
+    "expand": ["--class", "P(1212)"],
+    "verify-relations": ["--matrix", "A3", "--system", "shift", "--word-len", "3"],
+    "state": ["--matrix", "A3", "--class", "P(12)", "--left", "1", "--right", "1"],
+    "pspec": ["--matrix", "A3"],
+    "gp-check": ["--matrix", "A3", "--word", "12", "--power", "2", "--depth", "1"],
+    "twist": ["--class", "P(12)", "--gauge", "1/4,1/4"],
+}
+
+# Prints the exit code and the modules loaded once `main` returns; the
+# modules are recorded before the probe imports json itself.
+PROBE = """
+import contextlib, io, sys
+import ckrep.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ckrep.cli.main(sys.argv[1:])
+loaded = sorted(sys.modules)
+import json
+print(json.dumps([code, loaded]))
+"""
+BARE = "import sys\nloaded = sorted(sys.modules)\nimport json\nprint(json.dumps(loaded))"
+
+
+def wall(argv: list[str], env: dict[str, str], cwd: str) -> float:
+    t0 = time.perf_counter()
+    proc = subprocess.run(argv, cwd=cwd, env=env, stdin=subprocess.DEVNULL,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    elapsed = time.perf_counter() - t0
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr.decode()[-300:]}")
+    return elapsed
+
+
+def loaded_by(code: str, argv: list[str], env: dict[str, str], cwd: str):
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def measure(verbs: dict[str, list[str]], env: dict[str, str], work: str, runs: int):
+    """(label, median s, modules beyond a bare interpreter) per call."""
+    calls = {"(python -c pass)": [sys.executable, "-c", "pass"]}
+    calls.update({verb: [sys.executable, "-m", "ckrep.cli", verb, *args]
+                  for verb, args in verbs.items()})
+    for argv in calls.values():  # warm-up: fills a bytecode cache, if one is written
+        wall(argv, env, work)
+    times: dict[str, list[float]] = {label: [] for label in calls}
+    for _ in range(runs):
+        for label, argv in calls.items():
+            times[label].append(wall(argv, env, work))
+    bare = set(loaded_by(BARE, [], env, work))
+    rows = [("(python -c pass)", statistics.median(times.pop("(python -c pass)")), [])]
+    for verb, args in verbs.items():
+        code, loaded = loaded_by(PROBE, [verb, *args], env, work)
+        if code != 0:
+            raise SystemExit(f"ck {verb} exited {code}")
+        rows.append((verb, statistics.median(times[verb]), sorted(set(loaded) - bare)))
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--runs", type=int, default=15, help="timed calls per verb")
+    parser.add_argument("--src", default=str(SRC), help="the src directory to time")
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    src = Path(args.src).resolve()
+    with tempfile.TemporaryDirectory(prefix="ck-startup-") as work:
+        for name, text in FILES.items():
+            Path(work, name).write_text(text)
+        verbs = {verb: [str(Path(work, arg)) if arg in FILES else arg for arg in verb_args]
+                 for verb, verb_args in CALLS.items()}
+        base = {k: v for k, v in os.environ.items()
+                if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), base.get("PYTHONPATH")]))
+        settings = {
+            "PYTHONDONTWRITEBYTECODE=1": dict(base, PYTHONDONTWRITEBYTECODE="1"),
+            "bytecode written to a temporary PYTHONPYCACHEPREFIX":
+                dict(base, PYTHONPYCACHEPREFIX=str(Path(work, "pycache"))),
+        }
+        print(f"python {sys.version.split()[0]}, src {src}, median of {args.runs} calls")
+        if any(src.glob("**/__pycache__")):
+            print(f"note: {src} holds __pycache__ directories, which every call reads")
+        for title, env in settings.items():
+            print(f"\n{title}\n{'call':<20} {'ms':>7} {'+ms':>6}  modules beyond a bare interpreter")
+            rows = measure(verbs, env, work, args.runs)
+            for label, median, extra in rows:
+                above = (median - rows[0][1]) * 1000
+                print(f"{label:<20} {median * 1000:7.1f} {above:6.1f}  {' '.join(extra)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
