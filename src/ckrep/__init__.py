@@ -22,10 +22,11 @@ _EXPORTS = {
     "phases": "ONE Phase PhaseError RootSum phases_equal",
     "reps": """Decomposition FiniteClass GPReport INFINITY IntegralClass MatrixRealization
         OpaqueTailClass RepClass RepError TailClass class_literal classify_component
-        cross_check_standard decompose decompose_shift decompose_standard decomposition_json
-        equivalent expand_irreducible finite_class gp_vector_check integral_class
-        is_irreducible is_pure parse_class_literal realize standard_is_irreducible
-        standard_is_multiplicity_free state_value tail_class twist_by_gauge""",
+        cross_check_standard decompose decompose_shift decompose_standard
+        decomposition_from_json decomposition_json equivalent expand_irreducible finite_class
+        gp_vector_check integral_class is_irreducible is_pure parse_class_literal realize
+        standard_is_irreducible standard_is_multiplicity_free state_value tail_class
+        twist_by_gauge""",
     "words": """ACycleSet PSpecSummary TailWord TransitionMatrix Word WordError a_cycle_set
         canonical_rotation enumerate_cyclic_classes format_tail format_word is_admissible
         is_cyclically_admissible is_periodic parse_tail parse_word phi_map power

@@ -4,7 +4,8 @@ Thin adapters only: every verb parses arguments, calls the library, and
 returns its report as `(ok, record, text)`, printing nothing.  `main` is
 the one output path: it prints `text`, or under `--json` the `record` as
 one JSON object (indent 2, sorted keys), so the two forms carry the same
-report.  Exit codes: 0 on success, 1 on any validation problem
+report.  `reps` alone writes a decomposition's record and, for `expand`,
+reads it back.  Exit codes: 0 on success, 1 on any validation problem
 (including usage) and on a report whose check failed (`ok` False), 2 on
 an internal error.
 
@@ -183,54 +184,19 @@ def _cmd_expand(args):
     from . import reps
 
     a = _load_matrix(args.matrix) if args.matrix else None
-    d = reps.Decomposition(matrix=a)
     if args.cls:
+        d = reps.Decomposition(matrix=a)
         for lit in args.cls:
             d.add(reps.parse_class_literal(lit, a))
     else:
-        payload = _read_report(_read_text("-"))
-        if a is None and payload.get("matrix") is not None:
-            a = words.validate_matrix(payload["matrix"])
-            d.matrix = a
-        for comp in payload["components"]:
-            mult = reps.INFINITY if comp["multiplicity"] == "inf" else comp["multiplicity"]
-            if comp["kind"] == "finite":
-                phase = reps.phase_from_json(comp.get("phase"))
-                d.add(reps.finite_class(words.parse_word(comp["word"]), phase, a), mult)
-            elif comp["kind"] == "tail":
-                d.add(reps.tail_class(words.TailWord((), words.parse_word(comp["word"])), a), mult)
-            elif comp["kind"] == "integral":
-                d.add(reps.integral_class(words.parse_word(comp["word"]), a), mult)
-            else:
-                raise UsageError(f"unknown component kind {comp['kind']!r}")
+        import json
+
+        try:
+            record = json.loads(_read_text("-"))
+        except (ValueError, RecursionError) as exc:  # too deep, or an integer too long to read
+            raise UsageError(f"expand input is not JSON: {exc}") from None
+        d = reps.decomposition_from_json(record, a)
     return _decomposition_report(reps.expand_irreducible(d))
-
-
-def _read_report(text: str) -> dict:
-    """A JSON decomposition report, checked as far as `expand` reads it."""
-    import json
-
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"expand input is not JSON: {exc}") from None
-    if not isinstance(payload, dict) or not isinstance(payload.get("components"), list):
-        raise UsageError('expand input needs a "components" list')
-    matrix = payload.get("matrix")
-    if matrix is not None and not (
-        isinstance(matrix, list) and all(isinstance(row, list) for row in matrix)
-    ):
-        raise UsageError('"matrix" must be a list of rows')
-    for comp in payload["components"]:
-        fields = comp if isinstance(comp, dict) else {}
-        if not all(isinstance(fields.get(key), str) for key in ("kind", "word")):
-            raise UsageError(f"component {comp!r} needs a string kind and word")
-        mult = fields.get("multiplicity")
-        if mult != "inf" and not (type(mult) is int and mult >= 1):
-            raise UsageError(f'component {comp!r} needs multiplicity "inf" or a positive integer')
-        if "phase" in fields and fields["kind"] != "finite":
-            raise UsageError(f"component {comp!r} has a phase, which only a finite class takes")
-    return payload
 
 
 def _build_system(args, a: words.TransitionMatrix) -> branching.BranchingSystem:
@@ -334,8 +300,6 @@ def _cmd_twist(args):
     gauge = tuple(reps.parse_phase(p) for p in args.gauge.split(","))
     if a is not None and len(gauge) != a.n:
         raise UsageError(f"gauge needs {a.n} phases, got {len(gauge)}")
-    if isinstance(c, reps.FiniteClass) and max(c.word) > len(gauge):
-        raise UsageError(f"gauge too short for word {words.format_word(c.word)}")
     literal = reps.class_literal(reps.twist_by_gauge(c, gauge))
     return True, {"class": literal}, literal
 

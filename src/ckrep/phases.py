@@ -195,27 +195,6 @@ class RootSum:
             merged[k % order] = merged.get(k % order, 0) + c
         self._terms = {k: c for k, c in merged.items() if c}
 
-    @staticmethod
-    def zero() -> RootSum:
-        return RootSum()
-
-    @staticmethod
-    def one() -> RootSum:
-        return RootSum(1, {0: 1})
-
-    @staticmethod
-    def rational(q) -> RootSum:
-        from fractions import Fraction
-
-        return RootSum(1, {0: Fraction(q)})
-
-    @staticmethod
-    def from_phase(phase: Phase) -> RootSum:
-        if not phase.is_exact:
-            raise PhaseError("exact arithmetic requires an exact phase")
-        num, den = phase.pair
-        return RootSum(den, {num: 1})
-
     def _lifted(self, order: int) -> dict[int, int | Fraction]:
         step = order // self.order
         return {k * step: c for k, c in self._terms.items()}

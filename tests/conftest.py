@@ -19,11 +19,12 @@ The cycle-set oracle is the earlier `a_cycle_set`, which reads each cycle
 word off a second walk and tests each row on it against a delta row.
 The dump oracles are the earlier `dump_bfs` and `load_bfs`, which format,
 check and intern one endpoint at a time.  The vector oracles are the
-earlier `RootSum`-valued vector calculus: a vector maps carrier labels to
-`RootSum` coefficients, and each twisted edge multiplies by the twist's
-`RootSum`.  The phase oracle is the earlier `Phase`, which keeps an exact
-phase as a `Fraction` of a turn, with the earlier `format_phase`,
-`phase_json` and `phases_equal` that read it.
+earlier root-sum-valued vector calculus, on `OracleRootSum`, so they
+share no arithmetic with the library: a vector maps carrier labels to
+`OracleRootSum` coefficients, and each twisted edge multiplies by the
+twist's `OracleRootSum`.  The phase oracle is the earlier `Phase`, which
+keeps an exact phase as a `Fraction` of a turn, with the earlier
+`format_phase`, `phase_json` and `phases_equal` that read it.
 
 Every test runs under a time limit, so a loop that never ends fails its
 test instead of hanging the run.
@@ -58,7 +59,7 @@ from ckrep.branching import (
     _periodic_extension,
     standard_bfs,
 )
-from ckrep.phases import APPROX_TOL, Phase, PhaseError, RootSum
+from ckrep.phases import APPROX_TOL, Phase, PhaseError
 from ckrep.reps import Decomposition, MatrixRealization, cross_check_standard, decompose_standard
 from ckrep.words import (
     ACycleSet,
@@ -477,50 +478,6 @@ def oracle_find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
     return tuple(out)
 
 
-OracleVector = dict[Label, RootSum]
-
-
-def _oracle_add_term(vec: OracleVector, label: Label, coeff: RootSum) -> None:
-    cur = vec.get(label)
-    vec[label] = coeff if cur is None else cur + coeff
-
-
-def oracle_apply_symbol(m: MatrixRealization, i: int, vec: OracleVector) -> OracleVector:
-    out: OracleVector = {}
-    f = m.system
-    edges, twists = f.images[i - 1], m.weights.get(i, {})
-    for x, coeff in vec.items():
-        k = f.position.get(x)
-        if k is not None and edges[k] >= 0:
-            twist = twists.get(x)
-            term = coeff if twist is None else coeff * RootSum.from_phase(twist)
-            _oracle_add_term(out, f.labels[edges[k]], term)
-    return out
-
-
-def oracle_apply_word(m: MatrixRealization, word: Word, vec: OracleVector) -> OracleVector:
-    """s_word = s_{j_1} ... s_{j_k}; the rightmost factor acts first."""
-    for i in reversed(word):
-        vec = oracle_apply_symbol(m, i, vec)
-    return vec
-
-
-def oracle_inner_product(v: OracleVector, w: OracleVector) -> RootSum:
-    total = RootSum.zero()
-    for x, c in v.items():
-        d = w.get(x)
-        if d is not None:
-            total = total + c.conjugate() * d
-    return total
-
-
-def oracle_vectors_equal(v: OracleVector, w: OracleVector) -> bool:
-    for x in set(v) | set(w):
-        if not (v.get(x, RootSum.zero()) - w.get(x, RootSum.zero())).is_zero():
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class TreeNodeSet:
     """Truncation of the tree of admissible words hanging off one symbol."""
@@ -900,6 +857,50 @@ class OracleRootSum:
     def __repr__(self) -> str:
         body = " + ".join(f"{c}*e({t})" for t, c in sorted(self._terms.items()))
         return f"OracleRootSum({body or '0'})"
+
+
+OracleVector = dict[Label, OracleRootSum]
+
+
+def _oracle_add_term(vec: OracleVector, label: Label, coeff: OracleRootSum) -> None:
+    cur = vec.get(label)
+    vec[label] = coeff if cur is None else cur + coeff
+
+
+def oracle_apply_symbol(m: MatrixRealization, i: int, vec: OracleVector) -> OracleVector:
+    out: OracleVector = {}
+    f = m.system
+    edges, twists = f.images[i - 1], m.weights.get(i, {})
+    for x, coeff in vec.items():
+        k = f.position.get(x)
+        if k is not None and edges[k] >= 0:
+            twist = twists.get(x)
+            term = coeff if twist is None else coeff * OracleRootSum.from_phase(twist)
+            _oracle_add_term(out, f.labels[edges[k]], term)
+    return out
+
+
+def oracle_apply_word(m: MatrixRealization, word: Word, vec: OracleVector) -> OracleVector:
+    """s_word = s_{j_1} ... s_{j_k}; the rightmost factor acts first."""
+    for i in reversed(word):
+        vec = oracle_apply_symbol(m, i, vec)
+    return vec
+
+
+def oracle_inner_product(v: OracleVector, w: OracleVector) -> OracleRootSum:
+    total = OracleRootSum.zero()
+    for x, c in v.items():
+        d = w.get(x)
+        if d is not None:
+            total = total + c.conjugate() * d
+    return total
+
+
+def oracle_vectors_equal(v: OracleVector, w: OracleVector) -> bool:
+    for x in set(v) | set(w):
+        if not (v.get(x, OracleRootSum.zero()) - w.get(x, OracleRootSum.zero())).is_zero():
+            return False
+    return True
 
 
 class OraclePhase(_Key, namedtuple("OraclePhase", "turns approx")):

@@ -421,6 +421,32 @@ class TestContract:
              ' "phase": {"num": 1, "den": 2}}]}', "only a finite class"),
             ('{"components": [{"kind": "integral", "word": "12", "multiplicity": 1,'
              ' "phase": {"num": 1, "den": 2}}]}', "only a finite class"),
+            # keys and values the report writer never writes
+            ('{"components": [], "note": 1}', "report has unknown key 'note'"),
+            ('{"components": [{"kind": "finite", "word": "1", "multiplicity": 1, "note": 1}]}',
+             "has unknown key 'note'"),
+            ('{"components": [{"kind": "finite", "word": "1", "multiplicity": 1,'
+             ' "phase": null}]}', "bad phase None"),
+            ('{"level": "cyclical", "components": []}', '"level" must be'),
+            ('{"level": null, "components": []}', '"level" must be'),
+            ('{"tail_classes_present": 1, "components": []}', '"tail_classes_present" must be'),
+            ('{"tail_classes_present": null, "components": []}', '"tail_classes_present" must be'),
+            ('{"components": [], "unresolved": {}}', '"unresolved" must be a list'),
+            ('{"components": [], "unresolved": [{"prefix": "1"}]}', "unresolved entry"),
+            ('{"components": [], "unresolved": [{"prefix": "1", "size": 0}]}', "unresolved entry"),
+            ('{"components": [], "unresolved": [{"prefix": "1", "size": true}]}', "unresolved entry"),
+            ('{"components": [], "unresolved": [{"prefix": 1, "size": 2}]}', "unresolved entry"),
+            ('{"components": [], "unresolved": [{"prefix": "1", "size": 2, "kind": "x"}]}',
+             "unresolved entry"),
+            ('{"components": [], "unresolved": ["1"]}', "unresolved entry"),
+            ('{"components": [], "unresolved": [{"prefix": "1x", "size": 2}]}', "bad word literal"),
+            ('{"matrix": [[1, 1], [1, 1]], "components": [],'
+             ' "unresolved": [{"prefix": "13", "size": 2}]}', "symbol 3 outside 1..2"),
+            # JSON that Python's reader refuses past its limits, not as malformed
+            pytest.param("[" * 100_000 + "]" * 100_000, "not JSON: maximum recursion depth",
+                         id="too-deep"),
+            pytest.param('{"components": [{"kind": "finite", "word": "1", "multiplicity": '
+                         + "9" * 5000 + "}]}", "not JSON: Exceeds the limit", id="too-long-integer"),
         ],
     )
     def test_expand_bad_stdin_exits_1(self, capsys, monkeypatch, stdin, message):
@@ -588,9 +614,11 @@ SMALL_MATRICES = [a for n in (2, 3) for a in all_valid_matrices(n)]
 
 @st.composite
 def decompositions(draw):
-    """A cyclic-level decomposition over a valid 2x2 or 3x3 matrix, which it
-    may or may not carry: finite classes with exact and approximate
-    phases, tails and integrals, each of multiplicity 1 to 5 or inf."""
+    """A decomposition over a valid 2x2 or 3x3 matrix, which it may or may
+    not carry: finite classes with exact and approximate phases, tails and
+    integrals, each of multiplicity 1 to 5 or inf; unresolved components,
+    each a prefix (the unit "0" among them) and a size; either level; and
+    a tail marker that is true, false or absent."""
     a = draw(st.sampled_from(SMALL_MATRICES))
     cyclic = [w for k in range(1, 5) for w in brute_cyclic_words(a, k)]
     exact = st.builds(Phase.exact, st.integers(-12, 12), st.integers(1, 12))
@@ -603,10 +631,29 @@ def decompositions(draw):
     tail = st.sampled_from(cyclic).map(lambda w: reps.tail_class(TailWord((), w), a))
     primitive = [w for w in cyclic if not is_periodic(w)]
     integral = st.sampled_from(primitive).map(lambda w: reps.integral_class(w, a))
-    d = reps.Decomposition(matrix=draw(st.sampled_from([a, None])))
+    d = reps.Decomposition(
+        matrix=draw(st.sampled_from([a, None])),
+        level=draw(st.sampled_from(["cyclic", "irreducible"])),
+        tail_marker=draw(st.sampled_from([True, False, None])),
+    )
     for c in draw(st.lists(st.one_of(finite, tail, integral), max_size=5)):
         d.add(c, draw(st.one_of(st.integers(1, 5), st.just(reps.INFINITY))))
+    prefix = st.lists(st.integers(1, a.n), max_size=3).map(tuple)
+    unresolved = st.builds(branching.ComponentSkeleton, st.just("unresolved"), prefix, st.just(()),
+                           st.integers(1, 40))
+    d.unresolved = tuple(draw(st.lists(unresolved, max_size=3)))
     return d
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(decompositions())
+def test_decomposition_from_json_inverts_the_writer(d):
+    record = reps.decomposition_json(d)
+    back = reps.decomposition_from_json(record)
+    assert back.entries == d.entries
+    assert [(c.word, c.size) for c in back.unresolved] == [(c.word, c.size) for c in d.unresolved]
+    assert (back.level, back.matrix, back.tail_marker) == (d.level, d.matrix, d.tail_marker)
+    assert reps.decomposition_json(back) == record
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -620,6 +667,88 @@ def test_expand_reads_back_the_report_json(d):
         code = main(["expand"])
     assert (code, err.getvalue()) == (0, "")
     assert out.getvalue() == render_report(reps.expand_irreducible(d)) + "\n"
+
+
+def piped(capsys, monkeypatch, stdin, *argv):
+    """(exit code, stdout, stderr) of `ck <argv>` reading `stdin`."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestExpandPipeline:
+    """`ck <verb> --json | ck expand` carries every part of the report."""
+
+    @pytest.fixture
+    def full2_file(self, tmp_path):
+        path = tmp_path / "full2.txt"
+        path.write_text("11\n11\n")
+        return str(path)
+
+    @pytest.fixture
+    def chain_dump(self, capsys, tmp_path, full2_file):
+        """The dump of the chain |(12) over 11/11, which reads back unresolved."""
+        dump = str(tmp_path / "chain.bfs")
+        code, _ = run(capsys, "verify-relations", "--matrix", full2_file, "--system", "chain",
+                      "--tail", "|(12)", "--chain-len", "4", "--depth", "1", "--dump-bfs", dump)
+        assert code == 0
+        return dump
+
+    def test_unresolved_components_survive(self, capsys, monkeypatch, full2_file, chain_dump):
+        code, report = run(capsys, "decompose-bfs", "--matrix", full2_file, "--bfs", chain_dump,
+                           "--json")
+        assert code == 0 and json.loads(report)["unresolved"]
+        assert piped(capsys, monkeypatch, report, "expand") == (
+            0, "(empty)\nunresolved components: 1\n", ""
+        )
+
+    def test_the_tail_marker_survives(self, capsys, monkeypatch, full2_file):
+        argv = ["decompose-shift", "--matrix", full2_file, "--max-period", "2"]
+        code, text = run(capsys, *argv)
+        marker = "non-eventually-periodic classes: present (each multiplicity 1)\n"
+        assert code == 0 and text.endswith(marker)
+        code, report = run(capsys, *argv, "--json")
+        assert piped(capsys, monkeypatch, report, "expand") == (0, text, "")
+        code, out, _ = piped(capsys, monkeypatch, report, "expand", "--json")
+        assert code == 0 and json.loads(out)["tail_classes_present"] is True
+
+    def test_a_report_over_another_matrix_is_refused(self, capsys, monkeypatch, a1_file, full2_file):
+        # 21 is cyclically admissible over 11/11 but not over the report's 11/01
+        report = json.dumps({"matrix": [[1, 1], [0, 1]], "level": "cyclic", "unresolved": [],
+                             "components": [{"kind": "finite", "word": "21", "multiplicity": 1}]})
+        assert piped(capsys, monkeypatch, report, "expand", "--matrix", full2_file) == (
+            1, "", "error: the report's matrix differs from the given matrix\n"
+        )
+        code, _, err = piped(capsys, monkeypatch, report, "expand", "--matrix", a1_file)
+        assert code == 1 and err == "error: 21 is not cyclically admissible\n"
+        # the report's own matrix, given again, reads as before
+        good = report.replace('"21"', '"2"')
+        assert piped(capsys, monkeypatch, good, "expand", "--matrix", a1_file) == (0, "P(2)\n", "")
+
+    def test_a_report_without_a_matrix_reads_over_the_given_one(self, capsys, monkeypatch, a1_file):
+        report = json.dumps({"components": [{"kind": "finite", "word": "21", "multiplicity": 1}]})
+        code, _, err = piped(capsys, monkeypatch, report, "expand", "--matrix", a1_file)
+        assert code == 1 and err == "error: 21 is not cyclically admissible\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose-shift", "--matrix", "FULL2", "--max-period", "3"],
+            ["decompose-standard", "--matrix", "A1"],
+            ["decompose-bfs", "--matrix", "FULL2", "--bfs", "CHAIN"],
+            ["expand", "--class", "P(1212;1/3)", "--class", "P((1|12)^inf)"],
+        ],
+        ids=["shift", "standard", "chain-dump", "classes"],
+    )
+    def test_expand_json_is_a_fixed_point(self, capsys, monkeypatch, a1_file, full2_file,
+                                          chain_dump, argv):
+        files = {"A1": a1_file, "FULL2": full2_file, "CHAIN": chain_dump}
+        code, report = run(capsys, *(files.get(arg, arg) for arg in argv), "--json")
+        assert code == 0
+        code, once, _ = piped(capsys, monkeypatch, report, "expand", "--json")
+        assert code == 0
+        assert piped(capsys, monkeypatch, once, "expand", "--json") == (0, once, "")
 
 
 @pytest.mark.parametrize(

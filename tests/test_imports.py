@@ -32,7 +32,7 @@ EXPORTED = """
     OpaqueTailClass PSpecSummary Phase PhaseError RepClass RepError RootSum TailClass TailWord
     TransitionMatrix ValidationReport Violation Word WordError a_cycle_set
     build_chain_system build_cycle_system canonical_rotation class_literal classify_component
-    cross_check_standard decompose decompose_shift decompose_standard
+    cross_check_standard decompose decompose_shift decompose_standard decomposition_from_json
     decomposition_json direct_sum dump_bfs enumerate_cyclic_classes equivalent
     expand_irreducible find_components finite_class format_tail format_word gp_vector_check
     integral_class is_admissible is_cyclically_admissible is_irreducible is_periodic is_pure
@@ -46,12 +46,14 @@ EXPORTED = """
 WORDS_ONLY = ["ckrep", "ckrep.cli", "ckrep.words"]
 
 
-def run_python(code: str, *args: str) -> str:
-    """Stdout of a fresh interpreter that imports this process's ckrep."""
+def run_python(code: str, *args: str, stdin: str | None = None) -> str:
+    """Stdout of a fresh interpreter that imports this process's ckrep,
+    reading `stdin` when it is given."""
     src = os.path.dirname(PACKAGE)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", code, *args],
+        input=stdin,
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
@@ -96,17 +98,34 @@ def files(a3_file, tmp_path):
     return {"A3": a3_file, "DUMP": str(dump)}
 
 
-def all_loaded_by(argv: list[str]) -> list[str]:
+def all_loaded_by(argv: list[str], stdin: str | None = None) -> list[str]:
     """Every module in sys.modules after `main(argv)` returns."""
-    code, modules = json.loads(run_python(VERB_PROBE, *argv))
+    code, modules = json.loads(run_python(VERB_PROBE, *argv, stdin=stdin))
     assert code == 0, argv
     assert not set(UNUSED) & set(modules), argv
     return modules
 
 
-def loaded_by(argv: list[str]) -> list[str]:
+def loaded_by(argv: list[str], stdin: str | None = None) -> list[str]:
     """The package modules loaded by `main(argv)`."""
-    return [m for m in all_loaded_by(argv) if m.split(".")[0] == "ckrep"]
+    return [m for m in all_loaded_by(argv, stdin) if m.split(".")[0] == "ckrep"]
+
+
+# A report with each field the writer writes: every kind of class, an
+# unresolved component and the tail marker.
+REPORT = json.dumps(
+    {
+        "matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        "level": "cyclic",
+        "components": [
+            {"kind": "finite", "word": "1212", "phase": {"num": 1, "den": 2}, "multiplicity": 1},
+            {"kind": "tail", "word": "12", "multiplicity": "inf"},
+            {"kind": "integral", "word": "123", "multiplicity": 2},
+        ],
+        "unresolved": [{"prefix": "0", "size": 2}],
+        "tail_classes_present": True,
+    }
+)
 
 
 class TestStartUpBudget:
@@ -127,18 +146,19 @@ class TestStartUpBudget:
         assert loaded_by([a3_file if arg == "A3" else arg for arg in argv]) == WORDS_ONLY
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, stdin",
         [
-            ["decompose-shift", "--matrix", "A3", "--max-period", "4"],
-            ["expand", "--class", "P(1212)"],
-            ["twist", "--class", "P(12)", "--gauge", "1/4,1/4"],
-            ["equiv", "--class", "P(12;1)", "--class", "P(21;1)"],
-            ["state", "--matrix", "A3", "--class", "P(12)", "--left", "1", "--right", "1"],
+            (["decompose-shift", "--matrix", "A3", "--max-period", "4"], None),
+            (["expand", "--class", "P(1212)"], None),
+            (["expand"], REPORT),
+            (["twist", "--class", "P(12)", "--gauge", "1/4,1/4"], None),
+            (["equiv", "--class", "P(12;1)", "--class", "P(21;1)"], None),
+            (["state", "--matrix", "A3", "--class", "P(12)", "--left", "1", "--right", "1"], None),
         ],
-        ids=["decompose-shift", "expand", "twist", "equiv", "state"],
+        ids=["decompose-shift", "expand", "expand-stdin", "twist", "equiv", "state"],
     )
-    def test_class_verbs_skip_branching(self, a3_file, argv):
-        modules = loaded_by([a3_file if arg == "A3" else arg for arg in argv])
+    def test_class_verbs_skip_branching(self, a3_file, argv, stdin):
+        modules = loaded_by([a3_file if arg == "A3" else arg for arg in argv], stdin)
         assert "ckrep.reps" in modules and "ckrep.branching" not in modules
 
     @pytest.mark.parametrize(

@@ -4,11 +4,13 @@ modules it loads.
     python3 tools/startup.py [--runs 15] [--src path/to/src]
 
 Each verb runs one small call as `python -m ckrep.cli ...` in a fresh
-interpreter, `--runs` times, round robin over the verbs, and the median
+interpreter, `--runs` times, round robin over the calls, and the median
 wall time is printed in ms, then as ms above a bare interpreter
 (`python -c pass`, whose median heads the table), which takes out much
 of the host's drift between two runs of the tool, then the modules the
-call loaded beyond those of the bare interpreter.
+call loaded beyond those of the bare interpreter.  `expand` has a second
+call, `expand <REPORT`, which reads a small decomposition report on
+stdin; every other call reads an empty stdin.
 Two bytecode settings are measured:
 
 - `PYTHONDONTWRITEBYTECODE=1`: no bytecode is written, so each call
@@ -37,13 +39,21 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# A 3x3 matrix and the dump of the cycle carrier of P(12) over it at depth 1.
+# A 3x3 matrix, the dump of the cycle carrier of P(12) over it at depth 1,
+# and a decomposition report over it with each field the writer writes.
 FILES = {
     "A3": "011\n101\n110\n",
     "DUMP": "3 8\n1: 2->12, 32->~132, 312->~1312\n2: 12->2, 32->~232, 312->~2312\n"
     "3: 2->32, 12->312\n",
+    "REPORT": '{"matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "level": "cyclic", "components": ['
+    '{"kind": "finite", "word": "1212", "phase": {"num": 1, "den": 2}, "multiplicity": 1}, '
+    '{"kind": "tail", "word": "12", "multiplicity": "inf"}, '
+    '{"kind": "integral", "word": "123", "multiplicity": 2}], '
+    '"unresolved": [{"prefix": "0", "size": 2}], "tail_classes_present": true}\n',
 }
 
+# Each call by its label: the verb, then the arguments; a label
+# "<verb> <NAME" runs the verb with the file NAME on stdin.
 CALLS = {
     "classify-word": ["--matrix", "A3", "--word", "121"],
     "canon": ["--word", "211"],
@@ -52,6 +62,7 @@ CALLS = {
     "decompose-shift": ["--matrix", "A3", "--max-period", "3"],
     "decompose-bfs": ["--matrix", "A3", "--bfs", "DUMP"],
     "expand": ["--class", "P(1212)"],
+    "expand <REPORT": [],
     "verify-relations": ["--matrix", "A3", "--system", "shift", "--word-len", "3"],
     "state": ["--matrix", "A3", "--class", "P(12)", "--left", "1", "--right", "1"],
     "pspec": ["--matrix", "A3"],
@@ -73,40 +84,43 @@ print(json.dumps([code, loaded]))
 BARE = "import sys\nloaded = sorted(sys.modules)\nimport json\nprint(json.dumps(loaded))"
 
 
-def wall(argv: list[str], env: dict[str, str], cwd: str) -> float:
-    t0 = time.perf_counter()
-    proc = subprocess.run(argv, cwd=cwd, env=env, stdin=subprocess.DEVNULL,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    elapsed = time.perf_counter() - t0
+def wall(argv: list[str], env: dict[str, str], cwd: str, stdin: str = os.devnull) -> float:
+    with open(stdin, "rb") as fh:
+        t0 = time.perf_counter()
+        proc = subprocess.run(argv, cwd=cwd, env=env, stdin=fh,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        elapsed = time.perf_counter() - t0
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr.decode()[-300:]}")
     return elapsed
 
 
-def loaded_by(code: str, argv: list[str], env: dict[str, str], cwd: str):
-    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
-                          stdin=subprocess.DEVNULL, capture_output=True, text=True, check=True)
+def loaded_by(code: str, argv: list[str], env: dict[str, str], cwd: str, stdin: str = os.devnull):
+    with open(stdin, "rb") as fh:
+        proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                              stdin=fh, capture_output=True, check=True)
     return json.loads(proc.stdout)
 
 
-def measure(verbs: dict[str, list[str]], env: dict[str, str], work: str, runs: int):
-    """(label, median s, modules beyond a bare interpreter) per call."""
-    calls = {"(python -c pass)": [sys.executable, "-c", "pass"]}
-    calls.update({verb: [sys.executable, "-m", "ckrep.cli", verb, *args]
-                  for verb, args in verbs.items()})
-    for argv in calls.values():  # warm-up: fills a bytecode cache, if one is written
-        wall(argv, env, work)
+def measure(verbs: dict[str, tuple[list[str], str]], env: dict[str, str], work: str, runs: int):
+    """(label, median s, modules beyond a bare interpreter) per call; each
+    call is its label's arguments, verb first, and the file on stdin."""
+    calls = {"(python -c pass)": ([sys.executable, "-c", "pass"], os.devnull)}
+    calls.update({label: ([sys.executable, "-m", "ckrep.cli", *args], stdin)
+                  for label, (args, stdin) in verbs.items()})
+    for argv, stdin in calls.values():  # warm-up: fills a bytecode cache, if one is written
+        wall(argv, env, work, stdin)
     times: dict[str, list[float]] = {label: [] for label in calls}
     for _ in range(runs):
-        for label, argv in calls.items():
-            times[label].append(wall(argv, env, work))
+        for label, (argv, stdin) in calls.items():
+            times[label].append(wall(argv, env, work, stdin))
     bare = set(loaded_by(BARE, [], env, work))
     rows = [("(python -c pass)", statistics.median(times.pop("(python -c pass)")), [])]
-    for verb, args in verbs.items():
-        code, loaded = loaded_by(PROBE, [verb, *args], env, work)
+    for label, (args, stdin) in verbs.items():
+        code, loaded = loaded_by(PROBE, args, env, work, stdin)
         if code != 0:
-            raise SystemExit(f"ck {verb} exited {code}")
-        rows.append((verb, statistics.median(times[verb]), sorted(set(loaded) - bare)))
+            raise SystemExit(f"ck {label} exited {code}")
+        rows.append((label, statistics.median(times[label]), sorted(set(loaded) - bare)))
     return rows
 
 
@@ -121,8 +135,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ck-startup-") as work:
         for name, text in FILES.items():
             Path(work, name).write_text(text)
-        verbs = {verb: [str(Path(work, arg)) if arg in FILES else arg for arg in verb_args]
-                 for verb, verb_args in CALLS.items()}
+        verbs = {}
+        for label, call_args in CALLS.items():
+            verb, _, stdin = label.partition(" <")
+            argv = [verb, *(str(Path(work, a)) if a in FILES else a for a in call_args)]
+            verbs[label] = argv, str(Path(work, stdin)) if stdin else os.devnull
         base = {k: v for k, v in os.environ.items()
                 if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
         base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), base.get("PYTHONPATH")]))
