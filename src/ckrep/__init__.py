@@ -27,9 +27,9 @@ _EXPORTS = {
         gp_vector_check integral_class is_irreducible is_pure parse_class_literal realize
         standard_is_irreducible standard_is_multiplicity_free state_value tail_class
         twist_by_gauge""",
-    "words": """ACycleSet PSpecSummary TailWord TransitionMatrix Word WordError a_cycle_set
-        canonical_rotation enumerate_cyclic_classes format_tail format_word is_admissible
-        is_cyclically_admissible is_periodic parse_tail parse_word phi_map power
+    "words": """ACycleSet CkError PSpecSummary TailWord TransitionMatrix Word WordError
+        a_cycle_set canonical_rotation enumerate_cyclic_classes format_tail format_word
+        is_admissible is_cyclically_admissible is_periodic parse_tail parse_word phi_map power
         primitive_root pspec_summary tail_canonical validate_matrix words_equivalent_finite
         words_equivalent_infinite""",
 }

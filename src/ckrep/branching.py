@@ -27,6 +27,7 @@ from functools import cached_property
 from itertools import chain, compress, filterfalse, repeat
 
 from .words import (
+    CkError,
     NotAdmissibleError,
     NotCyclicallyAdmissibleError,
     TailWord,
@@ -47,7 +48,7 @@ Label = int | str
 TailSource = TailWord | Callable[[int], int]
 
 
-class BranchingError(ValueError):
+class BranchingError(CkError):
     """A branching-system argument violates an operation contract."""
 
 
@@ -676,11 +677,13 @@ def _clashes(text: str) -> bool:
     )
 
 
-def _may_clash(text: str, count: int) -> bool:
-    """Whether some of the `count` tab-joined labels in `text` may clash:
-    False only when none does.  Past the separators and line breaks, the
-    whitespace an ASCII label can hold is a tab or "\x1f"."""
-    return _clashes(text) or not text.isascii() or text.count("\t") >= count or "\x1f" in text
+def _refuse_clashes(names: Sequence[str], text: str) -> None:
+    """Refuse the first of `names`, tab-joined in `text`, that clashes.  Past
+    the separators and line breaks, the whitespace an ASCII label can hold
+    is a tab or "\x1f", so `text` alone shows when none does."""
+    if _clashes(text) or not text.isascii() or text.count("\t") >= len(names) or "\x1f" in text:
+        if bad := next(filter(_clashes, names), None):
+            raise DumpFormatError(f"label {bad!r} clashes with the dump separators")
 
 
 def _printed_alike(labels: Sequence[Label], names: list[str], order: list[int]) -> tuple[int, int] | None:
@@ -724,9 +727,7 @@ def dump_bfs(f: BranchingSystem) -> str:
             text, mixed = "\t".join(labels), False
         except TypeError:  # an int label may print as a str label does
             text, mixed = "\t".join(names), True
-        if _may_clash(text, len(names)):  # a tab is neither a separator nor a line break
-            if bad := next(filter(_clashes, names), None):
-                raise DumpFormatError(f"label {bad!r} clashes with the dump separators")
+        _refuse_clashes(names, text)  # a tab is neither a separator nor a line break
         del text
         order = sorted(range(len(names)), key=names.__getitem__)
         order.sort(key=list(map(len, names)).__getitem__)  # stable: by length, then by label
@@ -792,7 +793,8 @@ def load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
     """Parse the dump format back into a system over the given matrix.
 
     Whitespace around a token is ignored, lines for one symbol merge, and
-    a "~" on any occurrence marks a point as frontier.  Labels come back as
+    a "~" on any occurrence marks a point as frontier.  A label that
+    `dump_bfs` refuses is refused, so what loads dumps.  Labels come back as
     strings; the carrier keeps first-mention order, target before source.
     Components and decompositions do not depend on either choice.  Lines
     are read one at a time and a symbol line is split 256 items at a time,
@@ -835,6 +837,7 @@ def load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
             names = list(map(str.removeprefix, tokens, repeat("~")))
             ids = [index.setdefault(name, len(index)) for name in names]
             if added := len(index) - len(front):  # new points, with no data yet
+                _refuse_clashes(names, "\t".join(names))  # the labels seen before have passed
                 for arr, blank in blanks:
                     arr += blank * added
             for x in compress(ids, map(str.startswith, tokens, repeat("~"))):

@@ -5,9 +5,9 @@ returns its report as `(ok, record, text)`, printing nothing.  `main` is
 the one output path: it prints `text`, or under `--json` the `record` as
 one JSON object (indent 2, sorted keys), so the two forms carry the same
 report.  `reps` alone writes a decomposition's record and, for `expand`,
-reads it back.  Exit codes: 0 on success, 1 on any validation problem
-(including usage) and on a report whose check failed (`ok` False), 2 on
-an internal error.
+reads it back.  Exit codes: 0 on success, 1 on a `UsageError`, on a
+`words.CkError` (the base of every library error the caller can fix) and
+on a report whose check failed (`ok` False), 2 on any other exception.
 
 Only `words` is imported up front; each verb imports `reps` or
 `branching` when it runs, and calls them through the module, so a verb
@@ -41,7 +41,7 @@ DEFAULT_CHAIN_LEN = 8
 
 
 class UsageError(Exception):
-    pass
+    """A call the caller can fix.  Not a ValueError: `_cmd_expand` reads one as bad JSON."""
 
 
 def _read_text(path: str) -> str:
@@ -476,24 +476,6 @@ def _parse_args(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
     return _parse_well_formed(argv) or build_parser().parse_args(argv)
 
 
-# The typed user errors, by module.  A module that was never imported
-# raised none of them, so the check on the error path imports nothing.
-_USER_ERRORS = {
-    "ckrep.words": "WordError",
-    "ckrep.branching": "BranchingError",
-    "ckrep.reps": "RepError",
-    "ckrep.phases": "PhaseError",
-}
-
-
-def _is_user_error(exc: Exception) -> bool:
-    return isinstance(exc, UsageError) or any(
-        isinstance(exc, getattr(sys.modules[module], name))
-        for module, name in _USER_ERRORS.items()
-        if module in sys.modules
-    )
-
-
 def main(argv=None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
@@ -506,10 +488,10 @@ def main(argv=None) -> int:
         return 0 if ok else 1
     except BrokenPipeError:
         return 1
+    except (UsageError, words.CkError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:
-        if _is_user_error(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)  # invariant violation
         return 2
 

@@ -22,7 +22,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import gcd, lcm
 
-from .words import _Key
+from .words import CkError, _Key
 
 TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:
@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 APPROX_TOL = 1e-12
 
 
-class PhaseError(ValueError):
+class PhaseError(CkError):
     """A value does not describe a usable unit phase."""
 
 

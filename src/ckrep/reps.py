@@ -19,6 +19,7 @@ from math import lcm
 
 from .phases import ONE, Phase, PhaseError, RootSum, phases_equal
 from .words import (
+    CkError,
     EMPTY_WORD,
     _Key,
     TailWord,
@@ -50,7 +51,7 @@ INFINITY = float("inf")
 Multiplicity = int | float  # positive int, or INFINITY
 
 
-class RepError(ValueError):
+class RepError(CkError):
     """A representation-level argument violates an operation contract."""
 
 
@@ -270,6 +271,14 @@ class Decomposition:
 
     def sorted_entries(self) -> list[tuple[RepClass, Multiplicity]]:
         return sorted(self.entries.items(), key=lambda kv: class_literal(kv[0]))
+
+    def __repr__(self) -> str:
+        entries = [(class_literal(c), mult) for c, mult in self.sorted_entries()]
+        unresolved = [(format_word(c.word), c.size) for c in self.unresolved]
+        return (
+            f"Decomposition(level={self.level!r}, entries={entries}, "
+            f"unresolved={unresolved}, tail_marker={self.tail_marker})"
+        )
 
 
 class MatrixRealization:

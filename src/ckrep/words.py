@@ -23,7 +23,11 @@ Word = tuple[int, ...]
 EMPTY_WORD: Word = ()
 
 
-class WordError(ValueError):
+class CkError(ValueError):
+    """Base of every error the caller can fix; `ck` exits 1 on it."""
+
+
+class WordError(CkError):
     """An argument violates a word/matrix operation contract."""
 
 

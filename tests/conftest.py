@@ -669,9 +669,20 @@ def oracle_dump_bfs(f: BranchingSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Dumps over the full 2x2 matrix that each name a label the writer refuses,
+# with that label: a space inside, a "~" past the first letter, and a "->"
+# in a target, where the first "->" splits the edge.
+CLASHING_DUMPS = [
+    ("2 4\n1: 2->q r, q r->~112\n2: 2->~22, q r->2\n", "q r"),
+    ("2 4\n1: 2->x~q, x~q->~112\n2: 2->~22, x~q->2\n", "x~q"),
+    ("2 4\n1: 2->12, 12->~1->12\n2: 2->~22, 12->2\n", "1->12"),
+]
+
+
 def oracle_load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
     """The dump read token by token into per-symbol edge dicts, interning
-    each endpoint through one Python call."""
+    each endpoint through one Python call, which refuses a label that
+    `oracle_dump_bfs` would refuse or whose ends a load would strip."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise DumpFormatError("empty dump")
@@ -697,6 +708,8 @@ def oracle_load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
         is_front = token.startswith("~")
         if is_front:
             token = token[1:]
+        if any(tok in token for tok in (",", "->", "~", " ")) or token != token.strip():
+            raise DumpFormatError(f"label {token!r} clashes with the dump separators")
         x = index.setdefault(token, len(index))
         if is_front:
             frontier.add(x)

@@ -13,6 +13,7 @@ from conftest import (
     A3_ROWS,
     A4_ROWS,
     ALL_2X2,
+    CLASHING_DUMPS,
     NAIVE1_ROWS,
     all_valid_matrices,
     brute_cyclic_words,
@@ -786,6 +787,22 @@ def labelled_systems(draw):
 
 
 @st.composite
+def unchecked_dumps(draw):
+    """A `labelled_systems` system written with no check on its labels,
+    each label also listed on the "0:" line, so that a label holding a
+    separator or whitespace at an end reaches the reader."""
+    f = draw(labelled_systems())
+
+    def name(x: str) -> str:
+        return "~" + x if x in f.frontier else x
+
+    lines = [f"2 {len(f.labels)}"]
+    lines += [f"{i}: " + ", ".join(f"{name(x)}->{name(y)}" for x, y in m.items()) for i, m in f.maps.items()]
+    lines.append("0: " + ", ".join(map(name, f.labels)))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
 def mixed_label_systems(draw):
     """A system over the full 2x2 matrix with up to six distinct labels,
     ints and digit strings, so that an int and a str may print alike."""
@@ -801,11 +818,12 @@ def mixed_label_systems(draw):
 
 @st.composite
 def mutated_dumps(draw):
-    """A real dump with one to three edits: a stretch cut out, whitespace
-    around a token, a symbol line duplicated, split in two or swapped with
-    another, a "~" added or removed, a token renamed to another (so that
-    images are shared), or a header count off by one."""
-    a, text = draw(st.sampled_from(SMALL_DUMPS))
+    """A real dump, or one naming a label the writer refuses, with one to
+    three edits: a stretch cut out, whitespace around a token, a symbol
+    line duplicated, split in two or swapped with another, a "~" added or
+    removed, a token renamed to another (so that images are shared), or a
+    header count off by one."""
+    a, text = draw(st.sampled_from(SMALL_DUMPS + [(FULL2, text) for text, _ in CLASHING_DUMPS]))
     for _ in range(draw(st.integers(1, 3))):
         kinds = ["cut", "space", "dup", "split", "swap", "tilde", "rename", "header"]
         kind = draw(st.sampled_from(kinds))
@@ -962,13 +980,43 @@ class TestDump:
         [
             "2 3\n2: c->b\n1: a->b\n",  # a shared image: the top symbol owns it
             "2 3\n1: a->b, c->b\n",  # the last edge of a symbol owns it
-            "2 4\n1: ~~a->b->c\n0: ->, d\n",  # one "~" goes; the first "->" splits
+            "2 5\n1: ~a->b, ->c\n0: ~, d\n",  # the empty label, and "~" alone names it
             "2 2\n 1 :\t~a -> b ,, \n\n2:b->~a\n",
             "2 3\n1: a->b\n1: b->c\n2: c->~a\n",
         ],
     )
     def test_hand_written_texts_load_as_the_oracle_does(self, text):
         assert system_arrays(load_bfs(text, FULL2)) == system_arrays(oracle_load_bfs(text, FULL2))
+
+    @pytest.mark.parametrize(
+        "text, label",
+        [
+            *CLASHING_DUMPS,
+            ("2 4\n1: ~~a->b->c\n0: ->, d\n", "b->c"),
+            ("2 1\n0: ~~a\n", "~a"),
+            ("2 1\n0: ~ b\n", " b"),
+        ],
+    )
+    def test_a_label_the_writer_refuses_is_refused(self, text, label):
+        # one "~" goes, the first "->" splits and a load strips the ends of
+        # a token, so a label may hold a "~", a "->" or whitespace at an end
+        message = f"label {label!r} clashes with the dump separators"
+        for load in (load_bfs, oracle_load_bfs):
+            with pytest.raises(DumpFormatError, match=re.escape(message)):
+                load(text, FULL2)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.one_of(mutated_dumps(), unchecked_dumps().map(lambda text: (FULL2, text))))
+    def test_what_loads_dumps_and_loads_back_alike(self, case):
+        a, text = case
+        try:
+            g = load_bfs(text, a)
+        except DumpFormatError:
+            return
+        again = dump_bfs(g)
+        h = load_bfs(again, a)
+        assert (sorted(h.labels), h.maps, h.frontier) == (sorted(g.labels), g.maps, g.frontier)
+        assert dump_bfs(h) == again
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(mutated_dumps())

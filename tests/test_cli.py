@@ -1,5 +1,6 @@
 import cmath
 import contextlib
+import importlib
 import io
 import json
 from unittest import mock
@@ -8,11 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import A1_ROWS, A3_ROWS, all_valid_matrices, brute_cyclic_words, checked_standard
+from conftest import (
+    A1_ROWS,
+    A3_ROWS,
+    CLASHING_DUMPS,
+    all_valid_matrices,
+    brute_cyclic_words,
+    checked_standard,
+)
 from ckrep import branching, cli, reps
 from ckrep.cli import main, render_report
 from ckrep.phases import Phase
-from ckrep.words import TailWord, is_periodic, validate_matrix
+from ckrep.words import CkError, TailWord, is_periodic, validate_matrix
 
 
 @pytest.fixture
@@ -347,6 +355,14 @@ class TestContract:
         code = main(["decompose-bfs", "--matrix", a3_file, "--bfs", str(dump)])
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error: bad symbol 'q'")
+
+    @pytest.mark.parametrize("text, label", CLASHING_DUMPS, ids=["space", "tilde", "arrow"])
+    def test_dump_with_a_label_the_writer_refuses_exits_1(self, capsys, tmp_path, text, label):
+        matrix, dump = tmp_path / "full2.txt", tmp_path / "sys.txt"
+        matrix.write_text("11\n11\n")
+        dump.write_text(text)
+        assert main(["decompose-bfs", "--matrix", str(matrix), "--bfs", str(dump)]) == 1
+        assert capsys.readouterr() == ("", f"error: label {label!r} clashes with the dump separators\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -772,6 +788,35 @@ def test_internal_error_names_its_type(capsys, a1_file, monkeypatch):
     monkeypatch.setattr("ckrep.reps.decompose_standard", boom)
     assert main(["decompose-standard", "--matrix", a1_file]) == 2
     assert capsys.readouterr() == ("", "internal error: RuntimeError: invariant broken\n")
+
+
+def test_a_bare_value_error_exits_2(capsys, monkeypatch):
+    # the base class of the library's errors decides exit 1, not ValueError
+    def boom(*_args):
+        raise ValueError("invariant broken")
+
+    monkeypatch.setattr("ckrep.words.canonical_rotation", boom)
+    assert main(["canon", "--word", "211"]) == 2
+    assert capsys.readouterr() == ("", "internal error: ValueError: invariant broken\n")
+
+
+@pytest.mark.parametrize("module", ["words", "phases", "branching", "reps"])
+def test_every_library_error_is_a_ck_error(module):
+    namespace = vars(importlib.import_module(f"ckrep.{module}"))
+    errors = [
+        obj
+        for obj in namespace.values()
+        if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == f"ckrep.{module}"
+    ]
+    assert errors, module
+    for error in errors:
+        assert issubclass(error, CkError) and issubclass(error, ValueError), error
+
+
+def test_a_usage_error_is_not_a_value_error():
+    # `_cmd_expand` reports a ValueError while it reads stdin as input that
+    # is not JSON, so an unreadable stdin must raise no ValueError
+    assert not issubclass(cli.UsageError, ValueError)
 
 
 def test_a_closed_stdout_exits_1_quietly(capsys, monkeypatch):

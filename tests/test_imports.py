@@ -27,7 +27,7 @@ PACKAGE = os.path.dirname(ckrep.__file__)
 SUBMODULES = ("branching", "cli", "phases", "reps", "words")
 
 EXPORTED = """
-    ACycleSet BranchingError BranchingSystem ComponentSkeleton Decomposition
+    ACycleSet BranchingError BranchingSystem CkError ComponentSkeleton Decomposition
     FiniteClass GPReport INFINITY IntegralClass MatrixMismatchError MatrixRealization ONE
     OpaqueTailClass PSpecSummary Phase PhaseError RepClass RepError RootSum TailClass TailWord
     TransitionMatrix ValidationReport Violation Word WordError a_cycle_set
@@ -189,6 +189,13 @@ class TestStartUpBudget:
         dump = str(tmp_path / "dump.bfs")
         modules = loaded_by([{"A3": a3_file, "DUMP": dump}.get(arg, arg) for arg in argv])
         assert modules == ["ckrep", "ckrep.branching", "ckrep.cli", "ckrep.words"]
+
+    def test_a_refused_word_loads_no_other_library_module(self):
+        # `main` tells a caller's error by its base class in `words`, so
+        # the error path imports no module that the verb did not
+        code, modules = json.loads(run_python(VERB_PROBE, "canon", "--word", "0"))
+        assert code == 1
+        assert not {"ckrep.reps", "ckrep.phases", "ckrep.branching"} & set(modules)
 
     def test_decompose_bfs_loads_branching(self, a3_file, tmp_path):
         from ckrep import branching, words

@@ -944,6 +944,21 @@ class TestRecordTypes:
             decompose(f)
         assert str(err.value) == f"system fails validation: {text}"
 
+    def test_decomposition_repr_shows_the_report(self):
+        # a failing property over decompositions prints its report, not an address
+        d = Decomposition(level="irreducible", tail_marker=True)
+        d.add(finite_class((2, 1), Phase.exact(1, 2)), INFINITY)
+        d.add(integral_class((1, 2)), 2)
+        d.add(finite_class((1,)))
+        d.unresolved = (reps.UnresolvedEntry((1, 2), 3),)
+        assert repr(d) == (
+            "Decomposition(level='irreducible', entries=[('Int(12)', 2), ('P(1)', 1), "
+            "('P(12;1/2)', inf)], unresolved=[('12', 3)], tail_marker=True)"
+        )
+        assert repr(Decomposition()) == (
+            "Decomposition(level='cyclic', entries=[], unresolved=[], tail_marker=None)"
+        )
+
     def test_tail_word_period_is_its_primitive_root(self):
         t = TailWord((1,), (2, 1, 2, 1, 2, 1))
         assert t.preperiod == (1,) and t.period == (2, 1) and t == TailWord((1,), (2, 1))

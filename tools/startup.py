@@ -10,7 +10,9 @@ wall time is printed in ms, then as ms above a bare interpreter
 of the host's drift between two runs of the tool, then the modules the
 call loaded beyond those of the bare interpreter.  `expand` has a second
 call, `expand <REPORT`, which reads a small decomposition report on
-stdin; every other call reads an empty stdin.
+stdin; every other call reads an empty stdin.  `canon refused` and
+`twist refused` are calls their verb refuses with exit 1, which time the
+error path and list the modules it loads.
 Two bytecode settings are measured:
 
 - `PYTHONDONTWRITEBYTECODE=1`: no bytecode is written, so each call
@@ -53,7 +55,8 @@ FILES = {
 }
 
 # Each call by its label: the verb, then the arguments; a label
-# "<verb> <NAME" runs the verb with the file NAME on stdin.
+# "<verb> <NAME" runs the verb with the file NAME on stdin, and a call
+# labelled "<verb> refused" must exit 1, every other call 0.
 CALLS = {
     "classify-word": ["--matrix", "A3", "--word", "121"],
     "canon": ["--word", "211"],
@@ -68,6 +71,8 @@ CALLS = {
     "pspec": ["--matrix", "A3"],
     "gp-check": ["--matrix", "A3", "--word", "12", "--power", "2", "--depth", "1"],
     "twist": ["--class", "P(12)", "--gauge", "1/4,1/4"],
+    "canon refused": ["--word", "0"],  # a words error
+    "twist refused": ["--class", "P(12)", "--gauge", "1/0"],  # a phases error
 }
 
 # Prints the exit code and the modules loaded once `main` returns; the
@@ -84,13 +89,14 @@ print(json.dumps([code, loaded]))
 BARE = "import sys\nloaded = sorted(sys.modules)\nimport json\nprint(json.dumps(loaded))"
 
 
-def wall(argv: list[str], env: dict[str, str], cwd: str, stdin: str = os.devnull) -> float:
+def wall(argv: list[str], env: dict[str, str], cwd: str, stdin: str, code: int) -> float:
+    """Wall time of one call, which must exit `code`."""
     with open(stdin, "rb") as fh:
         t0 = time.perf_counter()
         proc = subprocess.run(argv, cwd=cwd, env=env, stdin=fh,
                               stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
         elapsed = time.perf_counter() - t0
-    if proc.returncode != 0:
+    if proc.returncode != code:
         raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr.decode()[-300:]}")
     return elapsed
 
@@ -102,23 +108,24 @@ def loaded_by(code: str, argv: list[str], env: dict[str, str], cwd: str, stdin: 
     return json.loads(proc.stdout)
 
 
-def measure(verbs: dict[str, tuple[list[str], str]], env: dict[str, str], work: str, runs: int):
+def measure(verbs: dict[str, tuple[list[str], str, int]], env: dict[str, str], work: str, runs: int):
     """(label, median s, modules beyond a bare interpreter) per call; each
-    call is its label's arguments, verb first, and the file on stdin."""
-    calls = {"(python -c pass)": ([sys.executable, "-c", "pass"], os.devnull)}
-    calls.update({label: ([sys.executable, "-m", "ckrep.cli", *args], stdin)
-                  for label, (args, stdin) in verbs.items()})
-    for argv, stdin in calls.values():  # warm-up: fills a bytecode cache, if one is written
-        wall(argv, env, work, stdin)
+    call is its label's arguments, verb first, the file on stdin and the
+    exit code it must give."""
+    calls = {"(python -c pass)": ([sys.executable, "-c", "pass"], os.devnull, 0)}
+    calls.update({label: ([sys.executable, "-m", "ckrep.cli", *args], stdin, code)
+                  for label, (args, stdin, code) in verbs.items()})
+    for argv, stdin, code in calls.values():  # warm-up: fills a bytecode cache, if one is written
+        wall(argv, env, work, stdin, code)
     times: dict[str, list[float]] = {label: [] for label in calls}
     for _ in range(runs):
-        for label, (argv, stdin) in calls.items():
-            times[label].append(wall(argv, env, work, stdin))
+        for label, (argv, stdin, code) in calls.items():
+            times[label].append(wall(argv, env, work, stdin, code))
     bare = set(loaded_by(BARE, [], env, work))
     rows = [("(python -c pass)", statistics.median(times.pop("(python -c pass)")), [])]
-    for label, (args, stdin) in verbs.items():
+    for label, (args, stdin, want) in verbs.items():
         code, loaded = loaded_by(PROBE, args, env, work, stdin)
-        if code != 0:
+        if code != want:
             raise SystemExit(f"ck {label} exited {code}")
         rows.append((label, statistics.median(times[label]), sorted(set(loaded) - bare)))
     return rows
@@ -137,9 +144,10 @@ def main(argv=None) -> int:
             Path(work, name).write_text(text)
         verbs = {}
         for label, call_args in CALLS.items():
-            verb, _, stdin = label.partition(" <")
+            verb, _, rest = label.partition(" ")
             argv = [verb, *(str(Path(work, a)) if a in FILES else a for a in call_args)]
-            verbs[label] = argv, str(Path(work, stdin)) if stdin else os.devnull
+            stdin = str(Path(work, rest[1:])) if rest.startswith("<") else os.devnull
+            verbs[label] = argv, stdin, 1 if rest == "refused" else 0
         base = {k: v for k, v in os.environ.items()
                 if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
         base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), base.get("PYTHONPATH")]))
