@@ -22,9 +22,9 @@ import sys
 from array import array
 from collections import Counter, namedtuple
 from bisect import bisect_left
-from collections.abc import Callable, Container, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property
-from itertools import chain, compress, filterfalse, repeat
+from itertools import chain, compress, repeat
 
 from .words import (
     CkError,
@@ -98,6 +98,13 @@ def _arange(size: int) -> array:
     return array(_INT, planes)
 
 
+def _second_edge(labels: Sequence[Label], j: int, w: int, i: int, x: int, y: int) -> str:
+    """Why the edge f_i(x) = y, read after f_j(w) = y, is refused."""
+    if i == j:
+        return f"symbol {i} maps {labels[w]!r} and {labels[x]!r} to {labels[y]!r}"
+    return f"point {labels[y]!r} lies in two ranges: {j} and {i}"
+
+
 class BranchingSystem:
     """A finite truncation of a branching function system.
 
@@ -115,6 +122,15 @@ class BranchingSystem:
     by dumps and messages.  The constructor takes label-level data;
     `carrier`, `maps`, `frontier`, `declared_tails` and `position` are
     label-level views built on demand.  Not changed after construction.
+
+    At most one edge ends at each point: the maps are injective with
+    disjoint ranges, so a point's owner is its one coding preimage.  The
+    constructor and every builder that goes through it refuse a second
+    edge into a point with `InvalidSystemError`, and `load_bfs` with
+    `DumpFormatError`; `standard_bfs` and `direct_sum` make disjoint
+    edges by construction.  Truncating a genuine system only drops
+    edges, so it keeps this rule; it can break coverage and the domain
+    law at the frontier, which `validate_bfs` checks.
     """
 
     def __init__(
@@ -157,6 +173,8 @@ class BranchingSystem:
         pre = memoryview(owner_pre)  # a store through a view skips the array's argument parsing
         for i, img in enumerate(map(memoryview, images), start=1):
             for x, y in maps.get(i, {}).items():
+                if j := owner_sym[y]:  # a second edge into y
+                    raise InvalidSystemError(_second_edge(labels, j, pre[y], i, x, y))
                 img[x] = y
                 owner_sym[y], pre[y] = i, x
         front = bytearray(size)
@@ -167,24 +185,10 @@ class BranchingSystem:
     def _set(self, matrix, labels, images, front, owner_sym, owner_pre, origin, tails) -> None:
         self.matrix, self.labels, self.images, self.front = matrix, labels, images, front
         self.owner_sym, self.owner_pre, self.origin, self.tails = owner_sym, owner_pre, origin, tails
-        # some image is shared when there are more edges than points with an owner
-        edges = sum(_defined(img).count(1) for img in images)
-        self.shared = edges > len(labels) - owner_sym.count(0)
 
     @property
     def n(self) -> int:
         return self.matrix.n
-
-    @cached_property
-    def owner(self) -> tuple[bytearray | list[int], array]:
-        """(owner_sym, owner_pre); InvalidSystemError if two edges share an image."""
-        if self.shared:
-            first = _edge_violations(self)[0]
-            raise InvalidSystemError(
-                f"point {first.points[-1]!r} lies in two ranges: "
-                f"{first.symbols[0]} and {first.symbols[-1]}"
-            )
-        return self.owner_sym, self.owner_pre
 
     @cached_property
     def position(self) -> dict[Label, int]:
@@ -225,95 +229,56 @@ class ValidationReport(namedtuple("ValidationReport", "checked_points violations
         return not self.violations
 
 
-def _edge_violations(f: BranchingSystem) -> list[Violation]:
-    labels = f.labels
-    violations: list[Violation] = []
-    owner: dict[int, int] = {}
-    for i, img in enumerate(f.images, start=1):
-        images: dict[int, int] = {}
-        for x, y in enumerate(img):
-            if y < 0:
-                continue
-            if (first := images.setdefault(y, x)) != x:
-                points = (labels[first], labels[x], labels[y])
-                violations.append(Violation("InjectivityFail", (i,), points))
-            if owner.setdefault(y, i) != i:
-                violations.append(Violation("RangeOverlap", (owner[y], i), (labels[y],)))
-    return violations
-
-
-def _outside(points: Iterable[int], *sets: Container[int]) -> Iterable[int]:
-    """The points that lie in none of `sets`, lazily."""
-    for s in sets:
-        points = filterfalse(s.__contains__, points)
-    return points
-
-
-def _domain_table(row: Sequence[int]) -> bytes:
-    """Byte map from owner symbol (0 = uncovered, 255 = frontier) to 1
-    where a point with that owner should be in D(f_i)."""
-    return bytes((0, *row)).ljust(256, b"\0")
-
-
 def validate_bfs(f: BranchingSystem) -> ValidationReport:
     """Check the system axioms on all recorded data; this is also the
     check of both defining relations of the algebra on the basis.
 
-    Injectivity and range disjointness are checked edge by edge in
-    carrier order; coverage (every point in some range) and the domain
-    law D(f_i) = union of R(f_j) over j with a_ij = 1 are then checked
-    at every non-frontier point, in carrier order.  Violations are report
-    entries, not exceptions.
+    Injectivity and disjoint ranges hold from construction (see
+    `BranchingSystem`), and truncation cannot break them, since it only
+    drops edges.  Coverage (every point in some range) and the domain law
+    D(f_i) = union of R(f_j) over j with a_ij = 1 are checked at every
+    non-frontier point, in carrier order.  Violations are report entries,
+    not exceptions.
 
     The axioms and the relations agree.  A realization (`reps.realize`)
     weights each edge by a phase of unit modulus, which neither relation
-    sees: s_i^* s_i projects onto D(f_i) and s_i s_i^* onto R(f_i) once
-    f_i is injective.  The first relation then holds at a point exactly
+    sees: s_i^* s_i projects onto D(f_i) and s_i s_i^* onto R(f_i), f_i
+    being injective.  The first relation then holds at a point exactly
     where the domain law does, and the second exactly where the point
-    lies in one range.  Edge violations (a non-injective map, an image in
-    two ranges) count at every point, frontier included, since there the
-    sum of the s_j s_j^* already exceeds the identity whatever data is
-    missing; coverage and the domain law are checked at non-frontier
-    points only.
+    lies in one range.  A point in two ranges would break the second
+    relation whatever data is missing, frontier or not, which is why no
+    system holds one.
 
-    When no image is shared and symbols fit a byte, the axioms are first
-    checked at all points at once: a byte plane holds each point's owner
-    symbol (255 at the frontier), and `translate` turns it into the
-    points that should be in each D(f_i).  Read as big ints, those planes
-    must equal the defined slots of f_i (from the top bytes of its table)
-    off the frontier.  Only when that check fails, or it cannot run, do
-    range and domain sets locate the suspect points: those in no range,
-    or in just one of D(f_i) and the union of R(f_j) over j with
-    a_ij = 1.  At every other point every per-point axiom holds.
+    The axioms are checked at all points at once.  A point lies in the
+    range of its owner symbol, 0 when it has none, so each row of A turns
+    the owner symbols into a byte plane of the points that should be in
+    D(f_i): by `translate` while symbols fit a byte, entry by entry
+    beyond.  Read as big ints off the frontier, each plane must equal the
+    defined slots of f_i (from the top bytes of its table), and the plane
+    of unowned points must be empty.  Only the points where some plane
+    differs are then read one by one, each from its owner symbol alone.
     """
-    images, front, size = f.images, f.front, len(f.labels)
-    checked = size - front.count(1)
-    if not f.shared and f.n < 255:
-        plane = int.from_bytes(f.owner_sym, "little") | int.from_bytes(front, "little") * 255
-        owners = plane.to_bytes(size, "little")
-        inside = int.from_bytes(front.translate(_NOT), "little")
-        if 0 not in owners and all(
-            int.from_bytes(_defined(img), "little") & inside
-            == int.from_bytes(owners.translate(_domain_table(row)), "little")
-            for row, img in zip(f.matrix.rows, images)
-        ):
-            return ValidationReport(checked_points=checked, violations=())
-    domains = [set(compress(range(size), _defined(img))) for img in images]
-    ranges = [set(filter((0).__le__, img)) for img in images]
-    frontier = set(compress(range(size), front))
-    suspect = set(_outside(range(size), *ranges, frontier))
-    for row, m in zip(f.matrix.rows, domains):
-        feeders = [r for a_ij, r in zip(row, ranges) if a_ij]
-        suspect.update(_outside(m, *feeders, frontier))
-        for r in feeders:
-            suspect.update(_outside(r, m, frontier))
-    violations = _edge_violations(f) if f.shared else []
-    for x in sorted(suspect):
-        in_range = [x in r for r in ranges]
-        if not any(in_range):
+    images, front, owner_sym = f.images, f.front, f.owner_sym
+    tables = [(0, *row) for row in f.matrix.rows]  # owner symbol -> 1 where it feeds D(f_i)
+    unowned = (1,) + (0,) * f.n
+    if f.n < 255:
+        planes = (owner_sym.translate(bytes(t).ljust(256, b"\0")) for t in (unowned, *tables))
+    else:
+        planes = (bytes(map(t.__getitem__, owner_sym)) for t in (unowned, *tables))
+    suspect = int.from_bytes(next(planes), "little")  # the unowned points
+    for plane, img in zip(planes, images):
+        suspect |= int.from_bytes(_defined(img), "little") ^ int.from_bytes(plane, "little")
+    suspect &= int.from_bytes(front.translate(_NOT), "little")
+    checked = len(front) - front.count(1)
+    if not suspect:
+        return ValidationReport(checked_points=checked, violations=())
+    violations = []
+    for x in compress(range(len(front)), suspect.to_bytes(len(front), "little")):
+        sym = owner_sym[x]
+        if not sym:
             violations.append(Violation("NotCovered", (), (f.labels[x],)))
-        for i, (row, m) in enumerate(zip(f.matrix.rows, domains), start=1):
-            if (recorded := x in m) != any(compress(in_range, row)):
+        for i, (table, img) in enumerate(zip(tables, images), start=1):
+            if (recorded := img[x] >= 0) != table[sym]:
                 detail = "recorded" if recorded else "missing"
                 violations.append(Violation("DomainMismatch", (i,), (f.labels[x],), detail))
     return ValidationReport(checked_points=checked, violations=tuple(violations))
@@ -348,7 +313,7 @@ def find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
     truncation noise and are not reported.  Orbit sizes are counted, in
     one pass over all points, only once some orbit is unresolved.
     """
-    owner_sym, owner_pre = f.owner  # raises on shared images
+    owner_sym, owner_pre = f.owner_sym, f.owner_pre
     labels, front = f.labels, f.front
     # The coding map is a functional graph: a point joins the group of the
     # first grouped point its forward walk meets, or opens a new group.
@@ -794,7 +759,8 @@ def load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
 
     Whitespace around a token is ignored, lines for one symbol merge, and
     a "~" on any occurrence marks a point as frontier.  A label that
-    `dump_bfs` refuses is refused, so what loads dumps.  Labels come back as
+    `dump_bfs` refuses is refused, so what loads dumps, and so is a second
+    edge into a point, which no system holds.  Labels come back as
     strings; the carrier keeps first-mention order, target before source.
     Components and decompositions do not depend on either choice.  Lines
     are read one at a time and a symbol line is split 256 items at a time,
@@ -847,9 +813,10 @@ def load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
                     for y, x in zip(ids[::2], ids[1::2]):
                         if img[x] >= 0:
                             raise DumpFormatError(f"symbol {sym} maps {names[ids.index(x)]!r} twice")
+                        if j := owner_sym[y]:  # a second edge into y, refused as in `_fill`
+                            raise DumpFormatError(_second_edge(list(index), j, pre[y], sym, x, y))
                         img[x] = y
-                        if owner_sym[y] <= sym:  # as in `_fill`: the top symbol's last edge owns y
-                            owner_sym[y], pre[y] = sym, x
+                        owner_sym[y], pre[y] = sym, x
         del rest  # the last line is not kept while the system is built
     if len(index) != size:
         raise DumpFormatError(f"header says {size} points, found {len(index)}")

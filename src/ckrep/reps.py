@@ -304,9 +304,8 @@ class MatrixRealization:
         """(N, per symbol {point index: e}): the twisted edge at x has
         weight zeta_N^e, where the order N is the lcm of the twists'
         denominators (1 without twists).  PhaseError on an approximate
-        twist; InvalidSystemError if two edges share an image."""
+        twist."""
         f = self.system
-        f.owner  # the vector calculus needs injective maps
         twists = [(i, x, t) for i, per in self.weights.items() for x, t in per.items()]
         if not all(t.is_exact for _, _, t in twists):
             raise PhaseError("exact arithmetic requires an exact phase")

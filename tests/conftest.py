@@ -50,7 +50,6 @@ from ckrep.branching import (
     BranchingSystem,
     ComponentSkeleton,
     DumpFormatError,
-    InvalidSystemError,
     Label,
     TailSource,
     ValidationReport,
@@ -335,41 +334,43 @@ def trace_formula_counts(a: TransitionMatrix, max_len: int) -> list[int]:
     return counts
 
 
-def _edge_checks(f: BranchingSystem) -> list[Violation]:
-    """Injectivity per symbol and range disjointness, edge by edge in
-    carrier order."""
-    violations: list[Violation] = []
-    owner: dict = {}
-    for i in range(1, f.n + 1):
-        images: dict = {}
-        for x in sorted(f.maps.get(i, {}), key=f.position.get):
-            y = f.maps[i][x]
-            if y in images:
-                violations.append(Violation("InjectivityFail", (i,), (images[y], x, y)))
-            else:
-                images[y] = x
-            if y in owner and owner[y][0] != i:
-                violations.append(Violation("RangeOverlap", (owner[y][0], i), (y,)))
-            else:
-                owner.setdefault(y, (i, x))
-    return violations
+def _second_edge_message(j, w, i, x, y) -> str:
+    """The refusal of the edge f_i(x) = y when f_j(w) = y was read first."""
+    if i == j:
+        return f"symbol {i} maps {w!r} and {x!r} to {y!r}"
+    return f"point {y!r} lies in two ranges: {j} and {i}"
+
+
+def oracle_second_edge(maps: dict) -> str | None:
+    """Why label-level maps {i: {x: f_i(x)}} name no system, read symbol
+    by symbol and each in its own order: the first edge into a point that
+    an earlier edge already enters, or None when every point has at most
+    one incoming edge."""
+    first: dict = {}
+    for i in sorted(maps):
+        for x, y in maps[i].items():
+            if y in first:
+                return _second_edge_message(*first[y], i, x, y)
+            first[y] = (i, x)
+    return None
 
 
 def oracle_validate_bfs(f: BranchingSystem) -> ValidationReport:
     """The system axioms checked point by point and symbol by symbol."""
     a = f.matrix
-    violations = _edge_checks(f)
+    violations: list[Violation] = []
     ranges = {i: set(f.maps.get(i, {}).values()) for i in range(1, f.n + 1)}
     checked = 0
     for x in f.carrier:
         if x in f.frontier:
             continue
         checked += 1
-        if not any(x in ranges[i] for i in range(1, f.n + 1)):
+        covering = [j for j in range(1, f.n + 1) if x in ranges[j]]
+        if not covering:
             violations.append(Violation("NotCovered", (), (x,)))
         for i in range(1, f.n + 1):
             in_domain = x in f.maps.get(i, {})
-            should = any(a.entry(i, j) and x in ranges[j] for j in range(1, f.n + 1))
+            should = any(a.entry(i, j) for j in covering)
             if in_domain != should:
                 violations.append(
                     Violation("DomainMismatch", (i,), (x,), "recorded" if in_domain else "missing")
@@ -425,12 +426,7 @@ def oracle_find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
     """Orbits by union-find over every edge, each classified by walking
     the coding map from the orbit's first carrier point; an unresolved
     orbit reports the number of points in its union-find basin."""
-    owner: dict = {}
-    for i in range(1, f.n + 1):
-        for x, y in f.maps.get(i, {}).items():
-            if y in owner:
-                raise InvalidSystemError(f"point {y!r} lies in two ranges: {owner[y][0]} and {i}")
-            owner[y] = (i, x)
+    owner = {y: (i, x) for i, m in f.maps.items() for x, y in m.items()}
 
     def walk(start):
         seen, points, letters = set(), [], []
@@ -682,7 +678,9 @@ CLASHING_DUMPS = [
 def oracle_load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
     """The dump read token by token into per-symbol edge dicts, interning
     each endpoint through one Python call, which refuses a label that
-    `oracle_dump_bfs` would refuse or whose ends a load would strip."""
+    `oracle_dump_bfs` would refuse or whose ends a load would strip; an
+    edge into a point that an edge read earlier enters is refused before
+    it reaches the dicts."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise DumpFormatError("empty dump")
@@ -716,6 +714,7 @@ def oracle_load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
         return x
 
     maps: dict[int, dict[int, int]] = {i: {} for i in range(1, n + 1)}
+    entered: dict[int, tuple[int, int]] = {}  # target -> (symbol, source) of its edge, in read order
     for line in lines[1:]:
         sym_text, _, rest = line.partition(":")
         sym = number(sym_text, "symbol")
@@ -731,7 +730,12 @@ def oracle_load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
             target, source = intern(dst), intern(src)
             if source in maps[sym]:
                 raise DumpFormatError(f"symbol {sym} maps {list(index)[source]!r} twice")
+            if target in entered:
+                labels = list(index)
+                j, w = entered[target]
+                raise DumpFormatError(_second_edge_message(j, labels[w], sym, labels[source], labels[target]))
             maps[sym][source] = target
+            entered[target] = (sym, source)
     if len(index) != size:
         raise DumpFormatError(f"header says {size} points, found {len(index)}")
     return BranchingSystem._indexed(matrix, list(index), maps, frontier, "loaded")

@@ -28,6 +28,7 @@ from conftest import (
     oracle_load_bfs,
     oracle_orbits,
     oracle_relations_hold,
+    oracle_second_edge,
     oracle_shift_bfs,
     oracle_validate_bfs,
 )
@@ -94,25 +95,23 @@ class TestValidate:
                 assert report.ok, (a.rows, f.origin, report.violations[:3])
 
     def test_range_overlap_detected(self):
-        f = BranchingSystem(
-            matrix=FULL2,
-            carrier=(1, 2, 3),
-            maps={1: {1: 3}, 2: {1: 3}},
-            frontier=frozenset({1, 2, 3}),
-        )
-        report = validate_bfs(f)
-        kinds = {v.kind for v in report.violations}
-        assert "RangeOverlap" in kinds
+        # refused where the system is built, frontier or not
+        with pytest.raises(InvalidSystemError, match=re.escape("point 3 lies in two ranges: 1 and 2")):
+            BranchingSystem(
+                matrix=FULL2,
+                carrier=(1, 2, 3),
+                maps={1: {1: 3}, 2: {1: 3}},
+                frontier=frozenset({1, 2, 3}),
+            )
 
     def test_injectivity_failure_detected(self):
-        f = BranchingSystem(
-            matrix=FULL2,
-            carrier=(1, 2, 3),
-            maps={1: {1: 3, 2: 3}, 2: {}},
-            frontier=frozenset({1, 2, 3}),
-        )
-        kinds = {v.kind for v in validate_bfs(f).violations}
-        assert "InjectivityFail" in kinds
+        with pytest.raises(InvalidSystemError, match=re.escape("symbol 1 maps 1 and 2 to 3")):
+            BranchingSystem(
+                matrix=FULL2,
+                carrier=(1, 2, 3),
+                maps={1: {1: 3, 2: 3}, 2: {}},
+                frontier=frozenset({1, 2, 3}),
+            )
 
     def test_missing_coverage_detected(self):
         g = standard_bfs(FULL2, 16)
@@ -149,9 +148,10 @@ class TestConstructor:
             BranchingSystem(FULL2, ("x", "y"), {1: {"x": "y"}, symbol: {"y": "x"}}, frozenset())
 
 
-def corrupted(f: BranchingSystem, rng: random.Random, steps: int) -> BranchingSystem:
-    """`f` after `steps` random faults: a dropped edge, a duplicated image,
-    an edge moved to another symbol, or a toggled frontier mark."""
+def corrupted(f: BranchingSystem, rng: random.Random, steps: int) -> tuple[dict, frozenset]:
+    """The maps and frontier of `f` after `steps` random faults: a dropped
+    edge, a duplicated image, an edge moved to another symbol, or a
+    toggled frontier mark.  A duplicated image names no system."""
     maps = {i: dict(f.maps.get(i, {})) for i in range(1, f.n + 1)}
     frontier = set(f.frontier)
     for _ in range(steps):
@@ -169,13 +169,7 @@ def corrupted(f: BranchingSystem, rng: random.Random, steps: int) -> BranchingSy
         else:
             j = rng.choice([s for s in maps if s != i])
             maps[j][x] = maps[i].pop(x)
-    return BranchingSystem(
-        matrix=f.matrix,
-        carrier=f.carrier,
-        maps=maps,
-        frontier=frozenset(frontier),
-        declared_tails=f.declared_tails,
-    )
+    return maps, frozenset(frontier)
 
 
 class TestAgainstOracles:
@@ -205,21 +199,23 @@ class TestAgainstOracles:
     def test_reports_and_components_match(self):
         rng = random.Random(20260518)
         seen: set[str] = set()
+        refused = 0
         for f in self.systems(rng):
             for steps in (0, 1, 1, 1, 2, 2, 2, 3, 3, 4):
-                g = corrupted(f, rng, steps)
+                maps, frontier = corrupted(f, rng, steps)
+                args = f.matrix, f.carrier, maps, frontier
+                if refusal := oracle_second_edge(maps):  # two edges into one point
+                    with pytest.raises(InvalidSystemError, match=re.escape(refusal)):
+                        BranchingSystem(*args, declared_tails=f.declared_tails)
+                    refused += 1
+                    continue
+                g = BranchingSystem(*args, declared_tails=f.declared_tails)
                 report = validate_bfs(g)
                 assert report == oracle_validate_bfs(g), (g.matrix.rows, g.origin, steps)
                 assert report.ok == oracle_relations_hold(g), (g.matrix.rows, g.origin, steps)
                 seen.update(v.kind for v in report.violations)
-                try:
-                    want = oracle_find_components(g)
-                except InvalidSystemError as err:
-                    with pytest.raises(InvalidSystemError, match=re.escape(str(err))):
-                        find_components(g)
-                    continue
-                assert find_components(g) == want, (g.matrix.rows, g.origin, steps)
-        assert seen == {"InjectivityFail", "RangeOverlap", "NotCovered", "DomainMismatch"}
+                assert find_components(g) == oracle_find_components(g), (g.matrix.rows, g.origin, steps)
+        assert seen == {"NotCovered", "DomainMismatch"} and refused > 0
 
 
 class TestAgainstListingOracles:
@@ -273,11 +269,25 @@ class TestCodingMap:
         # the owner arrays are the coding map F(f_i(x)) = x: they invert `maps`
         for a in corpus()[:8]:
             for f in generated_systems(a):
-                owner_sym, owner_pre = f.owner
+                owner_sym, owner_pre = f.owner_sym, f.owner_pre
                 for i in range(1, a.n + 1):
                     for x, y in f.maps.get(i, {}).items():
                         y = f.position[y]
                         assert (owner_sym[y], owner_pre[y]) == (i, f.position[x])
+
+    def test_every_constructor_keeps_one_edge_into_each_point(self):
+        # standard, cycle, chain, shift, rules, a direct sum and a loaded
+        # dump: the owner tables, one entry per point, hold exactly the
+        # edges of the image tables, so no point has two incoming edges
+        for a in corpus():
+            rules = [(lambda x: True, lambda x, i=i: a.n * (x - 1) + i) for i in range(1, a.n + 1)]
+            systems = generated_systems(a) + [truncated_from_rules(a, 40, rules)]
+            systems += [direct_sum(*systems[:3]), load_bfs(dump_bfs(systems[2]), a)]
+            for f in systems:
+                edges = {(y, i, x) for i, img in enumerate(f.images, 1) for x, y in enumerate(img) if y >= 0}
+                owners = {(y, i, x) for y, (i, x) in enumerate(zip(f.owner_sym, f.owner_pre)) if i}
+                assert owners == edges, (a.rows, f.origin)
+                assert all(f.owner_pre[y] == -1 for y in range(len(f.labels)) if not f.owner_sym[y])
 
 
 class TestCycleSystems:
@@ -594,14 +604,14 @@ class TestTables:
     `front` and `owner_sym` in bytes; nothing converts them."""
 
     def systems(self):
-        rule = (lambda x: x % 2 == 1, lambda x: x + 1)
+        rules = [(lambda x: x % 2 == 1, lambda x, i=i: 3 * x + i) for i in (1, 2, 3)]  # disjoint ranges
         cycle = build_cycle_system(A3, (1, 2), 2)
         return [
             standard_bfs(A3, 50),
             cycle,
             build_chain_system(A3, TailWord((), (1, 2)), 4, 1),
             shift_bfs(A3, 3),
-            truncated_from_rules(A3, 8, [rule] * 3),
+            truncated_from_rules(A3, 8, rules),
             BranchingSystem(FULL2, ("a", "b"), {1: {"a": "b"}}, frozenset({"a"})),
             direct_sum(cycle, standard_bfs(A3, 9)),
             load_bfs(dump_bfs(cycle), A3),
@@ -696,7 +706,7 @@ class TestIndexCore:
         assert peak < 10 * 2**20, peak
 
     def test_symbols_past_one_byte(self):
-        # at N >= 255 owner symbols are a list and the scan takes the set path
+        # at N >= 255 owner symbols are a list and the planes are built entry by entry
         n = 256
         rows = [[int(j == (i + 1) % n or i == j == 0) for j in range(n)] for i in range(n)]
         a = validate_matrix(rows)
@@ -705,6 +715,21 @@ class TestIndexCore:
         assert find_components(f) == oracle_find_components(f)
         g = load_bfs(dump_bfs(f), a)
         assert dump_bfs(g) == dump_bfs(f) and validate_bfs(direct_sum(f, g)).ok
+
+    def test_symbols_past_one_byte_report_as_the_oracle_does(self):
+        # the planes at N >= 255 are built entry by entry; a dropped edge
+        # and a frontier point marked as inside are reported from them
+        n = 256
+        rows = [[int(j == (i + 1) % n or i == j == 0) for j in range(n)] for i in range(n)]
+        a = validate_matrix(rows)
+        f = standard_bfs(a, 3 * n)
+        dropped = {i: dict(m) for i, m in f.maps.items()}
+        dropped[n].popitem()
+        inside = f.frontier - {min(f.frontier)}
+        for maps, frontier in ((dropped, f.frontier), (f.maps, inside)):
+            g = BranchingSystem(a, f.carrier, maps, frontier)
+            report = validate_bfs(g)
+            assert not report.ok and report == oracle_validate_bfs(g)
 
 
 def dump_corpus():
@@ -730,7 +755,7 @@ def dump_corpus():
 
 
 def system_arrays(f):
-    return f.labels, f.images, f.front, f.owner_sym, f.owner_pre, f.shared
+    return f.labels, f.images, f.front, f.owner_sym, f.owner_pre
 
 
 def _small_dumps():
@@ -767,11 +792,24 @@ def _empty_and_edgeless(f: BranchingSystem) -> bool:
     return "" in f.carrier and "" not in ends and "" not in f.frontier
 
 
+def _built(data: tuple) -> BranchingSystem | None:
+    """The system over the full 2x2 matrix with these labels, maps and
+    frontier, or None once its constructor is seen to refuse maps that
+    put two edges into one point, with the oracle's message."""
+    labels, maps, frontier = data
+    if refusal := oracle_second_edge(maps):
+        with pytest.raises(InvalidSystemError, match=re.escape(refusal)):
+            BranchingSystem(FULL2, labels, maps, frontier)
+        return None
+    return BranchingSystem(FULL2, labels, maps, frontier)
+
+
 @st.composite
-def labelled_systems(draw):
-    """A system over the full 2x2 matrix with up to five distinct labels,
-    random partial maps and a random frontier.  A label is drawn from
-    letters, from letters and whitespace, or from those and the separators."""
+def labelled_data(draw):
+    """Labels, maps and frontier over the full 2x2 matrix: up to five
+    distinct labels, random partial maps (which may put two edges into one
+    point) and a random frontier.  A label is drawn from letters, from
+    letters and whitespace, or from those and the separators."""
     text = st.one_of(
         st.text("ab:", max_size=3),
         st.text("ab:\t\u00a0\x1f\u3000", max_size=3),
@@ -783,29 +821,36 @@ def labelled_systems(draw):
         for i in (1, 2)
     }
     frontier = frozenset(draw(st.sets(st.sampled_from(labels))))
-    return BranchingSystem(FULL2, tuple(labels), maps, frontier)
+    return tuple(labels), maps, frontier
+
+
+def labelled_systems():
+    """A `labelled_data` system, or None where its maps were refused."""
+    return labelled_data().map(_built)
 
 
 @st.composite
 def unchecked_dumps(draw):
-    """A `labelled_systems` system written with no check on its labels,
-    each label also listed on the "0:" line, so that a label holding a
-    separator or whitespace at an end reaches the reader."""
-    f = draw(labelled_systems())
+    """`labelled_data` written with no check on its labels or maps, each
+    label also listed on the "0:" line, so that a label holding a
+    separator or whitespace at an end, and two edges into one point,
+    reach the reader."""
+    labels, maps, frontier = draw(labelled_data())
 
     def name(x: str) -> str:
-        return "~" + x if x in f.frontier else x
+        return "~" + x if x in frontier else x
 
-    lines = [f"2 {len(f.labels)}"]
-    lines += [f"{i}: " + ", ".join(f"{name(x)}->{name(y)}" for x, y in m.items()) for i, m in f.maps.items()]
-    lines.append("0: " + ", ".join(map(name, f.labels)))
+    lines = [f"2 {len(labels)}"]
+    lines += [f"{i}: " + ", ".join(f"{name(x)}->{name(y)}" for x, y in m.items()) for i, m in maps.items()]
+    lines.append("0: " + ", ".join(map(name, labels)))
     return "\n".join(lines) + "\n"
 
 
 @st.composite
-def mixed_label_systems(draw):
-    """A system over the full 2x2 matrix with up to six distinct labels,
-    ints and digit strings, so that an int and a str may print alike."""
+def mixed_label_data(draw):
+    """Labels, maps and frontier as `labelled_data` draws them, with up to
+    six distinct labels, ints and digit strings, so that an int and a str
+    may print alike."""
     label = st.one_of(st.integers(-3, 12), st.text("-0129a", max_size=2))
     labels = draw(st.lists(label, min_size=1, max_size=6, unique=True))
     maps = {
@@ -813,7 +858,12 @@ def mixed_label_systems(draw):
         for i in (1, 2)
     }
     frontier = frozenset(draw(st.sets(st.sampled_from(labels))))
-    return BranchingSystem(FULL2, tuple(labels), maps, frontier)
+    return tuple(labels), maps, frontier
+
+
+def mixed_label_systems():
+    """A `mixed_label_data` system, or None where its maps were refused."""
+    return mixed_label_data().map(_built)
 
 
 @st.composite
@@ -821,8 +871,8 @@ def mutated_dumps(draw):
     """A real dump, or one naming a label the writer refuses, with one to
     three edits: a stretch cut out, whitespace around a token, a symbol
     line duplicated, split in two or swapped with another, a "~" added or
-    removed, a token renamed to another (so that images are shared), or a
-    header count off by one."""
+    removed, a token renamed to another (which may put two edges into one
+    point, a dump both readers refuse), or a header count off by one."""
     a, text = draw(st.sampled_from(SMALL_DUMPS + [(FULL2, text) for text, _ in CLASHING_DUMPS]))
     for _ in range(draw(st.integers(1, 3))):
         kinds = ["cut", "space", "dup", "split", "swap", "tilde", "rename", "header"]
@@ -918,11 +968,15 @@ class TestDump:
             ("2 1\n1: a\n", "bad edge 'a'"),
             ("2 3\n1: a->b\n", "header says 3 points, found 2"),
             ("2 3\n1: a->b\n2: b->c\n1: a->c\n", "symbol 1 maps 'a' twice"),
+            # two edges into one point, the symbols in the order their edges are read
+            ("2 3\n2: c->b\n1: a->b\n", "point 'b' lies in two ranges: 2 and 1"),
+            ("2 3\n1: a->b, c->b\n", "symbol 1 maps 'a' and 'c' to 'b'"),
         ],
     )
     def test_non_integer_header_or_symbol_rejected(self, text, message):
-        with pytest.raises(DumpFormatError, match=re.escape(message)):
-            load_bfs(text, FULL2)
+        for load in (load_bfs, oracle_load_bfs):
+            with pytest.raises(DumpFormatError, match=re.escape(message)):
+                load(text, FULL2)
 
     @pytest.mark.parametrize("label", [",", "a->b", "~a", "a b", "x\ny", "x\ry", "x\u2028y"])
     def test_label_clashing_with_separators_rejected(self, label):
@@ -957,6 +1011,8 @@ class TestDump:
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(labelled_systems())
     def test_dump_load_dump_is_a_fixed_point(self, f):
+        if f is None:  # refused where it was built
+            return
         if not all(map(_writable, f.labels)) or _empty_and_edgeless(f):
             with pytest.raises(DumpFormatError):
                 dump_bfs(f)
@@ -978,8 +1034,6 @@ class TestDump:
     @pytest.mark.parametrize(
         "text",
         [
-            "2 3\n2: c->b\n1: a->b\n",  # a shared image: the top symbol owns it
-            "2 3\n1: a->b, c->b\n",  # the last edge of a symbol owns it
             "2 5\n1: ~a->b, ->c\n0: ~, d\n",  # the empty label, and "~" alone names it
             "2 2\n 1 :\t~a -> b ,, \n\n2:b->~a\n",
             "2 3\n1: a->b\n1: b->c\n2: c->~a\n",
@@ -1068,6 +1122,8 @@ class TestDump:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(mixed_label_systems())
     def test_mixed_labels_dump_load_dump_is_a_fixed_point(self, f):
+        if f is None:  # refused where it was built
+            return
         printed = [str(x) for x in f.labels]
         if len(set(printed)) < len(printed):
             with pytest.raises(DumpFormatError, match="both print as"):

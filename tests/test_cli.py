@@ -356,6 +356,21 @@ class TestContract:
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error: bad symbol 'q'")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 3\n1: aa->b, c->b\n2: b->aa\n", "symbol 1 maps 'aa' and 'c' to 'b'"),
+            ("2 3\n1: a->b\n2: c->b\n", "point 'b' lies in two ranges: 1 and 2"),
+        ],
+        ids=["one-symbol", "two-symbols"],
+    )
+    def test_dump_with_two_edges_into_one_point_exits_1(self, capsys, tmp_path, text, message):
+        matrix, dump = tmp_path / "full2.txt", tmp_path / "sys.txt"
+        matrix.write_text("11\n11\n")
+        dump.write_text(text)
+        assert main(["decompose-bfs", "--matrix", str(matrix), "--bfs", str(dump)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("text, label", CLASHING_DUMPS, ids=["space", "tilde", "arrow"])
     def test_dump_with_a_label_the_writer_refuses_exits_1(self, capsys, tmp_path, text, label):
         matrix, dump = tmp_path / "full2.txt", tmp_path / "sys.txt"

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -131,10 +132,9 @@ class TestRealize:
                 use()
 
     def test_vectors_need_injective_maps(self):
-        f = BranchingSystem(A1, ("x", "y"), {1: {"x": "y", "y": "y"}}, frozenset())
-        m = realize(f)
-        with pytest.raises(InvalidSystemError):
-            apply_word(m, (1,), {0: 0, 1: 0})
+        # a map that is not injective is refused before any vector is built
+        with pytest.raises(InvalidSystemError, match=re.escape("symbol 1 maps 'x' and 'y' to 'y'")):
+            BranchingSystem(A1, ("x", "y"), {1: {"x": "y", "y": "y"}}, frozenset())
 
     def test_letters_outside_the_alphabet_are_refused(self):
         f = build_cycle_system(FULL2, (2,), 1)
@@ -170,14 +170,14 @@ class TestCKRelations:
 
     def test_frontier_overlap_breaks_the_relations(self):
         # Two ranges meet only at the frontier point 31: s_1 s_1^* + s_2 s_2^*
-        # gives 2 e_31 however the truncation continues, so the check fails.
+        # gives 2 e_31 however the truncation continues, so the relations
+        # fail.  That is why no system may hold two edges into one point.
         g = standard_bfs(A3, 60)
         maps = {i: dict(g.maps[i]) for i in (1, 2, 3)}
         assert 31 in g.frontier and 31 in maps[1].values() and 60 in g.frontier
         maps[2][60] = 31
-        f = BranchingSystem(matrix=A3, carrier=g.carrier, maps=maps, frontier=g.frontier)
-        report = validate_bfs(f)
-        assert report.violations == (("RangeOverlap", (1, 2), (31,), ""),)
+        with pytest.raises(InvalidSystemError, match=re.escape("point 31 lies in two ranges: 1 and 2")):
+            BranchingSystem(matrix=A3, carrier=g.carrier, maps=maps, frontier=g.frontier)
 
     def test_chain_systems_pass(self):
         f = build_chain_system(A1, TailWord((), (2,)), 8, 3)
@@ -983,4 +983,4 @@ class TestRecordTypes:
         assert a.successors(1) == (2, 3) and a.predecessors(3) == (1, 2)
         assert a._successor_table is a._successor_table
         f = standard_bfs(a, 9)
-        assert f.owner is f.owner and f.position[f.carrier[-1]] == 8
+        assert f.maps is f.maps and f.position[f.carrier[-1]] == 8

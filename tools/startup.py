@@ -5,14 +5,16 @@ modules it loads.
 
 Each verb runs one small call as `python -m ckrep.cli ...` in a fresh
 interpreter, `--runs` times, round robin over the calls, and the median
-wall time is printed in ms, then as ms above a bare interpreter
-(`python -c pass`, whose median heads the table), which takes out much
-of the host's drift between two runs of the tool, then the modules the
-call loaded beyond those of the bare interpreter.  `expand` has a second
-call, `expand <REPORT`, which reads a small decomposition report on
-stdin; every other call reads an empty stdin.  `canon refused` and
-`twist refused` are calls their verb refuses with exit 1, which time the
-error path and list the modules it loads.
+wall time is printed in ms.  Each round also times a bare interpreter
+(`python -c pass`, whose median heads the table), and `+ms` is the
+median over the rounds of a call's time minus that round's bare time,
+which takes out much of the host's drift within and between runs of the
+tool; `iqr` is the interquartile range of those differences.  Last come
+the modules the call loaded beyond those of the bare interpreter.
+`expand` has a second call, `expand <REPORT`, which reads a small
+decomposition report on stdin; every other call reads an empty stdin.
+`canon refused` and `twist refused` are calls their verb refuses with
+exit 1, which time the error path and list the modules it loads.
 Two bytecode settings are measured:
 
 - `PYTHONDONTWRITEBYTECODE=1`: no bytecode is written, so each call
@@ -109,9 +111,10 @@ def loaded_by(code: str, argv: list[str], env: dict[str, str], cwd: str, stdin: 
 
 
 def measure(verbs: dict[str, tuple[list[str], str, int]], env: dict[str, str], work: str, runs: int):
-    """(label, median s, modules beyond a bare interpreter) per call; each
-    call is its label's arguments, verb first, the file on stdin and the
-    exit code it must give."""
+    """(label, median s, per-round differences from the bare interpreter in
+    s, modules beyond a bare interpreter) per call; each call is its
+    label's arguments, verb first, the file on stdin and the exit code it
+    must give."""
     calls = {"(python -c pass)": ([sys.executable, "-c", "pass"], os.devnull, 0)}
     calls.update({label: ([sys.executable, "-m", "ckrep.cli", *args], stdin, code)
                   for label, (args, stdin, code) in verbs.items()})
@@ -122,13 +125,21 @@ def measure(verbs: dict[str, tuple[list[str], str, int]], env: dict[str, str], w
         for label, (argv, stdin, code) in calls.items():
             times[label].append(wall(argv, env, work, stdin, code))
     bare = set(loaded_by(BARE, [], env, work))
-    rows = [("(python -c pass)", statistics.median(times.pop("(python -c pass)")), [])]
+    bare_times = times.pop("(python -c pass)")
+    rows = [("(python -c pass)", statistics.median(bare_times), None, [])]
     for label, (args, stdin, want) in verbs.items():
         code, loaded = loaded_by(PROBE, args, env, work, stdin)
         if code != want:
             raise SystemExit(f"ck {label} exited {code}")
-        rows.append((label, statistics.median(times[label]), sorted(set(loaded) - bare)))
+        above = [t - b for t, b in zip(times[label], bare_times)]
+        rows.append((label, statistics.median(times[label]), above, sorted(set(loaded) - bare)))
     return rows
+
+
+def spread(diffs: list[float]) -> tuple[float, float]:
+    """The median and the interquartile range of `diffs`."""
+    q1, _, q3 = statistics.quantiles(diffs, n=4) if len(diffs) > 1 else diffs * 3
+    return statistics.median(diffs), q3 - q1
 
 
 def main(argv=None) -> int:
@@ -160,11 +171,10 @@ def main(argv=None) -> int:
         if any(src.glob("**/__pycache__")):
             print(f"note: {src} holds __pycache__ directories, which every call reads")
         for title, env in settings.items():
-            print(f"\n{title}\n{'call':<20} {'ms':>7} {'+ms':>6}  modules beyond a bare interpreter")
-            rows = measure(verbs, env, work, args.runs)
-            for label, median, extra in rows:
-                above = (median - rows[0][1]) * 1000
-                print(f"{label:<20} {median * 1000:7.1f} {above:6.1f}  {' '.join(extra)}")
+            print(f"\n{title}\n{'call':<20} {'ms':>7} {'+ms':>6} {'iqr':>5}  modules beyond a bare interpreter")
+            for label, median, above, extra in measure(verbs, env, work, args.runs):
+                cols = "{:6.1f} {:5.1f}".format(*(1000 * v for v in spread(above))) if above else f"{'':6} {'':5}"
+                print(f"{label:<20} {median * 1000:7.1f} {cols}  {' '.join(extra)}".rstrip())
     return 0
 
 
