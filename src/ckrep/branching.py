@@ -16,8 +16,6 @@ truncation.  Axioms and component structure are asserted only on the
 non-frontier part; nothing is ever guessed past the boundary.
 """
 
-from __future__ import annotations
-
 import sys
 from array import array
 from collections import Counter, namedtuple
@@ -139,11 +137,8 @@ class BranchingSystem:
         carrier: tuple[Label, ...],
         maps: dict[int, dict[Label, Label]],
         frontier: frozenset[Label],
-        origin: str = "custom",
         declared_tails: dict[Label, TailSource] | None = None,
     ):
-        if origin == "standard":  # `reps.decompose` applies the standard system's structural rules
-            raise InvalidSystemError("only standard_bfs builds a system of standard origin")
         self.position = index = {x: k for k, x in enumerate(carrier)}
         if len(index) < len(carrier):
             repeated = next(x for k, x in enumerate(carrier) if index[x] != k)
@@ -157,16 +152,16 @@ class BranchingSystem:
             front = list(map(index.__getitem__, frontier))
         except KeyError as err:
             raise InvalidSystemError(f"point {err.args[0]!r} is not in the carrier") from None
-        self._fill(matrix, carrier, edges, front, origin, tails)
+        self._fill(matrix, carrier, edges, front, tails)
 
     @classmethod
-    def _indexed(cls, matrix, labels, maps, frontier, origin, tails=None) -> BranchingSystem:
+    def _indexed(cls, matrix, labels, maps, frontier, tails=None) -> "BranchingSystem":
         """A system from per-symbol edge dicts {x: f_i(x)} of point indices."""
         f = cls.__new__(cls)
-        f._fill(matrix, labels, maps, frontier, origin, tails or {})
+        f._fill(matrix, labels, maps, frontier, tails or {})
         return f
 
-    def _fill(self, matrix, labels, maps, frontier, origin, tails) -> None:
+    def _fill(self, matrix, labels, maps, frontier, tails) -> None:
         size = len(labels)
         owner_sym = bytearray(size) if matrix.n < 255 else [0] * size  # bytes while they fit
         images, owner_pre = [_table(size) for _ in range(matrix.n)], _table(size)
@@ -180,11 +175,11 @@ class BranchingSystem:
         front = bytearray(size)
         for x in frontier:
             front[x] = 1
-        self._set(matrix, labels, images, front, owner_sym, owner_pre, origin, tails)
+        self._set(matrix, labels, images, front, owner_sym, owner_pre, tails)
 
-    def _set(self, matrix, labels, images, front, owner_sym, owner_pre, origin, tails) -> None:
+    def _set(self, matrix, labels, images, front, owner_sym, owner_pre, tails) -> None:
         self.matrix, self.labels, self.images, self.front = matrix, labels, images, front
-        self.owner_sym, self.owner_pre, self.origin, self.tails = owner_sym, owner_pre, origin, tails
+        self.owner_sym, self.owner_pre, self.tails = owner_sym, owner_pre, tails
 
     @property
     def n(self) -> int:
@@ -397,7 +392,7 @@ def direct_sum(*systems: BranchingSystem) -> BranchingSystem:
         owner_pre.extend(x + off if x >= 0 else -1 for x in g.owner_pre)
         tails.update((x + off, src) for x, src in g.tails.items())
     f = BranchingSystem.__new__(BranchingSystem)
-    f._set(first.matrix, labels, images, front, owner_sym, owner_pre, "sum", tails)
+    f._set(first.matrix, labels, images, front, owner_sym, owner_pre, tails)
     return f
 
 
@@ -471,7 +466,7 @@ def build_cycle_system(a: TransitionMatrix, word: Word, depth: int) -> Branching
                 labels.append(f"{i}{sep}{labels[l]}")
                 branches.append((i, y))
     frontier = _grow_trees(a, branches, depth, labels, maps)
-    return BranchingSystem._indexed(a, labels, maps, frontier, "cycle")
+    return BranchingSystem._indexed(a, labels, maps, frontier)
 
 
 def _chain_letters(a: TransitionMatrix, source: TailSource, count: int) -> list[int]:
@@ -520,7 +515,7 @@ def build_chain_system(
                 branches.append((i, y))
     frontier = _grow_trees(a, branches, depth, labels, maps)
     frontier.append(chain_len - 1)  # its coding preimage is chain_len + 1
-    return BranchingSystem._indexed(a, labels, maps, frontier, "chain", {0: source})
+    return BranchingSystem._indexed(a, labels, maps, frontier, {0: source})
 
 
 def standard_bfs(a: TransitionMatrix, truncation: int) -> BranchingSystem:
@@ -555,7 +550,7 @@ def standard_bfs(a: TransitionMatrix, truncation: int) -> BranchingSystem:
             for tail in (sources[k:], targets[k:]):
                 front[_slice(tail)] = b"\1" * len(tail)
     f = BranchingSystem.__new__(BranchingSystem)
-    f._set(a, range(1, truncation + 1), images, front, owner_sym, owner_pre, "standard", {})
+    f._set(a, range(1, truncation + 1), images, front, owner_sym, owner_pre, {})
     return f
 
 
@@ -598,7 +593,7 @@ def shift_bfs(a: TransitionMatrix, word_len: int) -> BranchingSystem:
     ]
     sep = _separator(a.n)
     labels = [sep.join(map(str, w)) for w in points]
-    return BranchingSystem._indexed(a, labels, maps, frontier, "shift")
+    return BranchingSystem._indexed(a, labels, maps, frontier)
 
 
 def truncated_from_rules(
@@ -629,7 +624,7 @@ def truncated_from_rules(
             else:
                 frontier.add(x - 1)
     frontier.update(x for x in range(size) if x not in covered)
-    return BranchingSystem._indexed(a, range(1, size + 1), maps, frontier, "rules")
+    return BranchingSystem._indexed(a, range(1, size + 1), maps, frontier)
 
 
 def _clashes(text: str) -> bool:
@@ -823,5 +818,5 @@ def load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
     labels = list(index)
     del index  # the system reads labels only
     f = BranchingSystem.__new__(BranchingSystem)
-    f._set(matrix, labels, images, front, owner_sym, owner_pre, "loaded", {})
+    f._set(matrix, labels, images, front, owner_sym, owner_pre, {})
     return f

@@ -21,8 +21,6 @@ them, is parsed by the full `argparse` tree, which writes every usage
 error and help text.
 """
 
-from __future__ import annotations
-
 import sys
 from types import SimpleNamespace
 
@@ -60,7 +58,7 @@ def _load_matrix(path: str) -> words.TransitionMatrix:
     return words.TransitionMatrix.from_text(_read_text(path))
 
 
-def render_report(d: reps.Decomposition) -> str:
+def render_report(d: "reps.Decomposition") -> str:
     """Deterministic text of a decomposition; classes sort by literal."""
     from . import reps
 
@@ -84,13 +82,13 @@ def render_report(d: reps.Decomposition) -> str:
     return "\n".join(lines)
 
 
-def _decomposition_report(d: reps.Decomposition) -> tuple[bool, dict, str]:
+def _decomposition_report(d: "reps.Decomposition") -> tuple[bool, dict, str]:
     from . import reps
 
     return True, reps.decomposition_json(d), render_report(d)
 
 
-def _maybe_dump(system: branching.BranchingSystem, path: str | None) -> None:
+def _maybe_dump(system: "branching.BranchingSystem", path: str | None) -> None:
     """Write the dump of `system` to `path`, if given; every file the CLI
     writes goes through here, and an unwritable path is a usage error."""
     from . import branching
@@ -199,7 +197,7 @@ def _cmd_expand(args):
     return _decomposition_report(reps.expand_irreducible(d))
 
 
-def _build_system(args, a: words.TransitionMatrix) -> branching.BranchingSystem:
+def _build_system(args, a: words.TransitionMatrix) -> "branching.BranchingSystem":
     from . import branching
 
     kind = args.system
@@ -407,7 +405,7 @@ _VERBS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
     """The `ck` parser, with every verb's subparser.  Options are spelled
     in full: no parser accepts an abbreviation."""
     import argparse
@@ -469,7 +467,7 @@ def _parse_well_formed(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**args)
 
 
-def _parse_args(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
+def _parse_args(argv: list[str]) -> "SimpleNamespace | argparse.Namespace":
     """Parse a well-formed call from the verb table; any other call is
     parsed by the full tree, so every usage error and help text lists all
     the verbs."""

@@ -16,8 +16,6 @@ n-th cyclotomic polynomial, so equality of inner products computed from
 exact phases is decided exactly.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 from math import gcd, lcm
@@ -56,7 +54,7 @@ class Phase(_Key, namedtuple("Phase", "pair approx")):
 
     __slots__ = ()
 
-    def __new__(cls, turns: int | Fraction | None = None, approx: complex | None = None):
+    def __new__(cls, turns: "int | Fraction | None" = None, approx: complex | None = None):
         if (turns is None) == (approx is None):
             raise PhaseError("phase needs exactly one of turns/approx")
         if turns is not None:
@@ -75,12 +73,12 @@ class Phase(_Key, namedtuple("Phase", "pair approx")):
         return type(self)._make, (tuple(self),)
 
     @staticmethod
-    def exact(num: int, den: int = 1) -> Phase:
+    def exact(num: int, den: int = 1) -> "Phase":
         """The root of unity exp(2*pi*i*num/den)."""
         return tuple.__new__(Phase, (_reduced(num, den), None))
 
     @staticmethod
-    def from_complex(z: complex) -> Phase:
+    def from_complex(z: complex) -> "Phase":
         return Phase(approx=complex(z))
 
     @property
@@ -88,7 +86,7 @@ class Phase(_Key, namedtuple("Phase", "pair approx")):
         return self.pair is not None
 
     @property
-    def turns(self) -> Fraction | None:
+    def turns(self) -> "Fraction | None":
         """The rotation num/den of an exact phase as a `Fraction` in
         [0, 1); None for an approximate phase."""
         if self.pair is None:
@@ -110,7 +108,7 @@ class Phase(_Key, namedtuple("Phase", "pair approx")):
             return self.pair[0] == 0
         return abs(self.approx - 1.0) <= APPROX_TOL
 
-    def __mul__(self, other: Phase) -> Phase:
+    def __mul__(self, other: "Phase") -> "Phase":
         if not isinstance(other, Phase):
             return NotImplemented
         if self.pair is not None and other.pair is not None:
@@ -118,13 +116,13 @@ class Phase(_Key, namedtuple("Phase", "pair approx")):
             return Phase.exact(a * d + c * b, b * d)
         return Phase(approx=self.as_complex() * other.as_complex())
 
-    def conjugate(self) -> Phase:
+    def conjugate(self) -> "Phase":
         if self.pair is not None:
             num, den = self.pair
             return Phase.exact(-num, den)
         return Phase(approx=self.approx.conjugate())
 
-    def root(self, p: int) -> Phase:
+    def root(self, p: int) -> "Phase":
         """Principal p-th root: rotation k/q becomes k/(p*q)."""
         if p < 1:
             raise PhaseError("root order must be >= 1")
@@ -187,7 +185,7 @@ class RootSum:
 
     __slots__ = ("order", "_terms")
 
-    def __init__(self, order: int = 1, terms: dict[int, int | Fraction] | None = None):
+    def __init__(self, order: int = 1, terms: "dict[int, int | Fraction] | None" = None):
         self.order = order
         # zeta_n^k depends on k mod n only, so keys equal mod n add up
         merged: dict[int, int | Fraction] = {}
@@ -195,24 +193,24 @@ class RootSum:
             merged[k % order] = merged.get(k % order, 0) + c
         self._terms = {k: c for k, c in merged.items() if c}
 
-    def _lifted(self, order: int) -> dict[int, int | Fraction]:
+    def _lifted(self, order: int) -> "dict[int, int | Fraction]":
         step = order // self.order
         return {k * step: c for k, c in self._terms.items()}
 
-    def __add__(self, other: RootSum) -> RootSum:
+    def __add__(self, other: "RootSum") -> "RootSum":
         order = lcm(self.order, other.order)
         merged = self._lifted(order)
         for k, c in other._lifted(order).items():
             merged[k] = merged.get(k, 0) + c
         return RootSum(order, merged)
 
-    def __neg__(self) -> RootSum:
+    def __neg__(self) -> "RootSum":
         return RootSum(self.order, {k: -c for k, c in self._terms.items()})
 
-    def __sub__(self, other: RootSum) -> RootSum:
+    def __sub__(self, other: "RootSum") -> "RootSum":
         return self + (-other)
 
-    def __mul__(self, other: RootSum) -> RootSum:
+    def __mul__(self, other: "RootSum") -> "RootSum":
         order = lcm(self.order, other.order)
         out: dict[int, int | Fraction] = {}
         right = other._lifted(order).items()
@@ -222,13 +220,13 @@ class RootSum:
                 out[key] = out.get(key, 0) + c1 * c2
         return RootSum(order, out)
 
-    def scaled(self, q) -> RootSum:
+    def scaled(self, q) -> "RootSum":
         from fractions import Fraction
 
         q = Fraction(q)
         return RootSum(self.order, {k: c * q for k, c in self._terms.items()})
 
-    def conjugate(self) -> RootSum:
+    def conjugate(self) -> "RootSum":
         return RootSum(self.order, {-k % self.order: c for k, c in self._terms.items()})
 
     def is_zero(self) -> bool:

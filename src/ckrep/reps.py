@@ -11,8 +11,6 @@ The functions that build or scan a branching system import `branching`
 when they run, so the class calculus alone loads without it.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import cached_property
 from math import lcm
@@ -291,7 +289,7 @@ class MatrixRealization:
     {point index: e}, the sum of zeta_N^e e_x, with N from `exponents`.
     """
 
-    def __init__(self, system: BranchingSystem, weights: dict[int, dict[Label, Phase]]):
+    def __init__(self, system: "BranchingSystem", weights: "dict[int, dict[Label, Phase]]"):
         self.system = system
         self.weights = weights
 
@@ -318,7 +316,7 @@ class MatrixRealization:
 
 
 def realize(
-    f: BranchingSystem, phases: dict[tuple[int, Label], Phase] | None = None
+    f: "BranchingSystem", phases: "dict[tuple[int, Label], Phase] | None" = None
 ) -> MatrixRealization:
     """Attach the supplied twists to their edges; every other recorded
     edge has weight 1."""
@@ -331,7 +329,7 @@ def realize(
     return MatrixRealization(system=f, weights=weights)
 
 
-def apply_word(m: MatrixRealization, word: Word, vec: Vector) -> Vector:
+def apply_word(m: MatrixRealization, word: Word, vec: "Vector") -> "Vector":
     """s_word = s_{j_1} ... s_{j_k}; the rightmost factor acts first.
     Each f_i is injective, so each step maps the point x to f_i(x) and
     adds the edge's twist exponent mod N."""
@@ -346,7 +344,7 @@ def apply_word(m: MatrixRealization, word: Word, vec: Vector) -> Vector:
     return vec
 
 
-def inner_product(m: MatrixRealization, v: Vector, w: Vector) -> RootSum:
+def inner_product(m: MatrixRealization, v: "Vector", w: "Vector") -> RootSum:
     """<v, w>, conjugate-linear in v: a point with v[x] = a and w[x] = b
     adds zeta_N^(b - a)."""
     order = m.exponents[0]
@@ -357,7 +355,7 @@ def inner_product(m: MatrixRealization, v: Vector, w: Vector) -> RootSum:
     return RootSum(order, counts)
 
 
-def classify_component(c: ComponentSkeleton, m: MatrixRealization) -> RepClass:
+def classify_component(c: "ComponentSkeleton", m: MatrixRealization) -> RepClass:
     """Read off the class of a resolved component.
 
     A cycle yields P(canonical word; product of edge phases); the product
@@ -383,21 +381,16 @@ def classify_component(c: ComponentSkeleton, m: MatrixRealization) -> RepClass:
 
 
 def decompose(
-    f: BranchingSystem,
-    phases: dict[tuple[int, Label], Phase] | None = None,
-    structural_infinities: bool = True,
+    f: "BranchingSystem", phases: "dict[tuple[int, Label], Phase] | None" = None
 ) -> Decomposition:
-    """Cyclic-level decomposition of a realized system.
+    """Cyclic-level decomposition of a realized system, as counted.
 
-    Counts the resolved components per canonical class; unresolved
-    components are listed untouched.  For an untwisted standard-system
-    truncation (origin "standard", which only `standard_bfs` sets) the
-    delta-row cycle classes recur with infinite multiplicity; their
-    observed counts corroborate that and the reported multiplicity is the
-    structural "inf".  The other cycle classes appear once each there, as
-    the paper shows; `cross_check_standard` compares those counts.
-    Without twists, every cycle has phase 1, and cycles that read the same
-    word are classified once.
+    Each multiplicity is the number of resolved components of its class
+    inside the truncation, however the system was built; unresolved
+    components are listed untouched.  The standard representation's
+    structural multiplicities, "inf" for the delta-row classes, are
+    `decompose_standard`'s.  Without twists, every cycle has phase 1,
+    and cycles that read the same word are classified once.
     """
     from .branching import find_components, validate_bfs
 
@@ -418,11 +411,6 @@ def decompose(
     for word, count in copies.items():
         out.add(finite_class(word, ONE, f.matrix), count)
     out.unresolved = tuple(unresolved)
-    if structural_infinities and not phases and f.origin == "standard":
-        for word in a_cycle_set(f.matrix).infinite:
-            key = finite_class(word)
-            if key in out.entries:
-                out.entries[key] = INFINITY
     return out
 
 
@@ -568,8 +556,9 @@ def decompose_standard(a: TransitionMatrix) -> Decomposition:
     """Exact decomposition of the standard representation.
 
     Each cycle of the min-successor map contributes once, except the
-    delta-row cycles, which contribute with infinite multiplicity.
-    `cross_check_standard` checks the answer against a truncated system.
+    delta-row cycles, which contribute with infinite multiplicity.  These
+    multiplicities are structural: no truncation is built or counted.
+    `cross_check_standard` checks them against a truncated system.
     """
     cycles = a_cycle_set(a)
     out = Decomposition(matrix=a)
@@ -580,15 +569,18 @@ def decompose_standard(a: TransitionMatrix) -> Decomposition:
     return out
 
 
-def cross_check_standard(d: Decomposition, f: BranchingSystem) -> None:
-    """Check the structural decomposition `d` against the truncated
-    standard system `f`; the error names every class whose multiplicity
-    differs, with its structural and its observed value."""
+def cross_check_standard(d: Decomposition, f: "BranchingSystem") -> None:
+    """Check the structural decomposition `d` against the counts that
+    `decompose` reads off the truncated standard system `f`.  A class
+    that `d` gives as inf must be observed at least once, and every
+    other class exactly as often as `d` says; the error names every class
+    that fails, with its structural and its observed value."""
     observed = decompose(f).entries
     differ = [
-        f"{class_literal(c)} structural {d.entries.get(c, 0)}, observed {observed.get(c, 0)}"
+        f"{class_literal(c)} structural {want}, observed {got}"
         for c in sorted(set(d.entries) | set(observed), key=class_literal)
-        if d.entries.get(c, 0) != observed.get(c, 0)
+        if (want := d.entries.get(c, 0)) != (got := observed.get(c, 0))
+        and not (want == INFINITY and got >= 1)
     ]
     if differ:
         raise RepError(

@@ -12,8 +12,6 @@ A word is a plain tuple of 1-based symbols; the empty tuple is the unit
 index.  Everything here is a pure function of immutable values.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import cached_property
 
@@ -120,7 +118,7 @@ class TransitionMatrix(_Key, namedtuple("TransitionMatrix", "rows")):
         return tuple(tuple(i for i, e in enumerate(col, 1) if e) for col in zip(*self.rows))
 
     @staticmethod
-    def from_text(text: str) -> TransitionMatrix:
+    def from_text(text: str) -> "TransitionMatrix":
         """Parse the matrix file format: one row of 0/1 characters per line.
 
         The entries are the ASCII characters 0 and 1, read a row at a time.

@@ -6,7 +6,8 @@ by trying every proper divisor, and cyclic words by filtering the full
 cartesian product.  The axiom and component oracles are the direct
 definitions: every axiom at every point and symbol, both defining
 relations counted on the basis vectors, and orbits by union-find over
-the edges.  The cyclotomic oracle is the earlier
+the edges.  The multiplicity oracle counts the fixed points of f_w along
+the images, with no orbit walk.  The cyclotomic oracle is the earlier
 `RootSum`, which keys each term by its reduced rational turn and derives
 the order from the denominators at each zero test.  The enumeration
 oracle is the earlier grow-and-filter enumeration, which keeps each
@@ -474,6 +475,40 @@ def oracle_find_components(f: BranchingSystem) -> tuple[ComponentSkeleton, ...]:
     return tuple(out)
 
 
+def oracle_fixed_point_multiplicities(
+    f: BranchingSystem, phases: dict | None = None, max_len: int = 6
+) -> Counter:
+    """The multiplicity of each primitive finite class of length at most
+    `max_len`, counted from fixed points instead of walked components.
+
+    S_w e_x = c e_{f_w(x)}, with f_w = f_{w_1} ... f_{w_k} (the last letter
+    acts first) and c the product of the twists met on the way.  So for a
+    primitive w in minimal rotation, P(w; z) has one copy for each point
+    x with f_w(x) = x whose loop has no frontier point and phase product
+    z: each cycle of class w has exactly one point that reads w.  Keys
+    are (w, t), t the phase product as a Fraction of a turn in [0, 1).
+    Exact phases only.  The search reads the label-level maps, forward
+    from every non-frontier point, and never steps onto the frontier."""
+    twist = {key: Fraction(*p.pair) for key, p in (phases or {}).items()}
+    counts: Counter = Counter()
+
+    def search(start, cur, word: Word, turns: Fraction) -> None:
+        for i in range(1, f.n + 1):
+            y = f.maps[i].get(cur)
+            if y is None or y in f.frontier:
+                continue
+            longer, t = (i,) + word, (turns + twist.get((i, cur), 0)) % 1
+            if y == start and not brute_is_periodic(longer) and longer == brute_min_rotation(longer, f.n):
+                counts[longer, t] += 1
+            if len(longer) < max_len:
+                search(start, y, longer, t)
+
+    for x in f.carrier:
+        if x not in f.frontier:
+            search(x, x, (), Fraction(0))
+    return counts
+
+
 @dataclass(frozen=True)
 class TreeNodeSet:
     """Truncation of the tree of admissible words hanging off one symbol."""
@@ -551,7 +586,6 @@ def oracle_build_cycle_system(
         carrier=tuple(labels[w] for w in points),
         maps=maps,
         frontier=frozenset(frontier),
-        origin="cycle",
     )
 
 
@@ -604,7 +638,6 @@ def oracle_build_chain_system(
         carrier=tuple(carrier),
         maps=maps,
         frontier=frozenset(frontier),
-        origin="chain",
         declared_tails={1: source},
     )
 
@@ -637,7 +670,6 @@ def oracle_shift_bfs(
         carrier=tuple(name(w) for w in points),
         maps=maps,
         frontier=frozenset(frontier),
-        origin="shift",
     )
 
 

@@ -268,7 +268,7 @@ def test_criterion_09_property_suites():
                 if not is_periodic(w):
                     batch.append(build_chain_system(a, TailWord((), w), 6, 2))
         for f in batch:
-            assert validate_bfs(f).ok, (a.rows, f.origin)
+            assert validate_bfs(f).ok, (a.rows, f.labels[:3])
         systems.extend(batch)
     # and the outer corpus bounds: truncation 256, tree depth 5
     a3 = validate_matrix(A3_ROWS)
@@ -282,9 +282,9 @@ def test_criterion_09_property_suites():
         if f.matrix.rows != g.matrix.rows:
             continue
         pairs += 1
-        left = decompose(f, structural_infinities=False)
-        right = decompose(g, structural_infinities=False)
-        total = decompose(direct_sum(f, g), structural_infinities=False)
+        left = decompose(f)
+        right = decompose(g)
+        total = decompose(direct_sum(f, g))
         merged: dict = dict(left.entries)
         for c, m in right.entries.items():
             merged[c] = merged.get(c, 0) + m

@@ -92,7 +92,7 @@ class TestValidate:
         for a in corpus():
             for f in generated_systems(a):
                 report = validate_bfs(f)
-                assert report.ok, (a.rows, f.origin, report.violations[:3])
+                assert report.ok, (a.rows, f.labels[:3], report.violations[:3])
 
     def test_range_overlap_detected(self):
         # refused where the system is built, frontier or not
@@ -211,10 +211,10 @@ class TestAgainstOracles:
                     continue
                 g = BranchingSystem(*args, declared_tails=f.declared_tails)
                 report = validate_bfs(g)
-                assert report == oracle_validate_bfs(g), (g.matrix.rows, g.origin, steps)
-                assert report.ok == oracle_relations_hold(g), (g.matrix.rows, g.origin, steps)
+                assert report == oracle_validate_bfs(g), (g.matrix.rows, g.labels[:3], steps)
+                assert report.ok == oracle_relations_hold(g), (g.matrix.rows, g.labels[:3], steps)
                 seen.update(v.kind for v in report.violations)
-                assert find_components(g) == oracle_find_components(g), (g.matrix.rows, g.origin, steps)
+                assert find_components(g) == oracle_find_components(g), (g.matrix.rows, g.labels[:3], steps)
         assert seen == {"NotCovered", "DomainMismatch"} and refused > 0
 
 
@@ -230,7 +230,7 @@ class TestAgainstListingOracles:
         assert len(f.carrier) == len(g.carrier) and set(f.carrier) == set(g.carrier)
         assert f.carrier[:head] == g.carrier[:head]  # cycle suffixes or chain spine first
         assert f.maps == g.maps and f.frontier == g.frontier
-        assert f.declared_tails == g.declared_tails and f.origin == g.origin
+        assert f.declared_tails == g.declared_tails
         assert dump_bfs(f) == dump_bfs(g)
 
     def check_matrix(self, a, depths, word_lens, rng):
@@ -286,7 +286,7 @@ class TestCodingMap:
             for f in systems:
                 edges = {(y, i, x) for i, img in enumerate(f.images, 1) for x, y in enumerate(img) if y >= 0}
                 owners = {(y, i, x) for y, (i, x) in enumerate(zip(f.owner_sym, f.owner_pre)) if i}
-                assert owners == edges, (a.rows, f.origin)
+                assert owners == edges, (a.rows, f.labels[:3])
                 assert all(f.owner_pre[y] == -1 for y in range(len(f.labels)) if not f.owner_sym[y])
 
 
@@ -620,9 +620,9 @@ class TestTables:
     def test_every_constructor_holds_int_arrays(self):
         for f in self.systems():
             for table in (*f.images, f.owner_pre):
-                assert type(table) is array and table.typecode == "i", f.origin
+                assert type(table) is array and table.typecode == "i", f.labels[:3]
                 assert len(table) == len(f.labels)
-            assert type(f.front) is bytearray and type(f.owner_sym) is bytearray, f.origin
+            assert type(f.front) is bytearray and type(f.owner_sym) is bytearray, f.labels[:3]
 
     def test_defined_slots_read_from_the_top_bytes(self):
         # an index at or above 2^24 has a nonzero top byte, but below 0xFF
@@ -1026,7 +1026,7 @@ class TestDump:
     def test_dumps_and_loads_match_oracles(self):
         for f in dump_corpus():
             text = dump_bfs(f)
-            assert text == oracle_dump_bfs(f), (f.matrix.rows, f.origin)
+            assert text == oracle_dump_bfs(f), (f.matrix.rows, f.labels[:3])
             loaded = load_bfs(text, f.matrix)
             assert system_arrays(loaded) == system_arrays(oracle_load_bfs(text, f.matrix))
             assert dump_bfs(loaded) == text
@@ -1166,7 +1166,7 @@ class TestDump:
         ):
             text = dump_bfs(f)
             assert max(line.count(",") for line in text.splitlines()) > 2 * 256
-            assert text == oracle_dump_bfs(f), f.origin
+            assert text == oracle_dump_bfs(f), f.labels[:3]
             loaded = load_bfs(text, f.matrix)
             assert system_arrays(loaded) == system_arrays(oracle_load_bfs(text, f.matrix))
             assert dump_bfs(loaded) == text

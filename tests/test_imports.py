@@ -8,6 +8,8 @@ unloaded, and only JSON paths load `json`; each budget is checked in a
 fresh interpreter, because this process has long since imported
 everything.  A well-formed call of a verb loads no `argparse`, nor the
 `gettext` and `locale` it imports; a refused call builds the full parser.
+No module asks for `from __future__ import annotations`, so a verb
+loads no `__future__`.
 """
 
 import ast
@@ -189,6 +191,10 @@ class TestStartUpBudget:
         dump = str(tmp_path / "dump.bfs")
         modules = loaded_by([{"A3": a3_file, "DUMP": dump}.get(arg, arg) for arg in argv])
         assert modules == ["ckrep", "ckrep.branching", "ckrep.cli", "ckrep.words"]
+
+    def test_a_verb_loads_no_future_module(self):
+        # the annotations need no `from __future__ import annotations`
+        assert "__future__" not in all_loaded_by(["canon", "--word", "211"])
 
     def test_a_refused_word_loads_no_other_library_module(self):
         # `main` tells a caller's error by its base class in `words`, so

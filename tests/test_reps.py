@@ -2,6 +2,7 @@ import cmath
 import itertools
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,6 +24,7 @@ from conftest import (
     full_matrix,
     oracle_apply_word,
     oracle_find_components,
+    oracle_fixed_point_multiplicities,
     oracle_inner_product,
     oracle_vectors_equal,
     random_matrices,
@@ -35,7 +37,9 @@ from ckrep.branching import (
     build_chain_system,
     build_cycle_system,
     direct_sum,
+    dump_bfs,
     find_components,
+    load_bfs,
     shift_bfs,
     standard_bfs,
     truncated_from_rules,
@@ -58,6 +62,7 @@ from ckrep.reps import (
     apply_word,
     class_literal,
     classify_component,
+    cross_check_standard,
     decompose,
     decompose_shift,
     decompose_standard,
@@ -157,7 +162,7 @@ class TestCKRelations:
                     systems.append(build_cycle_system(a, w, 3))
             for f in systems:
                 report = validate_bfs(f)
-                assert report.ok, (a.rows, f.origin, report.violations[:2])
+                assert report.ok, (a.rows, f.labels[:3], report.violations[:2])
                 assert report.checked_points > 0
 
     def test_deleted_edge_breaks_completeness(self):
@@ -241,24 +246,20 @@ class TestDecompose:
     def test_standard_a4(self):
         assert entries_by_literal(decompose(standard_bfs(A4, 81))) == {"P(1)": 1, "P(2)": 1}
 
-    def test_standard_a1_upgrades_to_infinite(self):
+    def test_standard_a1_counts_and_the_structure_says_inf(self):
+        # `decompose` counts the components the truncation holds, however
+        # the system was made; only `decompose_standard` says inf
         d = decompose(standard_bfs(A1, 64))
-        assert entries_by_literal(d) == {"P(1)": 1, "P(2)": INFINITY}
+        assert entries_by_literal(d) == {"P(1)": 1, "P(2)": 16}
+        assert entries_by_literal(decompose_standard(A1)) == {"P(1)": 1, "P(2)": INFINITY}
+        summed = decompose(direct_sum(standard_bfs(A1, 64), standard_bfs(A1, 64)))
+        assert entries_by_literal(summed) == {"P(1)": 2, "P(2)": 32}
 
-    def test_no_upgrade_when_disabled_or_summed(self):
-        d = decompose(standard_bfs(A1, 64), structural_infinities=False)
-        got = entries_by_literal(d)
-        assert got["P(1)"] == 1 and 1 < got["P(2)"] < INFINITY
-
-    def test_standard_origin_with_a_repeated_once_cycle_raises(self):
-        # the standard origin brings the structural rules: two copies of
-        # the A4 system, or one depth-2 cycle carrier of P(2) over A1,
-        # would report P(1) twice or P(2)^(inf); the constructor refuses it
+    def test_repeated_once_cycles_are_counted(self):
+        # two copies of the A4 system report P(1) twice, and one depth-2
+        # cycle carrier of P(2) over A1 reports P(2) once
         f = direct_sum(standard_bfs(A4, 81), standard_bfs(A4, 81))
         cycle = build_cycle_system(A1, (2,), 2)
-        for g in (f, cycle):
-            with pytest.raises(InvalidSystemError, match="only standard_bfs builds"):
-                BranchingSystem(g.matrix, g.carrier, g.maps, g.frontier, origin="standard")
         assert entries_by_literal(decompose(f)) == {"P(1)": 2, "P(2)": 2}
         assert entries_by_literal(decompose(cycle)) == {"P(2)": 1}
 
@@ -690,6 +691,59 @@ class TestStandardReports:
             checked_standard(A3, 3)
         with pytest.raises(RepError, match=r"at 2 .*: P\(2\) structural inf, observed 0$"):
             checked_standard(A1, 2)
+
+
+    def test_a_dump_round_trip_keeps_every_count(self):
+        # `decompose` counts what a system holds, however it was made, so
+        # a standard system read back from its dump decomposes alike:
+        # 11/01 at 64 gives P(2)^(16) both ways
+        for a in corpus() + random_matrices(4, 20, seed=7):
+            for bound in (64, 300):
+                f = standard_bfs(a, bound)
+                d, loaded = decompose(f), decompose(load_bfs(dump_bfs(f), a))
+                assert loaded.entries == d.entries, (a.rows, bound)
+                pairs = [[(c.word, c.size) for c in e.unresolved] for e in (d, loaded)]
+                assert pairs[0] == pairs[1], (a.rows, bound)
+
+    def test_a_label_level_rebuild_passes_the_cross_check(self):
+        for a in corpus() + random_matrices(4, 20, seed=7):
+            for bound in (64, 300):
+                f = standard_bfs(a, bound)
+                rebuilt = BranchingSystem(f.matrix, f.carrier, f.maps, f.frontier)
+                cross_check_standard(decompose_standard(a), rebuilt)
+
+
+def counted_primitive(d: Decomposition) -> Counter:
+    """The primitive finite classes of `d`, keyed as
+    `oracle_fixed_point_multiplicities` keys them."""
+    return Counter(
+        {
+            (c.word, Fraction(*c.phase.pair)): m
+            for c, m in d.entries.items()
+            if isinstance(c, FiniteClass) and not is_periodic(c.word)
+        }
+    )
+
+
+class TestFixedPointOracle:
+    def test_every_count_is_a_number_of_fixed_points(self):
+        # both ways: each primitive class `decompose` reports has as many
+        # copies as f_w has fixed loops, and each such loop is reported;
+        # untwisted, and with exact twists on about half of the edges
+        rng = random.Random(23)
+        for a in corpus() + random_matrices(4, 20, seed=7):
+            systems = [standard_bfs(a, 64), standard_bfs(a, 300), shift_bfs(a, 6)]
+            for w in _primitive_cycle_words(a)[:3]:
+                systems.append(build_cycle_system(a, w, 2))
+                systems.append(build_chain_system(a, TailWord((), w), 5, 2))
+            systems += [load_bfs(dump_bfs(g), a) for g in systems[:4]]
+            systems.append(direct_sum(systems[3], systems[3]))
+            for f in systems:
+                edges = [(i, x) for i, m in f.maps.items() for x in m if rng.random() < 0.5]
+                twists = {e: Phase.exact(rng.randrange(6), 6) for e in edges}
+                for phases in (None, twists):
+                    got = counted_primitive(decompose(f, phases))
+                    assert got == oracle_fixed_point_multiplicities(f, phases), (a.rows, f.labels[:3])
 
 
 class TestShiftReports:
