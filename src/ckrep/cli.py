@@ -9,6 +9,10 @@ reads it back.  Exit codes: 0 on success, 1 on a `UsageError`, on a
 `words.CkError` (the base of every library error the caller can fix) and
 on a report whose check failed (`ok` False), 2 on any other exception.
 
+`run` is the process entry (`ck`, `python -m ckrep.cli`): `main`, then
+`gc.freeze()`, so that exit skips its full collections.  In-process
+callers call `main`, which leaves the collector alone.
+
 Only `words` is imported up front; each verb imports `reps` or
 `branching` when it runs, and calls them through the module, so a verb
 that reads words alone never compiles the rest of the package.  `json`
@@ -494,5 +498,16 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """`main`, then `gc.freeze()`: the shutdown collections skip every
+    frozen object, and only finalizers of objects left in cycles are lost;
+    exit handlers and stream flushes run, and `ck` closes files in `with`."""
+    code = main()
+    import gc
+
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,8 +1,13 @@
 import cmath
 import contextlib
+import gc
 import importlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -17,6 +22,7 @@ from conftest import (
     brute_cyclic_words,
     checked_standard,
 )
+import ckrep
 from ckrep import branching, cli, reps
 from ckrep.cli import main, render_report
 from ckrep.phases import Phase
@@ -845,25 +851,130 @@ def test_a_closed_stdout_exits_1_quietly(capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize(
-    "argv, code, out", [(["--word", "211"], 0, "112\n"), (["--word", "x1"], 1, "")], ids=["ok", "bad-word"]
-)
-def test_module_entry_point_exits_with_mains_code(argv, code, out):
-    import os
-    import subprocess
-    import sys
-
-    import ckrep
-
+def child(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
+    """A fresh interpreter run with `args`, importing this process's ckrep."""
     src = os.path.dirname(os.path.dirname(ckrep.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ckrep.cli", "canon", *argv],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+    return subprocess.run([sys.executable, *args], input=stdin, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+
+
+# A decomposition report over A3 with each field the writer writes.
+REPORT = json.dumps({
+    "matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "level": "cyclic",
+    "components": [
+        {"kind": "finite", "word": "1212", "phase": {"num": 1, "den": 2}, "multiplicity": 1},
+        {"kind": "tail", "word": "12", "multiplicity": "inf"},
+        {"kind": "integral", "word": "123", "multiplicity": 2},
+    ],
+    "unresolved": [{"prefix": "0", "size": 2}], "tail_classes_present": True,
+})
+
+
+@pytest.fixture
+def entry_files(a3_file, tmp_path):
+    """The files a call may name: A3, a dump of P(12)'s cycle carrier over it
+    (BFS), the report above (REPORT) and a path to dump to (OUT)."""
+    dump = tmp_path / "p12.bfs"
+    dump.write_text(branching.dump_bfs(branching.build_cycle_system(validate_matrix(A3_ROWS), (1, 2), 3)))
+    report = tmp_path / "report.json"
+    report.write_text(REPORT)
+    return {"A3": a3_file, "BFS": str(dump), "REPORT": str(report), "OUT": str(tmp_path / "out.bfs")}
+
+
+def entry_call(files, argv, stdin=""):
+    """`argv` and `stdin` with each file name replaced by its path, and each
+    "<NAME" stdin by the file's text."""
+    argv = [files.get(a, a) for a in argv]
+    return argv, Path(files[stdin[1:]]).read_text() if stdin else ""
+
+
+class TestProcessEntry:
+    """`ck` and `python -m ckrep.cli` run `cli.run`, which calls `main` and
+    then freezes the heap, so that exit skips the full collections; `main`
+    in process leaves the collector alone.  The frozen exit loses the
+    finalizers of objects in cycles, so no file may be left for one."""
+
+    # One call per verb, a refused call and help: (argv, stdin).
+    CALLS = {
+        "classify-word": (["classify-word", "--matrix", "A3", "--word", "121"], ""),
+        "canon": (["canon", "--word", "211"], ""),
+        "equiv": (["equiv", "--class", "P(12)", "--class", "P(21)"], ""),
+        "decompose-standard": (["decompose-standard", "--matrix", "A3", "--truncate", "64",
+                                "--dump-bfs", "OUT"], ""),
+        "decompose-shift": (["decompose-shift", "--matrix", "A3", "--max-period", "3", "--json"], ""),
+        "decompose-bfs": (["decompose-bfs", "--matrix", "A3", "--bfs", "-"], "<BFS"),
+        "expand": (["expand"], "<REPORT"),
+        "verify-relations": (["verify-relations", "--matrix", "A3", "--system", "shift",
+                              "--word-len", "3"], ""),
+        "state": (["state", "--matrix", "A3", "--class", "P(12)", "--left", "1", "--right", "1"], ""),
+        "pspec": (["pspec", "--matrix", "A3"], ""),
+        "gp-check": (["gp-check", "--matrix", "A3", "--word", "12", "--power", "2", "--depth", "1"], ""),
+        "twist": (["twist", "--class", "P(12)", "--gauge", "1/4,1/4"], ""),
+        "refused": (["twist", "--class", "P(12)", "--gauge", "1/0"], ""),
+        "help": (["--help"], ""),
+    }
+
+    @pytest.mark.parametrize("label", CALLS)
+    def test_module_entry_matches_main_in_process(self, capsys, monkeypatch, entry_files, label):
+        argv, stdin = entry_call(entry_files, *self.CALLS[label])
+        proc = child("-m", "ckrep.cli", *argv, stdin=stdin)
+        dumped = Path(argv[-1]).read_text() if "OUT" in self.CALLS[label][0] else None
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        frozen = gc.get_freeze_count()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # help is argparse's, which exits
+            code = exc.code
+        assert gc.get_freeze_count() == frozen
+        out, err = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        assert code == (1 if label == "refused" else 0) and (out or err)
+        if dumped is not None:
+            assert Path(argv[-1]).read_text() == dumped
+
+    FREEZE_PROBE = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+        "runpy.run_module('ckrep.cli', run_name='__main__', alter_sys=True)\n"
     )
-    assert (proc.returncode, proc.stdout) == (code, out)
+
+    @pytest.mark.parametrize("word, code, out", [("211", 0, "112\n"), ("x1", 1, "")], ids=["ok", "refused"])
+    def test_the_module_entry_exits_frozen(self, word, code, out):
+        proc = child("-c", self.FREEZE_PROBE, "canon", "--word", word)
+        assert (proc.returncode, proc.stdout) == (code, out)
+        tag, count = proc.stderr.splitlines()[-1].split()
+        assert tag == "frozen" and int(count) > 0
+
+    def test_the_installed_script_runs_run(self):
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0].split()
+        assert scripts[:2] == ["ck", "="]
+        module, _, name = scripts[2].strip('"').partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.run
+
+    # Every way `ck` opens a file: the matrix read, a --dump-bfs write, a
+    # dump read from a file and from stdin, and a report read from stdin.
+    FILE_CALLS = {
+        "matrix": (["classify-word", "--matrix", "A3", "--word", "121"], ""),
+        "dump-bfs": (["decompose-standard", "--matrix", "A3", "--truncate", "64", "--dump-bfs", "OUT"], ""),
+        "bfs-file": (["decompose-bfs", "--matrix", "A3", "--bfs", "BFS"], ""),
+        "bfs-stdin": (["decompose-bfs", "--matrix", "A3", "--bfs", "-"], "<BFS"),
+        "expand-stdin": (["expand"], "<REPORT"),
+    }
+    DEV_PROBE = (
+        "import gc, sys, ckrep.cli\n"
+        "code = ckrep.cli.main(sys.argv[1:])\n"
+        "gc.collect()\n"
+        "sys.exit(code)\n"
+    )
+
+    @pytest.mark.parametrize("label", FILE_CALLS)
+    def test_no_file_is_left_for_a_finalizer(self, entry_files, label):
+        argv, stdin = entry_call(entry_files, *self.FILE_CALLS[label])
+        proc = child("-X", "dev", "-W", "error::ResourceWarning", "-c", self.DEV_PROBE, *argv, stdin=stdin)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout
 
 
 def test_main_is_the_one_output_path():

@@ -34,6 +34,13 @@ def test_phase_arithmetic_is_exact():
     assert Phase.exact(0).root(3).turns == 0
 
 
+@pytest.mark.parametrize("phase", [Phase.exact(1, 2), Phase(approx=1j)], ids=["exact", "approx"])
+def test_a_phase_multiplies_only_a_phase(phase):
+    # `__mul__` returns NotImplemented, so Python raises TypeError, not a wrong product
+    with pytest.raises(TypeError):
+        phase * 2
+
+
 @pytest.mark.parametrize("kwargs", [{}, {"turns": 0, "approx": 1}])
 def test_a_phase_takes_exactly_one_of_turns_and_approx(kwargs):
     with pytest.raises(PhaseError, match="exactly one of turns/approx"):

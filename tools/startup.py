@@ -3,14 +3,21 @@ modules it loads.
 
     python3 tools/startup.py [--runs 15] [--src path/to/src]
 
-Each verb runs one small call as `python -m ckrep.cli ...` in a fresh
-interpreter, `--runs` times, round robin over the calls, and the median
-wall time is printed in ms.  Each round also times a bare interpreter
-(`python -c pass`, whose median heads the table), and `+ms` is the
-median over the rounds of a call's time minus that round's bare time,
-which takes out much of the host's drift within and between runs of the
-tool; `iqr` is the interquartile range of those differences.  Last come
-the modules the call loaded beyond those of the bare interpreter.
+Each verb runs one small call in a fresh interpreter, `--runs` times,
+round robin over the calls, and the median wall time is printed in ms.
+A call runs `ckrep.cli` as `__main__` through `runpy.run_module`, as
+`python -m ckrep.cli ...` does, after registering an `atexit` handler
+that writes `time.perf_counter()` to stderr.  Each round also times a
+bare interpreter (`python -c pass` with the same handler, whose median
+heads the table), and `+ms` is the median over the rounds of a call's
+time minus that round's bare time, which takes out much of the host's
+drift within and between runs of the tool; `iqr` is the interquartile
+range of those differences.  `exit` is the median ms from the handler's
+timestamp to the parent's `wait` returning: the interpreter's shutdown
+after the exit handlers (stream flushes, collections, module teardown
+and process exit).  On Linux `perf_counter` reads CLOCK_MONOTONIC, one
+clock in both processes.  Last come the modules the call loaded beyond
+those of the bare interpreter.
 `expand` has a second call, `expand <REPORT`, which reads a small
 decomposition report on stdin; every other call reads an empty stdin.
 `canon refused` and `twist refused` are calls their verb refuses with
@@ -77,6 +84,18 @@ CALLS = {
     "twist refused": ["--class", "P(12)", "--gauge", "1/0"],  # a phases error
 }
 
+# An exit handler that writes the time as stderr's last line: the bare
+# interpreter's call, and, with `ckrep.cli` run as `python -m` runs it, a
+# `ck` call's.
+EXIT_HANDLER = """
+import atexit, sys, time
+atexit.register(lambda: print(repr(time.perf_counter()), file=sys.stderr))
+"""
+EXIT_PROBE = EXIT_HANDLER + """
+import runpy
+runpy.run_module("ckrep.cli", run_name="__main__", alter_sys=True)
+"""
+
 # Prints the exit code and the modules loaded once `main` returns; the
 # modules are recorded before the probe imports json itself.
 PROBE = """
@@ -91,16 +110,17 @@ print(json.dumps([code, loaded]))
 BARE = "import sys\nloaded = sorted(sys.modules)\nimport json\nprint(json.dumps(loaded))"
 
 
-def wall(argv: list[str], env: dict[str, str], cwd: str, stdin: str, code: int) -> float:
-    """Wall time of one call, which must exit `code`."""
+def wall(argv: list[str], env: dict[str, str], cwd: str, stdin: str, code: int) -> tuple[float, float]:
+    """Wall time of one call, which must exit `code`, and the time from its
+    exit handler's timestamp (stderr's last line) to `wait` returning."""
     with open(stdin, "rb") as fh:
         t0 = time.perf_counter()
         proc = subprocess.run(argv, cwd=cwd, env=env, stdin=fh,
                               stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-        elapsed = time.perf_counter() - t0
+        t1 = time.perf_counter()
     if proc.returncode != code:
         raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr.decode()[-300:]}")
-    return elapsed
+    return t1 - t0, t1 - float(proc.stderr.splitlines()[-1])
 
 
 def loaded_by(code: str, argv: list[str], env: dict[str, str], cwd: str, stdin: str = os.devnull):
@@ -112,27 +132,29 @@ def loaded_by(code: str, argv: list[str], env: dict[str, str], cwd: str, stdin: 
 
 def measure(verbs: dict[str, tuple[list[str], str, int]], env: dict[str, str], work: str, runs: int):
     """(label, median s, per-round differences from the bare interpreter in
-    s, modules beyond a bare interpreter) per call; each call is its
-    label's arguments, verb first, the file on stdin and the exit code it
-    must give."""
-    calls = {"(python -c pass)": ([sys.executable, "-c", "pass"], os.devnull, 0)}
-    calls.update({label: ([sys.executable, "-m", "ckrep.cli", *args], stdin, code)
+    s, median exit s, modules beyond a bare interpreter) per call; each
+    call is its label's arguments, verb first, the file on stdin and the
+    exit code it must give."""
+    calls = {"(python -c pass)": ([sys.executable, "-c", EXIT_HANDLER], os.devnull, 0)}
+    calls.update({label: ([sys.executable, "-c", EXIT_PROBE, *args], stdin, code)
                   for label, (args, stdin, code) in verbs.items()})
     for argv, stdin, code in calls.values():  # warm-up: fills a bytecode cache, if one is written
         wall(argv, env, work, stdin, code)
-    times: dict[str, list[float]] = {label: [] for label in calls}
+    samples: dict[str, list[tuple[float, float]]] = {label: [] for label in calls}
     for _ in range(runs):
         for label, (argv, stdin, code) in calls.items():
-            times[label].append(wall(argv, env, work, stdin, code))
+            samples[label].append(wall(argv, env, work, stdin, code))
+    times = {label: [t for t, _ in pairs] for label, pairs in samples.items()}
+    exits = {label: statistics.median(e for _, e in pairs) for label, pairs in samples.items()}
     bare = set(loaded_by(BARE, [], env, work))
     bare_times = times.pop("(python -c pass)")
-    rows = [("(python -c pass)", statistics.median(bare_times), None, [])]
+    rows = [("(python -c pass)", statistics.median(bare_times), None, exits["(python -c pass)"], [])]
     for label, (args, stdin, want) in verbs.items():
         code, loaded = loaded_by(PROBE, args, env, work, stdin)
         if code != want:
             raise SystemExit(f"ck {label} exited {code}")
         above = [t - b for t, b in zip(times[label], bare_times)]
-        rows.append((label, statistics.median(times[label]), above, sorted(set(loaded) - bare)))
+        rows.append((label, statistics.median(times[label]), above, exits[label], sorted(set(loaded) - bare)))
     return rows
 
 
@@ -171,10 +193,11 @@ def main(argv=None) -> int:
         if any(src.glob("**/__pycache__")):
             print(f"note: {src} holds __pycache__ directories, which every call reads")
         for title, env in settings.items():
-            print(f"\n{title}\n{'call':<20} {'ms':>7} {'+ms':>6} {'iqr':>5}  modules beyond a bare interpreter")
-            for label, median, above, extra in measure(verbs, env, work, args.runs):
+            print(f"\n{title}\n{'call':<20} {'ms':>7} {'+ms':>6} {'iqr':>5} {'exit':>5}"
+                  "  modules beyond a bare interpreter")
+            for label, median, above, exit_s, extra in measure(verbs, env, work, args.runs):
                 cols = "{:6.1f} {:5.1f}".format(*(1000 * v for v in spread(above))) if above else f"{'':6} {'':5}"
-                print(f"{label:<20} {median * 1000:7.1f} {cols}  {' '.join(extra)}".rstrip())
+                print(f"{label:<20} {median * 1000:7.1f} {cols} {exit_s * 1000:5.1f}  {' '.join(extra)}".rstrip())
     return 0
 
 
