@@ -13,25 +13,25 @@ import importlib
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("branching", "cli", "phases", "reps", "words")
+_SUBMODULES = ("branching", "cli", "cycles", "phases", "readback", "realization", "reps", "words")
 
 _EXPORTS = {
     "branching": """BranchingError BranchingSystem ComponentSkeleton MatrixMismatchError
         ValidationReport Violation build_chain_system build_cycle_system direct_sum dump_bfs
         find_components load_bfs shift_bfs standard_bfs truncated_from_rules validate_bfs""",
+    "cycles": "ACycleSet PSpecSummary a_cycle_set phi_map",
     "phases": "ONE Phase PhaseError RootSum phases_equal",
-    "reps": """Decomposition FiniteClass GPReport INFINITY IntegralClass MatrixRealization
-        OpaqueTailClass RepClass RepError TailClass class_literal classify_component
-        cross_check_standard decompose decompose_shift decompose_standard
-        decomposition_from_json decomposition_json equivalent expand_irreducible finite_class
-        gp_vector_check integral_class is_irreducible is_pure parse_class_literal realize
-        standard_is_irreducible standard_is_multiplicity_free state_value tail_class
+    "readback": "decomposition_from_json",
+    "realization": "GPReport MatrixRealization classify_component realize state_value",
+    "reps": """Decomposition FiniteClass INFINITY IntegralClass OpaqueTailClass RepClass RepError
+        TailClass class_literal cross_check_standard decompose decompose_shift
+        decompose_standard decomposition_json equivalent expand_irreducible finite_class
+        gp_vector_check integral_class is_irreducible parse_class_literal tail_class
         twist_by_gauge""",
-    "words": """ACycleSet CkError PSpecSummary TailWord TransitionMatrix Word WordError
-        a_cycle_set canonical_rotation enumerate_cyclic_classes format_tail format_word
-        is_admissible is_cyclically_admissible is_periodic parse_tail parse_word phi_map power
-        primitive_root pspec_summary tail_canonical validate_matrix words_equivalent_finite
-        words_equivalent_infinite""",
+    "words": """CkError TailWord TransitionMatrix Word WordError canonical_rotation
+        enumerate_cyclic_classes format_tail format_word is_admissible is_cyclically_admissible
+        is_periodic parse_tail parse_word power primitive_root pspec_summary tail_canonical
+        validate_matrix words_equivalent_infinite""",
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

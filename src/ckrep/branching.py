@@ -8,7 +8,7 @@ axiom validation, orbit/cycle/chain analysis, direct sums, and the
 explicit constructions (cycle carriers, chain carriers, the standard
 system on {1..B}, and a fixed-width stand-in for the one-sided shift).
 The cycles of the min-successor map, which give the standard system's
-decomposition without building it, are `words.a_cycle_set`.
+decomposition without building it, are `cycles.a_cycle_set`.
 
 Truncation honesty: a carrier point is *frontier* when some axiom-relevant
 datum (an image under some f_i, or the coding preimage) falls outside the
@@ -235,7 +235,7 @@ def validate_bfs(f: BranchingSystem) -> ValidationReport:
     non-frontier point, in carrier order.  Violations are report entries,
     not exceptions.
 
-    The axioms and the relations agree.  A realization (`reps.realize`)
+    The axioms and the relations agree.  A realization (`realization.realize`)
     weights each edge by a phase of unit modulus, which neither relation
     sees: s_i^* s_i projects onto D(f_i) and s_i s_i^* onto R(f_i), f_i
     being injective.  The first relation then holds at a point exactly

@@ -4,19 +4,22 @@ Thin adapters only: every verb parses arguments, calls the library, and
 returns its report as `(ok, record, text)`, printing nothing.  `main` is
 the one output path: it prints `text`, or under `--json` the `record` as
 one JSON object (indent 2, sorted keys), so the two forms carry the same
-report.  `reps` alone writes a decomposition's record and, for `expand`,
-reads it back.  Exit codes: 0 on success, 1 on a `UsageError`, on a
-`words.CkError` (the base of every library error the caller can fix) and
-on a report whose check failed (`ok` False), 2 on any other exception.
+report.  `reps` alone writes a decomposition's record, and `readback`
+alone reads it back, for `expand`.  Exit codes: 0 on success, 1 on a
+`UsageError`, on a `words.CkError` (the base of every library error the
+caller can fix) and on a report whose check failed (`ok` False), 2 on
+any other exception.
 
 `run` is the process entry (`ck`, `python -m ckrep.cli`): `main`, then
 `gc.freeze()`, so that exit skips its full collections.  In-process
 callers call `main`, which leaves the collector alone.
 
-Only `words` is imported up front; each verb imports `reps` or
-`branching` when it runs, and calls them through the module, so a verb
-that reads words alone never compiles the rest of the package.  `json`
-is imported only by the paths that write or read JSON.
+Only `words` is imported up front; each verb imports `reps`,
+`branching`, `realization` or `readback` when it runs, and calls them
+through the module, so a verb that reads words alone never compiles the
+rest of the package, and a verb that reads a class alone never compiles
+the system side.  `json` is imported only by the paths that write or
+read JSON.
 
 A well-formed call is parsed from the verb table `_VERBS` alone, without
 importing `argparse` (which imports `gettext`, and its parser `locale`).
@@ -193,11 +196,13 @@ def _cmd_expand(args):
     else:
         import json
 
+        from . import readback
+
         try:
             record = json.loads(_read_text("-"))
         except (ValueError, RecursionError) as exc:  # too deep, or an integer too long to read
             raise UsageError(f"expand input is not JSON: {exc}") from None
-        d = reps.decomposition_from_json(record, a)
+        d = readback.decomposition_from_json(record, a)
     return _decomposition_report(reps.expand_irreducible(d))
 
 
@@ -248,11 +253,11 @@ def _cmd_verify_relations(args):
 
 
 def _cmd_state(args):
-    from . import reps
+    from . import realization, reps
 
     a = _load_matrix(args.matrix)
     c = reps.parse_class_literal(args.cls, a)
-    value = reps.state_value(a, c, words.parse_word(args.left), words.parse_word(args.right))
+    value = realization.state_value(a, c, words.parse_word(args.left), words.parse_word(args.right))
     return True, {"value": value}, str(value)
 
 

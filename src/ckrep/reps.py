@@ -1,21 +1,20 @@
-"""Representation classes, realizations and decomposition reports.
+"""Representation classes, their calculus and decomposition reports.
 
 The cyclic building blocks are P(J; z) for a cyclically admissible finite
 word J and unit phase z (a cycle with one phase-twisted edge), P(K) for an
 infinite word K (a chain), and the direct-integral class into which an
-eventually periodic chain splits.  This module realizes branching systems
-as sparse phase-weighted partial permutations, classifies components,
-and produces cyclic and irreducible-level decomposition reports; the two
-defining relations of the algebra are `branching.validate_bfs`'s check.
-The functions that build or scan a branching system import `branching`
-when they run, so the class calculus alone loads without it.
+eventually periodic chain splits.  This module holds the class calculus
+(equivalence, gauge twist, irreducible expansion) and produces cyclic
+and irreducible-level decomposition reports; the two defining relations
+of the algebra are `branching.validate_bfs`'s check.  The functions that
+build, realize or scan a branching system import `branching` and
+`realization` when they run, and the structural reports import
+`cycles`, so the class calculus alone loads none of them.
 """
 
 from collections import namedtuple
-from functools import cached_property
-from math import lcm
 
-from .phases import ONE, Phase, PhaseError, RootSum, phases_equal
+from .phases import ONE, Phase, RootSum, phases_equal
 from .words import (
     CkError,
     EMPTY_WORD,
@@ -23,9 +22,6 @@ from .words import (
     TailWord,
     TransitionMatrix,
     Word,
-    _check_symbols,
-    _cycle_words,
-    a_cycle_set,
     canonical_rotation,
     enumerate_cyclic_classes,
     format_tail,
@@ -41,8 +37,7 @@ from .words import (
 TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:
     from .branching import BranchingSystem, ComponentSkeleton, Label
-
-    Vector = dict[int, int]  # {x: e}, the sum of zeta_N^e e_x over distinct points x
+    from .realization import GPReport, Vector
 
 INFINITY = float("inf")
 
@@ -53,19 +48,7 @@ class RepError(CkError):
     """A representation-level argument violates an operation contract."""
 
 
-class PhaseOffDomainError(RepError):
-    pass
-
-
-class UnresolvedComponentError(RepError):
-    pass
-
-
 class IntegralClassUnsupportedError(RepError):
-    pass
-
-
-class PhaseUnsupportedError(RepError):
     pass
 
 
@@ -279,107 +262,6 @@ class Decomposition:
         )
 
 
-class MatrixRealization:
-    """pi_f as a sparse phase-weighted partial permutation per symbol.
-
-    s_i sends the basis vector at x to weight * basis vector at f_i(x)
-    on the recorded domain and to 0 elsewhere.  `weights` holds the
-    twisted edges only; every other recorded edge has weight 1.  Every
-    weight is a root of unity, so the vector calculus keeps a vector as
-    {point index: e}, the sum of zeta_N^e e_x, with N from `exponents`.
-    """
-
-    def __init__(self, system: "BranchingSystem", weights: "dict[int, dict[Label, Phase]]"):
-        self.system = system
-        self.weights = weights
-
-    @property
-    def matrix(self) -> TransitionMatrix:
-        return self.system.matrix
-
-    @cached_property
-    def exponents(self) -> tuple[int, list[dict[int, int]]]:
-        """(N, per symbol {point index: e}): the twisted edge at x has
-        weight zeta_N^e, where the order N is the lcm of the twists'
-        denominators (1 without twists).  PhaseError on an approximate
-        twist."""
-        f = self.system
-        twists = [(i, x, t) for i, per in self.weights.items() for x, t in per.items()]
-        if not all(t.is_exact for _, _, t in twists):
-            raise PhaseError("exact arithmetic requires an exact phase")
-        order = lcm(*(t.pair[1] for _, _, t in twists))
-        exps: list[dict[int, int]] = [{} for _ in range(f.n)]
-        for i, x, t in twists:
-            num, den = t.pair
-            exps[i - 1][f.position[x]] = num * (order // den)
-        return order, exps
-
-
-def realize(
-    f: "BranchingSystem", phases: "dict[tuple[int, Label], Phase] | None" = None
-) -> MatrixRealization:
-    """Attach the supplied twists to their edges; every other recorded
-    edge has weight 1."""
-    weights: dict[int, dict[Label, Phase]] = {}
-    for (i, x), phase in (phases or {}).items():
-        k = f.position.get(x)
-        if k is None or not 0 < i <= f.n or f.images[i - 1][k] < 0:
-            raise PhaseOffDomainError(f"no edge for symbol {i} at point {x!r}")
-        weights.setdefault(i, {})[x] = phase
-    return MatrixRealization(system=f, weights=weights)
-
-
-def apply_word(m: MatrixRealization, word: Word, vec: "Vector") -> "Vector":
-    """s_word = s_{j_1} ... s_{j_k}; the rightmost factor acts first.
-    Each f_i is injective, so each step maps the point x to f_i(x) and
-    adds the edge's twist exponent mod N."""
-    f = m.system
-    if word and not 0 < min(word) <= max(word) <= f.n:
-        raise RepError(f"word {word} has a letter outside 1..{f.n}")
-    order, exps = m.exponents
-    images = f.images
-    for i in reversed(word):
-        img, twist = images[i - 1], exps[i - 1]
-        vec = {y: (e + twist.get(x, 0)) % order for x, e in vec.items() if (y := img[x]) >= 0}
-    return vec
-
-
-def inner_product(m: MatrixRealization, v: "Vector", w: "Vector") -> RootSum:
-    """<v, w>, conjugate-linear in v: a point with v[x] = a and w[x] = b
-    adds zeta_N^(b - a)."""
-    order = m.exponents[0]
-    counts: dict[int, int] = {}
-    for x in v.keys() & w.keys():
-        d = (w[x] - v[x]) % order
-        counts[d] = counts.get(d, 0) + 1
-    return RootSum(order, counts)
-
-
-def classify_component(c: "ComponentSkeleton", m: MatrixRealization) -> RepClass:
-    """Read off the class of a resolved component.
-
-    A cycle yields P(canonical word; product of edge phases); the product
-    is rotation invariant, so no rebasing is needed.  A chain yields the
-    canonical tail class of its declared tail, or an opaque class when the
-    tail came from a generator.
-    """
-    if c.kind == "cycle":
-        phase = ONE
-        k = len(c.points)
-        for l in range(k):
-            twist = m.weights.get(c.word[l], {}).get(c.points[(l + 1) % k])
-            if twist is not None:  # untwisted edges have weight 1
-                phase = phase * twist
-        return finite_class(c.word, phase, m.matrix)
-    if c.kind == "chain":
-        if isinstance(c.declared, TailWord):
-            return tail_class(c.declared, m.matrix)
-        return OpaqueTailClass(prefix=c.word, source=c.declared)
-    raise UnresolvedComponentError(
-        f"component through {c.points[0]!r} is not resolved inside the truncation"
-    )
-
-
 def decompose(
     f: "BranchingSystem", phases: "dict[tuple[int, Label], Phase] | None" = None
 ) -> Decomposition:
@@ -393,6 +275,7 @@ def decompose(
     and cycles that read the same word are classified once.
     """
     from .branching import find_components, validate_bfs
+    from .realization import classify_component, realize
 
     report = validate_bfs(f)
     if not report.ok:
@@ -441,65 +324,7 @@ def expand_irreducible(d: Decomposition) -> Decomposition:
     return out
 
 
-def state_value(a: TransitionMatrix, c: RepClass, left: Word, right: Word) -> int:
-    """The vector state of the class at s_left s_right^*; exact 0 or 1.
-
-    Cycle case: 1 iff both words lie in a common set
-    I_p = {J^a + J[:p] : a >= 0}, 0 <= p < |J|.  Chain case: 1 iff both
-    words are the same prefix of the tail.  Inadmissible words give 0; a
-    letter outside 1..N is refused.  The state is written for phase 1
-    only; other phases are refused.
-    """
-    _check_symbols(a, left)
-    _check_symbols(a, right)
-    if isinstance(c, FiniteClass):
-        if not c.phase.is_one():
-            raise PhaseUnsupportedError("the state formula covers phase 1 only")
-        word = c.word
-        k = len(word)
-
-        def in_ip(w: Word, p: int) -> bool:
-            if len(w) < p or (len(w) - p) % k:
-                return False
-            reps = (len(w) - p) // k
-            return w == power(word, reps) + word[:p]
-
-        for p in range(k):
-            if in_ip(left, p) and in_ip(right, p):
-                return 1
-        return 0
-    if isinstance(c, TailClass):
-        if left != right:
-            return 0
-        return 1 if left == c.tail.prefix(len(left)) else 0
-    raise RepError("the state formula covers cycle and tail classes only")
-
-
-def is_pure(c: RepClass) -> bool:
-    """Purity of the associated state; coincides with irreducibility."""
-    if isinstance(c, FiniteClass) and not c.phase.is_one():
-        raise PhaseUnsupportedError("the state formula covers phase 1 only")
-    if isinstance(c, IntegralClass):
-        raise RepError("the state formula covers cycle and tail classes only")
-    return is_irreducible(c)
-
-
-class GPReport(
-    namedtuple(
-        "GPReport",
-        "word p fixed_point_ok orthonormal_ok family_size decomposition_matches",
-    )
-):
-    """Outcome of the cyclic-vector check for a split power class."""
-
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.fixed_point_ok and self.orthonormal_ok and self.decomposition_matches
-
-
-def gp_vector_check(a: TransitionMatrix, word: Word, p: int, depth: int = 2) -> GPReport:
+def gp_vector_check(a: TransitionMatrix, word: Word, p: int, depth: int = 2) -> "GPReport":
     """Verify, in exact cyclotomic arithmetic, that the direct sum of the
     p phase-twisted copies of P(word) carries the power class.
 
@@ -509,6 +334,7 @@ def gp_vector_check(a: TransitionMatrix, word: Word, p: int, depth: int = 2) -> 
     the sum reproduces the irreducible expansion of P(word^p).
     """
     from .branching import build_cycle_system, direct_sum
+    from .realization import GPReport, apply_word, inner_product, realize
 
     if p < 1:
         raise RepError("p must be >= 1")
@@ -560,6 +386,8 @@ def decompose_standard(a: TransitionMatrix) -> Decomposition:
     multiplicities are structural: no truncation is built or counted.
     `cross_check_standard` checks them against a truncated system.
     """
+    from .cycles import a_cycle_set
+
     cycles = a_cycle_set(a)
     out = Decomposition(matrix=a)
     for word in cycles.once:
@@ -596,6 +424,8 @@ def decompose_shift(a: TransitionMatrix, max_period: int) -> Decomposition:
     once; the tail marker records whether non-eventually-periodic classes
     (each also of multiplicity one) exist at all.
     """
+    from .cycles import _cycle_words
+
     if max_period < 1:
         raise RepError("max_period must be >= 1")
     out = Decomposition(matrix=a)
@@ -606,15 +436,6 @@ def decompose_shift(a: TransitionMatrix, max_period: int) -> Decomposition:
     return out
 
 
-def standard_is_multiplicity_free(a: TransitionMatrix) -> bool:
-    return not a_cycle_set(a).infinite
-
-
-def standard_is_irreducible(a: TransitionMatrix) -> bool:
-    cycles = a_cycle_set(a)
-    return not cycles.infinite and len(cycles.once) == 1
-
-
 def phase_json(p: Phase) -> dict:
     if p.is_exact:
         num, den = p.pair
@@ -623,22 +444,8 @@ def phase_json(p: Phase) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def phase_from_json(data) -> Phase:
-    """Read the form `phase_json` writes, with exactly its keys.  A
-    boolean is not a number here, as JSON's true and false are not."""
-    try:
-        if not any(isinstance(v, bool) for v in data.values()):
-            if data.keys() == {"num", "den"}:
-                return Phase.exact(data["num"], data["den"])
-            if data.keys() == {"re", "im"}:
-                return Phase.from_complex(complex(data["re"], data["im"]))
-    except (AttributeError, OverflowError, TypeError):
-        pass
-    raise RepError(f"bad phase {data!r}: need num/den integers or re/im numbers")
-
-
 def decomposition_json(d: Decomposition) -> dict:
-    """The report's record, which `decomposition_from_json` reads back."""
+    """The report's record, which `readback.decomposition_from_json` reads back."""
     components = []
     for c, mult in d.sorted_entries():
         if isinstance(c, FiniteClass):
@@ -659,72 +466,4 @@ def decomposition_json(d: Decomposition) -> dict:
     }
     if d.tail_marker is not None:
         out["tail_classes_present"] = d.tail_marker
-    return out
-
-
-UnresolvedEntry = namedtuple("UnresolvedEntry", "word size")  # an unresolved component, read back
-
-_REPORT_KEYS = {"matrix", "level", "components", "unresolved", "tail_classes_present"}
-
-
-def decomposition_from_json(record, matrix: TransitionMatrix | None = None) -> Decomposition:
-    """The decomposition that `decomposition_json` wrote as `record`, over
-    the report's matrix or, if it has none, over `matrix`.  A field that
-    the writer may leave out takes its default; any other key or value the
-    writer never writes, a matrix other than `matrix` among them, raises
-    RepError or WordError."""
-    from .words import parse_word, validate_matrix
-
-    if not isinstance(record, dict) or not isinstance(record.get("components"), list):
-        raise RepError('expand input needs a "components" list')
-    if extra := record.keys() - _REPORT_KEYS:
-        raise RepError(f"report has unknown key {min(extra)!r}")
-    if (rows := record.get("matrix")) is not None:
-        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
-            raise RepError('"matrix" must be a list of rows')
-        own = validate_matrix(rows)
-        if matrix is not None and matrix != own:
-            raise RepError("the report's matrix differs from the given matrix")
-        matrix = own
-    out = Decomposition(level=record.get("level", "cyclic"), matrix=matrix)
-    if out.level not in ("cyclic", "irreducible"):
-        raise RepError(f'"level" must be "cyclic" or "irreducible", not {out.level!r}')
-    out.tail_marker = record.get("tail_classes_present")
-    if "tail_classes_present" in record and not isinstance(out.tail_marker, bool):
-        raise RepError(f'"tail_classes_present" must be true or false, not {out.tail_marker!r}')
-    for comp in record["components"]:
-        fields = comp if isinstance(comp, dict) else {}
-        kind, mult = fields.get("kind"), fields.get("multiplicity")
-        if not all(isinstance(fields.get(key), str) for key in ("kind", "word")):
-            raise RepError(f"component {comp!r} needs a string kind and word")
-        if mult != "inf" and not (type(mult) is int and mult >= 1):
-            raise RepError(f'component {comp!r} needs multiplicity "inf" or a positive integer')
-        if "phase" in fields and kind != "finite":
-            raise RepError(f"component {comp!r} has a phase, which only a finite class takes")
-        if extra := fields.keys() - {"kind", "word", "phase", "multiplicity"}:
-            raise RepError(f"component {comp!r} has unknown key {min(extra)!r}")
-        word = parse_word(fields["word"])
-        if kind == "finite":
-            phase = phase_from_json(fields["phase"]) if "phase" in fields else ONE
-            c = finite_class(word, phase, matrix)
-        elif kind == "tail":
-            c = tail_class(TailWord(EMPTY_WORD, word), matrix)
-        elif kind == "integral":
-            c = integral_class(word, matrix)
-        else:
-            raise RepError(f"unknown component kind {kind!r}")
-        out.add(c, INFINITY if mult == "inf" else mult)
-    if not isinstance(entries := record.get("unresolved", []), list):
-        raise RepError('"unresolved" must be a list')
-    for entry in entries:
-        fields = entry if isinstance(entry, dict) else {}
-        prefix, size = fields.get("prefix"), fields.get("size")
-        if fields.keys() != {"prefix", "size"} or not isinstance(prefix, str) or not (
-            type(size) is int and size >= 1
-        ):
-            raise RepError(f"unresolved entry {entry!r} needs a string prefix and a positive size")
-        word = parse_word(prefix)
-        if matrix is not None:
-            _check_symbols(matrix, word)
-        out.unresolved += (UnresolvedEntry(word, size),)
     return out

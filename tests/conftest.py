@@ -59,10 +59,11 @@ from ckrep.branching import (
     _periodic_extension,
     standard_bfs,
 )
+from ckrep.cycles import ACycleSet, phi_map
 from ckrep.phases import APPROX_TOL, Phase, PhaseError
-from ckrep.reps import Decomposition, MatrixRealization, cross_check_standard, decompose_standard
+from ckrep.realization import MatrixRealization
+from ckrep.reps import Decomposition, cross_check_standard, decompose_standard
 from ckrep.words import (
-    ACycleSet,
     EmptyWordError,
     NotCyclicallyAdmissibleError,
     SymbolOutOfRangeError,
@@ -75,7 +76,6 @@ from ckrep.words import (
     format_word,
     is_cyclically_admissible,
     is_periodic,
-    phi_map,
     validate_matrix,
 )
 

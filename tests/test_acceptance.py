@@ -35,6 +35,7 @@ from ckrep.branching import (
     validate_bfs,
 )
 from ckrep.cli import main
+from ckrep.realization import state_value
 from ckrep.reps import (
     Decomposition,
     INFINITY,
@@ -44,7 +45,6 @@ from ckrep.reps import (
     expand_irreducible,
     finite_class,
     gp_vector_check,
-    state_value,
     tail_class,
 )
 from ckrep.words import (

@@ -23,7 +23,7 @@ from conftest import (
     checked_standard,
 )
 import ckrep
-from ckrep import branching, cli, reps
+from ckrep import branching, cli, readback, reps
 from ckrep.cli import main, render_report
 from ckrep.phases import Phase
 from ckrep.words import CkError, TailWord, is_periodic, validate_matrix
@@ -686,7 +686,7 @@ def decompositions(draw):
 @given(decompositions())
 def test_decomposition_from_json_inverts_the_writer(d):
     record = reps.decomposition_json(d)
-    back = reps.decomposition_from_json(record)
+    back = readback.decomposition_from_json(record)
     assert back.entries == d.entries
     assert [(c.word, c.size) for c in back.unresolved] == [(c.word, c.size) for c in d.unresolved]
     assert (back.level, back.matrix, back.tail_marker) == (d.level, d.matrix, d.tail_marker)

@@ -9,11 +9,13 @@ fresh interpreter, because this process has long since imported
 everything.  A well-formed call of a verb loads no `argparse`, nor the
 `gettext` and `locale` it imports; a refused call builds the full parser.
 No module asks for `from __future__ import annotations`, so a verb
-loads no `__future__`.
+loads no `__future__`.  A verb that reads a class alone compiles a
+bounded number of function lines, counted by `tools/startup.py`'s probe.
 """
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -26,7 +28,7 @@ import ckrep
 
 PACKAGE = os.path.dirname(ckrep.__file__)
 
-SUBMODULES = ("branching", "cli", "phases", "reps", "words")
+SUBMODULES = ckrep._SUBMODULES
 
 EXPORTED = """
     ACycleSet BranchingError BranchingSystem CkError ComponentSkeleton Decomposition
@@ -37,15 +39,19 @@ EXPORTED = """
     cross_check_standard decompose decompose_shift decompose_standard decomposition_from_json
     decomposition_json direct_sum dump_bfs enumerate_cyclic_classes equivalent
     expand_irreducible find_components finite_class format_tail format_word gp_vector_check
-    integral_class is_admissible is_cyclically_admissible is_irreducible is_periodic is_pure
+    integral_class is_admissible is_cyclically_admissible is_irreducible is_periodic
     load_bfs parse_class_literal parse_tail parse_word phases_equal phi_map power
-    primitive_root pspec_summary realize shift_bfs standard_bfs standard_is_irreducible
-    standard_is_multiplicity_free state_value tail_canonical tail_class truncated_from_rules
-    twist_by_gauge validate_bfs validate_matrix words_equivalent_finite
+    primitive_root pspec_summary realize shift_bfs standard_bfs state_value tail_canonical
+    tail_class truncated_from_rules twist_by_gauge validate_bfs validate_matrix
     words_equivalent_infinite
 """.split()
 
 WORDS_ONLY = ["ckrep", "ckrep.cli", "ckrep.words"]
+
+# The function lines that `twist`, `equiv` and `expand --class` may
+# compile: 873 each, against 1101 while `reps` and `words` also held the
+# realization, the report reader and the cycle structure of A.
+CLASS_VERB_FUNCTION_LINES = 950
 
 
 def run_python(code: str, *args: str, stdin: str | None = None) -> str:
@@ -140,42 +146,70 @@ class TestStartUpBudget:
         [
             ["canon", "--word", "211"],
             ["classify-word", "--matrix", "A3", "--word", "121"],
-            ["pspec", "--matrix", "A3"],
         ],
-        ids=["canon", "classify-word", "pspec"],
+        ids=["canon", "classify-word"],
     )
     def test_word_verbs_load_words_alone(self, a3_file, argv):
         assert loaded_by([a3_file if arg == "A3" else arg for arg in argv]) == WORDS_ONLY
 
+    def test_pspec_loads_words_and_the_cycle_structure(self, a3_file):
+        modules = loaded_by(["pspec", "--matrix", a3_file])
+        assert modules == ["ckrep", "ckrep.cli", "ckrep.cycles", "ckrep.words"]
+
     @pytest.mark.parametrize(
-        "argv, stdin",
+        "argv, stdin, beyond",
         [
-            (["decompose-shift", "--matrix", "A3", "--max-period", "4"], None),
-            (["expand", "--class", "P(1212)"], None),
-            (["expand"], REPORT),
-            (["twist", "--class", "P(12)", "--gauge", "1/4,1/4"], None),
-            (["equiv", "--class", "P(12;1)", "--class", "P(21;1)"], None),
-            (["state", "--matrix", "A3", "--class", "P(12)", "--left", "1", "--right", "1"], None),
+            (["decompose-shift", "--matrix", "A3", "--max-period", "4"], None, ["cycles"]),
+            (["expand", "--class", "P(1212)"], None, []),
+            (["expand"], REPORT, ["readback"]),
+            (["twist", "--class", "P(12)", "--gauge", "1/4,1/4"], None, []),
+            (["equiv", "--class", "P(12;1)", "--class", "P(21;1)"], None, []),
+            (["state", "--matrix", "A3", "--class", "P(12)", "--left", "1", "--right", "1"], None,
+             ["realization"]),
         ],
         ids=["decompose-shift", "expand", "expand-stdin", "twist", "equiv", "state"],
     )
-    def test_class_verbs_skip_branching(self, a3_file, argv, stdin):
+    def test_class_verbs_skip_branching(self, a3_file, argv, stdin, beyond):
+        # the class calculus is `reps`; each verb loads only the part of
+        # the system side it runs, and none loads `branching`
         modules = loaded_by([a3_file if arg == "A3" else arg for arg in argv], stdin)
-        assert "ckrep.reps" in modules and "ckrep.branching" not in modules
+        expected = ["cli", "phases", "reps", "words", *beyond]
+        assert modules == ["ckrep", *sorted(f"ckrep.{m}" for m in expected)]
+
+    @pytest.mark.parametrize(
+        "argv, beyond",
+        [
+            (["decompose-standard", "--matrix", "A3"], ["cycles", "realization"]),
+            (["decompose-shift", "--matrix", "A3", "--dump-bfs", "DUMP"], ["cycles"]),
+            (["gp-check", "--matrix", "A3", "--word", "12", "--power", "2"], ["realization"]),
+        ],
+        ids=["decompose-standard", "decompose-shift-dump", "gp-check"],
+    )
+    def test_system_verbs_load_branching(self, a3_file, tmp_path, argv, beyond):
+        # no verb but `expand` reading a report loads `readback`
+        dump = str(tmp_path / "dump.bfs")
+        modules = loaded_by([{"A3": a3_file, "DUMP": dump}.get(arg, arg) for arg in argv])
+        expected = ["branching", "cli", "phases", "reps", "words", *beyond]
+        assert modules == ["ckrep", *sorted(f"ckrep.{m}" for m in expected)]
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["decompose-standard", "--matrix", "A3"],
-            ["decompose-shift", "--matrix", "A3", "--dump-bfs", "DUMP"],
-            ["gp-check", "--matrix", "A3", "--word", "12", "--power", "2"],
+            ["twist", "--class", "P(12)", "--gauge", "1/4,1/4"],
+            ["equiv", "--class", "P(12)", "--class", "P(21)"],
+            ["expand", "--class", "P(1212)"],
         ],
-        ids=["decompose-standard", "decompose-shift-dump", "gp-check"],
+        ids=["twist", "equiv", "expand"],
     )
-    def test_system_verbs_load_branching(self, a3_file, tmp_path, argv):
-        dump = str(tmp_path / "dump.bfs")
-        modules = loaded_by([{"A3": a3_file, "DUMP": dump}.get(arg, arg) for arg in argv])
-        assert modules == ["ckrep", *(f"ckrep.{m}" for m in SUBMODULES)]
+    def test_class_verbs_compile_a_bounded_number_of_function_lines(self, monkeypatch, argv):
+        # the probe of `tools/startup.py`, imported without writing bytecode
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        tools = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+        spec = importlib.util.spec_from_file_location("startup", os.path.join(tools, "startup.py"))
+        startup = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(startup)
+        code, _, compiled, unrun = json.loads(run_python(startup.PROBE, *argv))
+        assert code == 0 and 0 < unrun < compiled <= CLASS_VERB_FUNCTION_LINES
 
     @pytest.mark.parametrize(
         "argv",
@@ -212,15 +246,16 @@ class TestStartUpBudget:
         modules = loaded_by(["decompose-bfs", "--matrix", a3_file, "--bfs", str(dump)])
         assert "ckrep.branching" in modules
 
-    def test_dump_reader_loads_reps_and_phases_beyond_the_writer(self, a3_file, tmp_path):
-        # writing a dump needs `branching` alone; decomposing it needs `reps`
+    def test_dump_reader_loads_the_class_side_beyond_the_writer(self, a3_file, tmp_path):
+        # writing a dump needs `branching` alone; decomposing it needs
+        # `reps` and `realization`
         dump = str(tmp_path / "dump.bfs")
         write = ["verify-relations", "--matrix", a3_file, "--system", "cycle", "--word", "12",
                  "--dump-bfs", dump]
         written = all_loaded_by(write)
         read = all_loaded_by(["decompose-bfs", "--matrix", a3_file, "--bfs", dump])
         assert set(written) <= set(read)
-        assert set(read) - set(written) == {"ckrep.reps", "ckrep.phases"}
+        assert set(read) - set(written) == {"ckrep.reps", "ckrep.phases", "ckrep.realization"}
 
     def test_branching_imports_only_array_beyond_the_cli(self):
         # dump_bfs and load_bfs work with what `ckrep.cli` and `ckrep.words`

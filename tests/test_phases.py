@@ -140,7 +140,7 @@ def test_rootsum_matches_floating_point():
 def test_exact_arithmetic_refuses_approximate_phases():
     # the vector calculus, the one builder of root sums, takes exact twists only
     from ckrep.branching import build_cycle_system
-    from ckrep.reps import realize
+    from ckrep.realization import realize
     from ckrep.words import validate_matrix
 
     f = build_cycle_system(validate_matrix([[1, 1], [1, 1]]), (1,), 1)

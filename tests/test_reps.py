@@ -46,22 +46,28 @@ from ckrep.branching import (
     validate_bfs,
 )
 from ckrep.phases import ONE, Phase, PhaseError, RootSum
+from ckrep.readback import UnresolvedEntry
+from ckrep.realization import (
+    GPReport,
+    PhaseOffDomainError,
+    PhaseUnsupportedError,
+    UnresolvedComponentError,
+    apply_word,
+    classify_component,
+    inner_product,
+    realize,
+    state_value,
+)
 from ckrep.reps import (
     Decomposition,
     FiniteClass,
-    GPReport,
     INFINITY,
     IntegralClass,
     OpaqueTailClass,
-    PhaseOffDomainError,
-    PhaseUnsupportedError,
     RepError,
     TailClass,
     UndecidableEquivalenceError,
-    UnresolvedComponentError,
-    apply_word,
     class_literal,
-    classify_component,
     cross_check_standard,
     decompose,
     decompose_shift,
@@ -71,15 +77,9 @@ from ckrep.reps import (
     expand_irreducible,
     finite_class,
     gp_vector_check,
-    inner_product,
     integral_class,
     is_irreducible,
-    is_pure,
     parse_class_literal,
-    realize,
-    standard_is_irreducible,
-    standard_is_multiplicity_free,
-    state_value,
     tail_class,
     twist_by_gauge,
 )
@@ -475,6 +475,10 @@ class TestStates:
         with pytest.raises(PhaseUnsupportedError):
             state_value(A3, c, (1,), (1,))
 
+    def test_integral_refused(self):
+        with pytest.raises(RepError, match="cycle and tail classes only"):
+            state_value(A3, integral_class((1, 2, 3)), (1,), (1,))
+
     def test_chain_examples(self):
         c = tail_class(TailWord((), (2,)), A1)
         assert state_value(A1, c, (2, 2), (2, 2)) == 1
@@ -503,17 +507,6 @@ class TestStates:
             for left in wordsets:
                 for right in wordsets:
                     assert state_value(a, c, left, right) == model_state(f, 1, left, right)
-
-
-class TestPurity:
-    def test_examples(self):
-        assert is_pure(finite_class((1, 2)))
-        assert not is_pure(finite_class((1, 1)))
-        assert not is_pure(tail_class(TailWord((), (1,))))
-        with pytest.raises(PhaseUnsupportedError):
-            is_pure(FiniteClass((1,), Phase.exact(1, 2)))
-        with pytest.raises(RepError, match="cycle and tail classes only"):
-            is_pure(integral_class((1, 2)))
 
 
 def _primitive_cycle_words(a, max_len=3):
@@ -675,10 +668,12 @@ class TestStandardReports:
         assert entries_by_literal(checked_standard(A4, 81)) == {"P(1)": 1, "P(2)": 1}
 
     def test_verdicts(self):
-        assert standard_is_multiplicity_free(A3) and standard_is_irreducible(A3)
-        assert standard_is_multiplicity_free(A4) and not standard_is_irreducible(A4)
+        # multiplicity free iff no class is inf; irreducible iff one class, once
         y = validate_matrix([[1, 0], [1, 1]])
-        assert not standard_is_multiplicity_free(y) and not standard_is_irreducible(y)
+        for a, free, irreducible in ((A3, True, True), (A4, True, False), (y, False, False)):
+            mults = list(decompose_standard(a).entries.values())
+            assert (INFINITY not in mults) == free, a.rows
+            assert (mults == [1]) == irreducible, a.rows
 
     def test_cross_check_failure_raises(self):
         # bound too small to see the once-cycle resolved
@@ -871,7 +866,8 @@ class TestJsonSchema:
         import cmath
 
         from ckrep.phases import phases_equal
-        from ckrep.reps import phase_from_json, phase_json
+        from ckrep.readback import phase_from_json
+        from ckrep.reps import phase_json
 
         for z in [ONE, Phase.exact(2, 3), Phase.exact(5, 12), Phase.from_complex(cmath.exp(0.7j))]:
             assert phases_equal(phase_from_json(phase_json(z)), z)
@@ -886,7 +882,8 @@ class TestJsonSchema:
         + [None],
     )
     def test_malformed_phase_json_is_a_rep_error(self, data):
-        from ckrep.reps import RepError, phase_from_json
+        from ckrep.readback import phase_from_json
+        from ckrep.reps import RepError
 
         with pytest.raises(RepError, match="bad phase"):
             phase_from_json(data)
@@ -1004,7 +1001,7 @@ class TestRecordTypes:
         d.add(finite_class((2, 1), Phase.exact(1, 2)), INFINITY)
         d.add(integral_class((1, 2)), 2)
         d.add(finite_class((1,)))
-        d.unresolved = (reps.UnresolvedEntry((1, 2), 3),)
+        d.unresolved = (UnresolvedEntry((1, 2), 3),)
         assert repr(d) == (
             "Decomposition(level='irreducible', entries=[('Int(12)', 2), ('P(1)', 1), "
             "('P(12;1/2)', inf)], unresolved=[('12', 3)], tail_marker=True)"

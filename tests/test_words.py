@@ -24,7 +24,7 @@ from conftest import (
     trace_formula_counts,
     tree,
 )
-from ckrep import words
+from ckrep import cycles, words
 from ckrep.words import (
     EmptyWordError,
     MatrixTooSmallError,
@@ -50,7 +50,6 @@ from ckrep.words import (
     pspec_summary,
     tail_canonical,
     validate_matrix,
-    words_equivalent_finite,
     words_equivalent_infinite,
 )
 
@@ -243,13 +242,12 @@ class TestCanonicalRotation:
 
 
 class TestFiniteEquivalence:
+    # two finite words are equivalent iff they are cyclic rotations of each
+    # other, which is iff their canonical rotations agree
     def test_examples(self):
-        assert words_equivalent_finite((1, 2, 3), (3, 1, 2))
-        assert not words_equivalent_finite((1, 2), (1, 2, 1, 2))
-        assert not words_equivalent_finite((1, 1, 2), (1, 2, 2))
-        for pair in (((), (1,)), ((1,), ()), ((), ())):
-            with pytest.raises(EmptyWordError):
-                words_equivalent_finite(*pair)
+        assert canonical_rotation((1, 2, 3)) == canonical_rotation((3, 1, 2))
+        assert canonical_rotation((1, 2)) != canonical_rotation((1, 2, 1, 2))
+        assert canonical_rotation((1, 1, 2)) != canonical_rotation((1, 2, 2))
 
     def test_equivalence_relation_on_samples(self):
         rng = random.Random(7)
@@ -259,11 +257,9 @@ class TestFiniteEquivalence:
             pool.append(w)
             pool.append(rotate(w, rng.randrange(len(w))))
         for _ in range(1000):
-            u, v, w = rng.sample(pool, 3)
-            assert words_equivalent_finite(u, u)
-            assert words_equivalent_finite(u, v) == words_equivalent_finite(v, u)
-            if words_equivalent_finite(u, v) and words_equivalent_finite(v, w):
-                assert words_equivalent_finite(u, w)
+            u, v = rng.sample(pool, 2)
+            rotations = {rotate(u, s) for s in range(len(u))}
+            assert (canonical_rotation(u) == canonical_rotation(v)) == (v in rotations), (u, v)
 
 
 class TestTails:
@@ -339,7 +335,7 @@ class TestEnumeration:
                 for k in range(1, max_len + 1):
                     for w in brute_cyclic_words(a, k):
                         assert any(
-                            len(r) == len(w) and words_equivalent_finite(r, w) for r in reps
+                            canonical_rotation(r) == canonical_rotation(w) for r in reps
                         ), f"{w} not represented"
 
     def test_matches_grow_and_filter_oracle(self):
@@ -408,7 +404,7 @@ class TestPSpec:
         )
         for a in matrices:
             expected = tuple(brute_simple_cycles(a)) if brute_spectrum_finite(a) else None
-            assert words._cycle_words(a) == expected, a.rows
+            assert cycles._cycle_words(a) == expected, a.rows
 
     def test_verdict_matches_enumeration_growth(self):
         # finite <=> the primitive count stabilizes once all simple cycles fit
@@ -443,8 +439,8 @@ class TestPSpec:
             enumerated = [0] * max_len
             for w, periodic in enumerate_cyclic_classes(a, max_len):
                 enumerated[len(w) - 1] += not periodic
-            assert words._trace_formula_counts(a, max_len) == enumerated, a.rows
-            assert words._trace_formula_counts(a, max_len) == trace_formula_counts(a, max_len)
+            assert cycles._trace_formula_counts(a, max_len) == enumerated, a.rows
+            assert cycles._trace_formula_counts(a, max_len) == trace_formula_counts(a, max_len)
 
     def test_finite_cross_check_holds_at_every_length(self):
         # a cycle word exactly max_len long is enumerated, so it is expected too

@@ -1,5 +1,5 @@
-"""Start-up cost of each `ck` verb: wall time of a small call, and the
-modules it loads.
+"""Start-up cost of each `ck` verb: wall time of a small call, the
+modules it loads and the `ckrep` code it compiles.
 
     python3 tools/startup.py [--runs 15] [--src path/to/src]
 
@@ -9,15 +9,21 @@ A call runs `ckrep.cli` as `__main__` through `runpy.run_module`, as
 `python -m ckrep.cli ...` does, after registering an `atexit` handler
 that writes `time.perf_counter()` to stderr.  Each round also times a
 bare interpreter (`python -c pass` with the same handler, whose median
-heads the table), and `+ms` is the median over the rounds of a call's
-time minus that round's bare time, which takes out much of the host's
-drift within and between runs of the tool; `iqr` is the interquartile
-range of those differences.  `exit` is the median ms from the handler's
-timestamp to the parent's `wait` returning: the interpreter's shutdown
-after the exit handlers (stream flushes, collections, module teardown
-and process exit).  On Linux `perf_counter` reads CLOCK_MONOTONIC, one
-clock in both processes.  Last come the modules the call loaded beyond
-those of the bare interpreter.
+heads the table), which calls `gc.freeze()` before it exits, as `ck`
+does, so that both skip the same shutdown collections.  `+ms` is the
+median over the rounds of a call's time minus that round's bare time,
+which takes out much of the host's drift within and between runs of the
+tool; `iqr` is the interquartile range of those differences.  `exit`
+is the median ms from the handler's timestamp to the parent's `wait`
+returning: the interpreter's shutdown after the exit handlers (stream
+flushes, collections, module teardown and process exit).  On Linux
+`perf_counter` reads CLOCK_MONOTONIC, one clock in both processes.
+`mods` counts the `ckrep` modules the call loaded, `fn` the source lines
+of every function, lambda and comprehension in them (the code it
+compiled beyond module and class bodies), and `unrun` those of the
+functions that never ran: one `cli.main` call runs under
+`sys.setprofile`, which records each frame it enters.  Last come the
+modules the call loaded beyond those of the bare interpreter.
 `expand` has a second call, `expand <REPORT`, which reads a small
 decomposition report on stdin; every other call reads an empty stdin.
 `canon refused` and `twist refused` are calls their verb refuses with
@@ -95,17 +101,46 @@ EXIT_PROBE = EXIT_HANDLER + """
 import runpy
 runpy.run_module("ckrep.cli", run_name="__main__", alter_sys=True)
 """
+BARE_EXIT = EXIT_HANDLER + "import gc\ngc.freeze()\n"
 
-# Prints the exit code and the modules loaded once `main` returns; the
-# modules are recorded before the probe imports json itself.
+# Prints the exit code, the modules loaded once `main` returns, and the
+# function lines of the loaded `ckrep` modules and of those among them
+# that never ran.  The modules are recorded before the probe imports
+# json itself.  A function is known by its file, first line and name;
+# CO_NEWLOCALS (2) marks the code of a function, a lambda or a
+# comprehension, and not that of a module or a class body.
 PROBE = """
 import contextlib, io, sys
 import ckrep.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = ckrep.cli.main(sys.argv[1:])
+entered = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno, frame.f_code.co_name))
+
+sys.setprofile(profile)
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = ckrep.cli.main(sys.argv[1:])
+finally:
+    sys.setprofile(None)
 loaded = sorted(sys.modules)
+compiled, ran = set(), set()
+for name in loaded:
+    if name.split(".")[0] == "ckrep":
+        path = sys.modules[name].__file__
+        with open(path, encoding="utf-8") as fh:
+            stack = [compile(fh.read(), path, "exec")]
+        while stack:
+            co = stack.pop()
+            stack += [c for c in co.co_consts if hasattr(c, "co_lines")]
+            if co.co_flags & 2:
+                lines = {(path, line) for _, _, line in co.co_lines() if line is not None}
+                compiled |= lines
+                if (path, co.co_firstlineno, co.co_name) in entered:
+                    ran |= lines
 import json
-print(json.dumps([code, loaded]))
+print(json.dumps([code, loaded, len(compiled), len(compiled - ran)]))
 """
 BARE = "import sys\nloaded = sorted(sys.modules)\nimport json\nprint(json.dumps(loaded))"
 
@@ -132,10 +167,11 @@ def loaded_by(code: str, argv: list[str], env: dict[str, str], cwd: str, stdin: 
 
 def measure(verbs: dict[str, tuple[list[str], str, int]], env: dict[str, str], work: str, runs: int):
     """(label, median s, per-round differences from the bare interpreter in
-    s, median exit s, modules beyond a bare interpreter) per call; each
-    call is its label's arguments, verb first, the file on stdin and the
-    exit code it must give."""
-    calls = {"(python -c pass)": ([sys.executable, "-c", EXIT_HANDLER], os.devnull, 0)}
+    s, median exit s, `ckrep` modules, function lines compiled and not
+    run, modules beyond a bare interpreter) per call; each call is its
+    label's arguments, verb first, the file on stdin and the exit code it
+    must give."""
+    calls = {"(python -c pass)": ([sys.executable, "-c", BARE_EXIT], os.devnull, 0)}
     calls.update({label: ([sys.executable, "-c", EXIT_PROBE, *args], stdin, code)
                   for label, (args, stdin, code) in verbs.items()})
     for argv, stdin, code in calls.values():  # warm-up: fills a bytecode cache, if one is written
@@ -148,13 +184,16 @@ def measure(verbs: dict[str, tuple[list[str], str, int]], env: dict[str, str], w
     exits = {label: statistics.median(e for _, e in pairs) for label, pairs in samples.items()}
     bare = set(loaded_by(BARE, [], env, work))
     bare_times = times.pop("(python -c pass)")
-    rows = [("(python -c pass)", statistics.median(bare_times), None, exits["(python -c pass)"], [])]
+    bare_row = ("(python -c pass)", statistics.median(bare_times), None, exits["(python -c pass)"])
+    rows = [(*bare_row, None, [])]
     for label, (args, stdin, want) in verbs.items():
-        code, loaded = loaded_by(PROBE, args, env, work, stdin)
+        code, loaded, compiled, unrun = loaded_by(PROBE, args, env, work, stdin)
         if code != want:
             raise SystemExit(f"ck {label} exited {code}")
         above = [t - b for t, b in zip(times[label], bare_times)]
-        rows.append((label, statistics.median(times[label]), above, exits[label], sorted(set(loaded) - bare)))
+        mods = sum(m.split(".")[0] == "ckrep" for m in loaded)
+        rows.append((label, statistics.median(times[label]), above, exits[label],
+                     (mods, compiled, unrun), sorted(set(loaded) - bare)))
     return rows
 
 
@@ -194,10 +233,12 @@ def main(argv=None) -> int:
             print(f"note: {src} holds __pycache__ directories, which every call reads")
         for title, env in settings.items():
             print(f"\n{title}\n{'call':<20} {'ms':>7} {'+ms':>6} {'iqr':>5} {'exit':>5}"
-                  "  modules beyond a bare interpreter")
-            for label, median, above, exit_s, extra in measure(verbs, env, work, args.runs):
+                  f" {'mods':>4} {'fn':>5} {'unrun':>5}  modules beyond a bare interpreter")
+            for label, median, above, exit_s, counts, extra in measure(verbs, env, work, args.runs):
                 cols = "{:6.1f} {:5.1f}".format(*(1000 * v for v in spread(above))) if above else f"{'':6} {'':5}"
-                print(f"{label:<20} {median * 1000:7.1f} {cols} {exit_s * 1000:5.1f}  {' '.join(extra)}".rstrip())
+                lines = "{:4} {:5} {:5}".format(*counts) if counts else f"{'':4} {'':5} {'':5}"
+                print(f"{label:<20} {median * 1000:7.1f} {cols} {exit_s * 1000:5.1f} {lines}"
+                      f"  {' '.join(extra)}".rstrip())
     return 0
 
 
