@@ -12,6 +12,9 @@ from collections import namedtuple
 
 from .words import TransitionMatrix, Word
 
+# The entries 0 and 1 of a row, mapped to the ASCII digits of a base-2 literal.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
 
 def _cycles(step: dict[int, int]) -> tuple[Word, ...]:
     """The cycles of the map v -> step[v], each read from its least letter,
@@ -38,44 +41,20 @@ def _cycle_words(a: TransitionMatrix) -> tuple[Word, ...] | None:
     (length, base-N) order when every nontrivial strongly connected
     component is a bare cycle, else None (infinitely many classes).
 
-    The components come from Kosaraju's two walks, each with its own
-    stack: a forward walk for the finishing order, then backward walks
-    over the predecessors in reverse finishing order.  A component is a
-    bare cycle iff each of its vertices has exactly one successor inside
-    it; a vertex with none lies on no cycle.
+    An edge v -> w stays inside a component exactly when w reaches v.
+    Reachability is one bitmask row per vertex (bit w for vertex w), read
+    from the digits of A's row and closed by Warshall's rule.  A component
+    is a bare cycle iff each of its vertices has exactly one successor
+    inside it; a vertex with none lies on no cycle.
     """
-    succ, pred = a._successor_table, a._predecessor_table
-    order: list[int] = []
-    visited = [False] * (a.n + 1)
-    for root in range(1, a.n + 1):
-        if visited[root]:
-            continue
-        visited[root] = True
-        work = [(root, iter(succ[root - 1]))]
-        while work:
-            v, successors = work[-1]
-            for w in successors:
-                if not visited[w]:
-                    visited[w] = True
-                    work.append((w, iter(succ[w - 1])))
-                    break
-            else:
-                work.pop()
-                order.append(v)
-    comp = [0] * (a.n + 1)  # the root of each vertex's component
-    for root in reversed(order):
-        if comp[root]:
-            continue
-        comp[root] = root
-        stack = [root]
-        while stack:
-            for u in pred[stack.pop() - 1]:
-                if not comp[u]:
-                    comp[u] = root
-                    stack.append(u)
+    succ = a._successor_table
+    reach = [int(bytes(row).translate(_DIGITS)[::-1], 2) << 1 for row in a.rows]
+    for k in range(1, a.n + 1):
+        bit, via = 1 << k, reach[k - 1]
+        reach = [r | via if r & bit else r for r in reach]
     step: dict[int, int] = {}
     for v in range(1, a.n + 1):
-        inside = [w for w in succ[v - 1] if comp[w] == comp[v]]
+        inside = [w for w in succ[v - 1] if reach[w - 1] >> v & 1]
         if len(inside) > 1:
             return None
         if inside:

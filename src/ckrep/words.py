@@ -237,28 +237,23 @@ def is_periodic(word: Word) -> bool:
 def canonical_rotation(word: Word) -> Word:
     """The positional-order minimum among all cyclic rotations.
 
-    Booth's least-rotation algorithm; the brute-force minimum over all
-    rotations is kept as an independent oracle in the test suite.
+    Duval's Lyndon factorization of word + word: the least rotation
+    starts at the last Lyndon factor that begins inside the first copy.
+    The brute-force minimum over all rotations is kept as an independent
+    oracle in the test suite.
     """
     if not word:
         raise EmptyWordError("cannot canonicalize the empty word")
-    doubled = word + word
-    fail = [-1] * len(doubled)
-    start = 0
-    for j in range(1, len(doubled)):
-        sym = doubled[j]
-        i = fail[j - start - 1]
-        while i != -1 and sym != doubled[start + i + 1]:
-            if sym < doubled[start + i + 1]:
-                start = j - i - 1
-            i = fail[i]
-        if sym != doubled[start + i + 1]:
-            if sym < doubled[start]:
-                start = j
-            fail[j - start] = -1
-        else:
-            fail[j - start] = i + 1
-    return word[start:] + word[:start]
+    doubled, n = word + word, len(word)
+    i = 0
+    while i < n:  # a Lyndon factor starts at i
+        start, j, k = i, i + 1, i
+        while j < 2 * n and doubled[k] <= doubled[j]:
+            k = i if doubled[k] < doubled[j] else k + 1
+            j += 1
+        while i <= k:  # factors of length j - k end here
+            i += j - k
+    return doubled[start : start + n]
 
 
 class TailWord(_Key, namedtuple("TailWord", "preperiod period")):

@@ -11,7 +11,7 @@ the images, with no orbit walk.  The cyclotomic oracle is the earlier
 `RootSum`, which keys each term by its reduced rational turn and derives
 the order from the denominators at each zero test.  The enumeration
 oracle is the earlier grow-and-filter enumeration, which keeps each
-cyclically admissible word that equals its Booth rotation; the class
+cyclically admissible word that equals its least rotation; the class
 counts per length come independently from the trace formula.  The
 carrier oracles are the earlier cycle, chain and shift constructors,
 which list every point word first (the trees from `tree` below) and then
@@ -770,7 +770,7 @@ def oracle_load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
             entered[target] = (sym, source)
     if len(index) != size:
         raise DumpFormatError(f"header says {size} points, found {len(index)}")
-    return BranchingSystem._indexed(matrix, list(index), maps, frontier, "loaded")
+    return BranchingSystem._indexed(matrix, list(index), maps, frontier)
 
 
 def _oracle_poly_divmod(

@@ -753,7 +753,7 @@ def dump_corpus():
 
 
 def system_arrays(f):
-    return f.labels, f.images, f.front, f.owner_sym, f.owner_pre
+    return f.labels, f.images, f.front, f.owner_sym, f.owner_pre, f.tails
 
 
 def _small_dumps():

@@ -223,8 +223,19 @@ class TestCanonicalRotation:
                 for w in itertools.product(range(1, n + 1), repeat=k):
                     assert canonical_rotation(w) == brute_min_rotation(w, n)
 
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=12),
+        st.integers(1, 24),
+        st.lists(st.integers(1, 3), max_size=12),
+    )
+    def test_against_brute_force_on_structured_long_words(self, u, m, v):
+        # u^m v up to 300 letters: long runs of one period, the case in
+        # which a least-rotation scan has most candidates to weigh
+        w = tuple(u * m + v)
+        assert canonical_rotation(w) == brute_min_rotation(w, 3)
+
     def test_runs_under_the_time_limit(self):
-        # a fault that keeps Booth's inner loop going fails the test when
+        # a fault that keeps Duval's factor loop going fails the test when
         # the alarm armed for every test goes off, rather than hanging
         import signal
 
@@ -405,6 +416,66 @@ class TestPSpec:
         for a in matrices:
             expected = tuple(brute_simple_cycles(a)) if brute_spectrum_finite(a) else None
             assert cycles._cycle_words(a) == expected, a.rows
+
+    # Wide alphabets, past the reach of the permutation-enumerating oracle:
+    # each expected answer is read off how the matrix is built.
+
+    @staticmethod
+    def _matrix(n, edges):
+        rows = [[0] * n for _ in range(n)]
+        for v, w in edges:
+            rows[v - 1][w - 1] = 1
+        return validate_matrix(rows)
+
+    @staticmethod
+    def _from_least_letter(cycle):
+        head = cycle.index(min(cycle))
+        return tuple(cycle[head:] + cycle[:head])
+
+    def _ring(self, n, seed):
+        order = list(range(1, n + 1))
+        random.Random(seed).shuffle(order)
+        return order, list(zip(order, order[1:] + order[:1]))
+
+    @pytest.mark.parametrize("n", [60, 300])
+    def test_wide_ring_is_one_cycle_word(self, n):
+        order, edges = self._ring(n, seed=n)
+        assert cycles._cycle_words(self._matrix(n, edges)) == (self._from_least_letter(order),)
+
+    @pytest.mark.parametrize("n", [60, 300])
+    def test_wide_ring_with_a_self_loop_is_infinite(self, n):
+        order, edges = self._ring(n, seed=n)
+        assert cycles._cycle_words(self._matrix(n, edges + [(order[n // 3], order[n // 3])])) is None
+
+    def _bridged_cycles(self, n, seed):
+        # a permutation cut into cycles of lengths 1.. (at least one of
+        # length 3 or more), plus edges from each cycle to later ones only
+        rng = random.Random(seed)
+        letters = list(range(1, n + 1))
+        rng.shuffle(letters)
+        cut, k = [], 0
+        while k < n:
+            size = min(n - k, rng.randint(1, 12) if cut else 5)
+            cut.append(letters[k : k + size])
+            k += size
+        edges = [(c[t], c[(t + 1) % len(c)]) for c in cut for t in range(len(c))]
+        for a, c in enumerate(cut):
+            for d in cut[a + 1 :]:
+                if rng.random() < 0.3:
+                    edges.append((rng.choice(c), rng.choice(d)))
+        return cut, edges
+
+    @pytest.mark.parametrize("n", [60, 300])
+    def test_wide_bridged_permutation_gives_its_cycles(self, n):
+        cut, edges = self._bridged_cycles(n, seed=n)
+        expected = sorted(map(self._from_least_letter, cut), key=lambda w: (len(w), w))
+        assert cycles._cycle_words(self._matrix(n, edges)) == tuple(expected)
+
+    @pytest.mark.parametrize("n", [60, 300])
+    def test_wide_bridged_permutation_with_a_chord_is_infinite(self, n):
+        cut, edges = self._bridged_cycles(n, seed=n)
+        c = cut[0]  # of length 5: the chord skips one letter
+        assert cycles._cycle_words(self._matrix(n, edges + [(c[0], c[2])])) is None
 
     def test_verdict_matches_enumeration_growth(self):
         # finite <=> the primitive count stabilizes once all simple cycles fit
