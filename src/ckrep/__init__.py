@@ -22,7 +22,7 @@ _EXPORTS = {
     "cycles": "ACycleSet PSpecSummary a_cycle_set phi_map",
     "phases": "ONE Phase PhaseError RootSum phases_equal",
     "readback": "decomposition_from_json",
-    "realization": "GPReport MatrixRealization classify_component realize state_value",
+    "realization": "GPReport MatrixRealization realize state_value",
     "reps": """Decomposition FiniteClass INFINITY IntegralClass OpaqueTailClass RepClass RepError
         TailClass class_literal cross_check_standard decompose decompose_shift
         decompose_standard decomposition_json equivalent expand_irreducible finite_class

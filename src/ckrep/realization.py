@@ -1,42 +1,30 @@
 """Matrix realizations of branching systems, and the vector states of classes.
 
 A realization is a system's maps as sparse phase-weighted partial
-permutations; its vector calculus reads a component's class off its
-cycle or its chain, and checks the cyclic vectors of a split power
-class.  `state_value` evaluates the vector state of a cycle or tail
-class.  `reps.decompose` and `reps.gp_vector_check` import this module
-when they run, so the verbs that read a class's word, phase or tail
-alone never compile it.
+permutations; its vector calculus checks the cyclic vectors of a split
+power class.  `state_value` evaluates the vector state of a cycle or
+tail class.  `reps.gp_vector_check` imports this module when it runs,
+and `reps.decompose` only to check the twists of a twisted system, so
+an untwisted decomposition and the verbs that read a class's word,
+phase or tail alone never compile it.
 """
 
 from collections import namedtuple
 from functools import cached_property
 from math import lcm
 
-from .phases import ONE, Phase, PhaseError, RootSum
-from .reps import (
-    FiniteClass,
-    OpaqueTailClass,
-    RepClass,
-    RepError,
-    TailClass,
-    finite_class,
-    tail_class,
-)
-from .words import TailWord, TransitionMatrix, Word, _check_symbols, power
+from .phases import Phase, PhaseError, RootSum
+from .reps import FiniteClass, RepClass, RepError, TailClass
+from .words import TransitionMatrix, Word, _check_symbols, power
 
 TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:
-    from .branching import BranchingSystem, ComponentSkeleton, Label
+    from .branching import BranchingSystem, Label
 
     Vector = dict[int, int]  # {x: e}, the sum of zeta_N^e e_x over distinct points x
 
 
 class PhaseOffDomainError(RepError):
-    pass
-
-
-class UnresolvedComponentError(RepError):
     pass
 
 
@@ -57,10 +45,6 @@ class MatrixRealization:
     def __init__(self, system: "BranchingSystem", weights: "dict[int, dict[Label, Phase]]"):
         self.system = system
         self.weights = weights
-
-    @property
-    def matrix(self) -> TransitionMatrix:
-        return self.system.matrix
 
     @cached_property
     def exponents(self) -> tuple[int, list[dict[int, int]]]:
@@ -120,58 +104,25 @@ def inner_product(m: MatrixRealization, v: "Vector", w: "Vector") -> RootSum:
     return RootSum(order, counts)
 
 
-def classify_component(c: "ComponentSkeleton", m: MatrixRealization) -> RepClass:
-    """Read off the class of a resolved component.
-
-    A cycle yields P(canonical word; product of edge phases); the product
-    is rotation invariant, so no rebasing is needed.  A chain yields the
-    canonical tail class of its declared tail, or an opaque class when the
-    tail came from a generator.
-    """
-    if c.kind == "cycle":
-        phase = ONE
-        k = len(c.points)
-        for l in range(k):
-            twist = m.weights.get(c.word[l], {}).get(c.points[(l + 1) % k])
-            if twist is not None:  # untwisted edges have weight 1
-                phase = phase * twist
-        return finite_class(c.word, phase, m.matrix)
-    if c.kind == "chain":
-        if isinstance(c.declared, TailWord):
-            return tail_class(c.declared, m.matrix)
-        return OpaqueTailClass(prefix=c.word, source=c.declared)
-    raise UnresolvedComponentError(
-        f"component through {c.points[0]!r} is not resolved inside the truncation"
-    )
-
-
 def state_value(a: TransitionMatrix, c: RepClass, left: Word, right: Word) -> int:
     """The vector state of the class at s_left s_right^*; exact 0 or 1.
 
     Cycle case: 1 iff both words lie in a common set
-    I_p = {J^a + J[:p] : a >= 0}, 0 <= p < |J|.  Chain case: 1 iff both
-    words are the same prefix of the tail.  Inadmissible words give 0; a
-    letter outside 1..N is refused.  The state is written for phase 1
-    only; other phases are refused.
+    I_p = {J^a + J[:p] : a >= 0}, 0 <= p < |J|: a word lies in some I_p
+    exactly when it is a prefix of J^infinity, and then p is its length
+    mod |J|.  Chain case: 1 iff both words are the same prefix of the
+    tail.  Inadmissible words give 0; a letter outside 1..N is refused.
+    The state is written for phase 1 only; other phases are refused.
     """
     _check_symbols(a, left)
     _check_symbols(a, right)
     if isinstance(c, FiniteClass):
         if not c.phase.is_one():
             raise PhaseUnsupportedError("the state formula covers phase 1 only")
-        word = c.word
-        k = len(word)
-
-        def in_ip(w: Word, p: int) -> bool:
-            if len(w) < p or (len(w) - p) % k:
-                return False
-            reps = (len(w) - p) // k
-            return w == power(word, reps) + word[:p]
-
-        for p in range(k):
-            if in_ip(left, p) and in_ip(right, p):
-                return 1
-        return 0
+        k = len(c.word)
+        if not k or len(left) % k != len(right) % k:
+            return 0
+        return int(all(w == power(c.word, len(w) // k + 1)[: len(w)] for w in (left, right)))
     if isinstance(c, TailClass):
         if left != right:
             return 0

@@ -7,12 +7,13 @@ eventually periodic chain splits.  This module holds the class calculus
 (equivalence, gauge twist, irreducible expansion) and produces cyclic
 and irreducible-level decomposition reports; the two defining relations
 of the algebra are `branching.validate_bfs`'s check.  The functions that
-build, realize or scan a branching system import `branching` and
-`realization` when they run, and the structural reports import
-`cycles`, so the class calculus alone loads none of them.
+build or scan a branching system import `branching` when they run, the
+ones that realize it with twists import `realization`, and the
+structural reports import `cycles`, so the class calculus alone loads
+none of them.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .phases import ONE, Phase, RootSum, phases_equal
 from .words import (
@@ -267,32 +268,46 @@ def decompose(
 ) -> Decomposition:
     """Cyclic-level decomposition of a realized system, as counted.
 
-    Each multiplicity is the number of resolved components of its class
-    inside the truncation, however the system was built; unresolved
-    components are listed untouched.  The standard representation's
-    structural multiplicities, "inf" for the delta-row classes, are
-    `decompose_standard`'s.  Without twists, every cycle has phase 1,
-    and cycles that read the same word are classified once.
+    A cycle reading J with edge phases multiplying to z is P(J; z); a
+    chain is the canonical class of its declared tail, or an opaque class
+    when the tail came from a generator.  Each multiplicity is the number
+    of resolved components of its class inside the truncation, however
+    the system was built; unresolved components are listed untouched.
+    The standard representation's structural multiplicities, "inf" for
+    the delta-row classes, are `decompose_standard`'s.  Only a twisted
+    system loads `realization`, which refuses a twist on a missing edge.
     """
     from .branching import find_components, validate_bfs
-    from .realization import classify_component, realize
 
     report = validate_bfs(f)
     if not report.ok:
         raise RepError(f"system fails validation: {report.violations[0]}")
-    m = realize(f, phases)
+    weights: dict[int, dict[Label, Phase]] = {}
+    if phases:
+        from .realization import realize
+
+        weights = realize(f, phases).weights
     out = Decomposition(matrix=f.matrix)
     unresolved: list[ComponentSkeleton] = []
-    copies: dict[Word, int] = {}  # untwisted cycle word as read -> components
+    cycles: list[tuple[Word, Phase]] = []  # (word as read, phase) per cycle component
     for comp in find_components(f):
-        if comp.kind == "unresolved":
-            unresolved.append(comp)
-        elif comp.kind == "cycle" and not m.weights:
-            copies[comp.word] = copies.get(comp.word, 0) + 1
+        if comp.kind == "cycle":
+            phase = ONE
+            if weights:  # the edge at l is f_{word[l]}(points[l + 1]) = points[l]
+                ahead = comp.points[1:] + comp.points[:1]
+                for i, x in zip(comp.word, ahead):
+                    if (twist := weights.get(i, {}).get(x)) is not None:
+                        phase = phase * twist
+            cycles.append((comp.word, phase))
+        elif comp.kind == "chain":
+            if isinstance(comp.declared, TailWord):
+                out.add(tail_class(comp.declared, f.matrix))
+            else:
+                out.add(OpaqueTailClass(prefix=comp.word, source=comp.declared))
         else:
-            out.add(classify_component(comp, m))
-    for word, count in copies.items():
-        out.add(finite_class(word, ONE, f.matrix), count)
+            unresolved.append(comp)
+    for (word, phase), count in Counter(cycles).items():
+        out.add(finite_class(word, phase, f.matrix), count)
     out.unresolved = tuple(unresolved)
     return out
 

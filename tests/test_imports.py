@@ -35,7 +35,7 @@ EXPORTED = """
     FiniteClass GPReport INFINITY IntegralClass MatrixMismatchError MatrixRealization ONE
     OpaqueTailClass PSpecSummary Phase PhaseError RepClass RepError RootSum TailClass TailWord
     TransitionMatrix ValidationReport Violation Word WordError a_cycle_set
-    build_chain_system build_cycle_system canonical_rotation class_literal classify_component
+    build_chain_system build_cycle_system canonical_rotation class_literal
     cross_check_standard decompose decompose_shift decompose_standard decomposition_from_json
     decomposition_json direct_sum dump_bfs enumerate_cyclic_classes equivalent
     expand_irreducible find_components finite_class format_tail format_word gp_vector_check
@@ -49,7 +49,7 @@ EXPORTED = """
 WORDS_ONLY = ["ckrep", "ckrep.cli", "ckrep.words"]
 
 # The function lines that `twist`, `equiv` and `expand --class` may
-# compile: 873 each, against 1101 while `reps` and `words` also held the
+# compile: 877 each, against 1101 while `reps` and `words` also held the
 # realization, the report reader and the cycle structure of A.
 CLASS_VERB_FUNCTION_LINES = 950
 
@@ -179,14 +179,15 @@ class TestStartUpBudget:
     @pytest.mark.parametrize(
         "argv, beyond",
         [
-            (["decompose-standard", "--matrix", "A3"], ["cycles", "realization"]),
+            (["decompose-standard", "--matrix", "A3"], ["cycles"]),
             (["decompose-shift", "--matrix", "A3", "--dump-bfs", "DUMP"], ["cycles"]),
             (["gp-check", "--matrix", "A3", "--word", "12", "--power", "2"], ["realization"]),
         ],
         ids=["decompose-standard", "decompose-shift-dump", "gp-check"],
     )
     def test_system_verbs_load_branching(self, a3_file, tmp_path, argv, beyond):
-        # no verb but `expand` reading a report loads `readback`
+        # no verb but `expand` reading a report loads `readback`, and only
+        # `gp-check`, which twists, loads `realization`
         dump = str(tmp_path / "dump.bfs")
         modules = loaded_by([{"A3": a3_file, "DUMP": dump}.get(arg, arg) for arg in argv])
         expected = ["branching", "cli", "phases", "reps", "words", *beyond]
@@ -248,14 +249,33 @@ class TestStartUpBudget:
 
     def test_dump_reader_loads_the_class_side_beyond_the_writer(self, a3_file, tmp_path):
         # writing a dump needs `branching` alone; decomposing it needs
-        # `reps` and `realization`
+        # `reps` and the `phases` its classes carry, but no `realization`
         dump = str(tmp_path / "dump.bfs")
         write = ["verify-relations", "--matrix", a3_file, "--system", "cycle", "--word", "12",
                  "--dump-bfs", dump]
         written = all_loaded_by(write)
         read = all_loaded_by(["decompose-bfs", "--matrix", a3_file, "--bfs", dump])
         assert set(written) <= set(read)
-        assert set(read) - set(written) == {"ckrep.reps", "ckrep.phases", "ckrep.realization"}
+        assert set(read) - set(written) == {"ckrep.reps", "ckrep.phases"}
+
+    def test_only_a_twisted_decompose_loads_the_realization(self):
+        # an untwisted system's cycles all have phase 1; twists are checked
+        # against the system's edges by `realization.realize`
+        out = run_python(
+            "import json, sys\n"
+            "from ckrep.branching import build_cycle_system\n"
+            "from ckrep.phases import Phase\n"
+            "from ckrep.reps import decompose\n"
+            "from ckrep.words import TransitionMatrix\n"
+            "f = build_cycle_system(TransitionMatrix.from_text('011\\n101\\n110\\n'), (1, 2), 2)\n"
+            "plain = decompose(f)\n"
+            "before = 'ckrep.realization' in sys.modules\n"
+            "twisted = decompose(f, {(1, '2'): Phase.exact(1, 3)})\n"
+            "print(json.dumps([before, 'ckrep.realization' in sys.modules, repr(plain), repr(twisted)]))"
+        )
+        before, after, plain, twisted = json.loads(out)
+        assert not before and after
+        assert "('P(12)', 1)" in plain and "('P(12;1/3)', 1)" in twisted
 
     def test_branching_imports_only_array_beyond_the_cli(self):
         # dump_bfs and load_bfs work with what `ckrep.cli` and `ckrep.words`

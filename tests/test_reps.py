@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     A1_ROWS,
+    ALL_2X2,
     A3_ROWS,
     A4_ROWS,
     NAIVE1_ROWS,
@@ -38,7 +39,6 @@ from ckrep.branching import (
     build_cycle_system,
     direct_sum,
     dump_bfs,
-    find_components,
     load_bfs,
     shift_bfs,
     standard_bfs,
@@ -51,9 +51,7 @@ from ckrep.realization import (
     GPReport,
     PhaseOffDomainError,
     PhaseUnsupportedError,
-    UnresolvedComponentError,
     apply_word,
-    classify_component,
     inner_product,
     realize,
     state_value,
@@ -204,42 +202,40 @@ class TestClassify:
         d = decompose(f)
         assert entries_by_literal(d) == {"P(13)": 1} and not d.unresolved
 
-    def test_cycle_with_phase_reads_off(self):
+    def test_twisted_one_cycle_reads_its_phase(self):
         f = build_cycle_system(FULL2, (1,), 2)
-        m = realize(f, {(1, "1"): Phase.exact(1, 2)})
-        comp = [c for c in find_components(f) if c.kind == "cycle"][0]
-        got = classify_component(comp, m)
-        assert got == FiniteClass((1,), Phase.exact(1, 2))
+        d = decompose(f, {(1, "1"): Phase.exact(1, 2)})
+        assert d.entries == {FiniteClass((1,), Phase.exact(1, 2)): 1} and not d.unresolved
 
-    def test_phase_is_rotation_invariant(self):
-        # twist a non-wrap edge instead; the class phase is the edge product
+    @pytest.mark.parametrize("edge", [(1, "2"), (2, "12")], ids=["inner", "wrap"])
+    def test_a_twist_on_any_edge_is_the_class_phase(self, edge):
+        # the cycle reads 12 from its point "12": f_1 sends "2" to "12"
+        # inside the word, and f_2 sends "12" back to "2" across the wrap;
+        # either twist is the class phase
         f = build_cycle_system(A3, (1, 2), 2)
-        m = realize(f, {(1, "2"): Phase.exact(1, 3)})
-        comp = [c for c in find_components(f) if c.kind == "cycle"][0]
-        assert classify_component(comp, m) == FiniteClass((1, 2), Phase.exact(1, 3))
+        d = decompose(f, {edge: Phase.exact(1, 3)})
+        assert d.entries == {FiniteClass((1, 2), Phase.exact(1, 3)): 1}
 
-    def test_chain_classifies_to_canonical_tail(self):
-        f = build_chain_system(A1, TailWord((1,), (2,)), 6, 2)
-        m = realize(f)
-        comp = [c for c in find_components(f) if c.kind == "chain"][0]
-        assert classify_component(comp, m) == TailClass(TailWord((), (2,)))
+    def test_copies_with_different_phases_stay_apart(self):
+        f = build_cycle_system(A3, (1, 2), 2)
+        d = decompose(direct_sum(f, f), {(1, "0:2"): Phase.exact(1, 3)})
+        assert entries_by_literal(d) == {"P(12)": 1, "P(12;1/3)": 1}
 
-    def test_generator_chain_is_opaque(self):
+    @pytest.mark.parametrize(
+        "a, tail, literal",
+        [(A1, TailWord((1,), (2,)), "P((|2)^inf)"), (A3, TailWord((3, 1), (2, 3, 1)), "P((|123)^inf)")],
+        ids=["A1", "A3"],
+    )
+    def test_chain_reads_as_its_canonical_tail(self, a, tail, literal):
+        d = decompose(build_chain_system(a, tail, 6, 2))
+        assert entries_by_literal(d) == {literal: 1} and not d.unresolved
+
+    def test_generator_chain_reads_as_opaque(self):
         gen = lambda m: 2 - (m % 2)  # noqa: E731
-        f = build_chain_system(FULL2, gen, 6, 1)
-        comp = [c for c in find_components(f) if c.kind == "chain"][0]
-        got = classify_component(comp, realize(f))
-        assert isinstance(got, OpaqueTailClass) and got.source is gen
-
-    def test_unresolved_component_raises(self):
-        # a reloaded chain has lost its declared tail, so it is unresolved
-        from ckrep.branching import dump_bfs, load_bfs
-
-        f = load_bfs(dump_bfs(build_chain_system(A1, TailWord((), (2,)), 5, 2)), A1)
-        (comp,) = find_components(f)
-        assert comp.kind == "unresolved"
-        with pytest.raises(UnresolvedComponentError, match="is not resolved inside"):
-            classify_component(comp, realize(f))
+        d = decompose(build_chain_system(FULL2, gen, 6, 1))
+        (got,) = d.entries
+        assert isinstance(got, OpaqueTailClass) and got.source is gen and d.entries[got] == 1
+        assert got.prefix == (1, 2, 1, 2, 1) and not d.unresolved
 
 
 class TestDecompose:
@@ -277,6 +273,34 @@ class TestDecompose:
                     d = decompose(build_cycle_system(a, w, 3))
                     assert d.entries == {finite_class(w): 1}, (a.rows, w)
                     assert not d.unresolved
+
+
+    def test_a_gauge_on_every_edge_twists_every_class(self):
+        # g_i on every recorded edge of symbol i makes a cycle reading J
+        # carry the product of g over J: decompose(f, phases) is the gauge
+        # twist of decompose(f), class by class, with the same counts
+        rng = random.Random(7)
+        units = [Phase.exact(k, n) for n in range(2, 7) for k in range(1, n)]
+        systems = [
+            build_cycle_system(a, w, 2)
+            for a in map(validate_matrix, [*ALL_2X2, A3_ROWS, A4_ROWS])
+            for k in (1, 2, 3)
+            for w in brute_cyclic_words(a, k)
+        ]
+        systems += [standard_bfs(a, b) for a in corpus() for b in (16, 81, 256)]
+        # a chain and a reloaded chain, which is unresolved, beside a standard system
+        chain = build_chain_system(A3, TailWord((3,), (1, 2)), 6, 2)
+        systems.append(direct_sum(standard_bfs(A3, 64), chain, load_bfs(dump_bfs(chain), A3)))
+        for f in systems:
+            gauge = tuple(rng.choice(units) for _ in range(f.n))
+            phases = {(i, x): gauge[i - 1] for i, per in f.maps.items() for x in per}
+            plain, twisted = decompose(f), decompose(f, phases)
+            expected: dict = {}
+            for c, mult in plain.entries.items():
+                c = twist_by_gauge(c, gauge)
+                expected[c] = expected.get(c, 0) + mult
+            assert twisted.entries == expected, (f.matrix.rows, f.labels[:3], gauge)
+            assert twisted.unresolved == plain.unresolved
 
 
 class TestExpand:
