@@ -19,10 +19,11 @@ non-frontier part; nothing is ever guessed past the boundary.
 import sys
 from array import array
 from collections import Counter, namedtuple
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property
 from itertools import chain, compress, repeat
+from operator import contains, is_not, itemgetter, ne
 
 from .words import (
     CkError,
@@ -69,6 +70,7 @@ _WIDTH = array(_INT).itemsize
 _LIMIT = 1 << (8 * _WIDTH - 1)
 _TOP = _WIDTH - 1 if sys.byteorder == "little" else 0
 _DEFINED = b"\1" * 255 + b"\0"  # byte map: top byte 0xFF (the entry -1) -> 0, else 1
+_BITS = [bytes(v >> k & 1 for v in range(256)) for k in range(8)]  # byte maps: bit k -> 0 or 1
 
 
 def _table(size: int) -> array:
@@ -628,40 +630,17 @@ def truncated_from_rules(
 
 
 def _clashes(text: str) -> bool:
-    """Whether `text` holds a dump separator or a line break, or has
-    whitespace at either end, which a load would strip."""
-    return (
-        any(map(text.__contains__, (",", "->", "~", " ")))
-        or "".join(text.splitlines()) != text
-        or text != text.strip()
-    )
+    """Whether `text` holds a separator or line break, or whitespace at an end."""
+    seps = any(map(text.__contains__, (",", "->", "~", " ")))
+    return seps or text.splitlines() not in ([text], []) or text != text.strip()
 
 
 def _refuse_clashes(names: Sequence[str], text: str) -> None:
-    """Refuse the first of `names`, tab-joined in `text`, that clashes.  Past
-    the separators and line breaks, the whitespace an ASCII label can hold
-    is a tab or "\x1f", so `text` alone shows when none does."""
+    """Refuse the first of `names` that clashes.  `text`, their join on tabs, shows
+    when none does: an ASCII label holds no whitespace but a tab or "\x1f"."""
     if _clashes(text) or not text.isascii() or text.count("\t") >= len(names) or "\x1f" in text:
         if bad := next(filter(_clashes, names), None):
             raise DumpFormatError(f"label {bad!r} clashes with the dump separators")
-
-
-def _printed_alike(labels: Sequence[Label], names: list[str], order: list[int]) -> tuple[int, int] | None:
-    """Two points whose labels print alike, an int and a str such as 7 and
-    "7", or None.  Two equal names sit side by side in (length, label)
-    `order`, so each int label's name is looked up there by bisection."""
-    ints = list(compress(range(len(labels)), map(isinstance, labels, repeat(int))))
-    if len(ints) == len(labels):  # no str label
-        return None
-
-    def rank(x: int) -> tuple[int, str]:
-        return len(names[x]), names[x]
-
-    for x in ints:
-        k = bisect_left(order, rank(x), key=rank)
-        if k + 1 < len(order) and names[order[k + 1]] == names[x]:
-            return order[k], order[k + 1]
-    return None
 
 
 def dump_bfs(f: BranchingSystem) -> str:
@@ -671,40 +650,51 @@ def dump_bfs(f: BranchingSystem) -> str:
     incident edge are listed on a trailing "0:" line.  Points go in (length,
     label) order, so a dump survives a load/dump cycle; for the labels
     1..B of `standard_bfs` and `truncated_from_rules` that is index order,
-    and nothing is sorted.  Labels may contain neither the separators nor a
-    line break, and may not begin or end with whitespace, which a load
-    strips; a point with no edge may not have the empty label, which a load
-    skips; and no two labels may print alike, as the int 7 and the str "7"
-    do.  Besides the text written so far and one name per point, a symbol
-    line holds the edge strings of 256 points at a time.
+    and nothing is sorted.  Labels may hold no separator or line break, nor
+    whitespace at an end, which a load strips; a point with no edge may not
+    have the empty label, which a load skips; and no two labels may print
+    alike, as the int 7 and the str "7" do.  A symbol line visits only the
+    points its symbol maps, read off a mask of its table's defined slots,
+    and holds the edge strings of 256 points at a time: at B = 2^15 a dump
+    peaks at 2.87 MiB (`tracemalloc`, delta self-loop, one name a point).
     """
     labels = f.labels
-    names = [str(x) for x in labels]
     if labels == range(1, len(labels) + 1):  # (length, label) order is index order
-        order: Sequence[int] = range(len(names))
+        names, order = labels, range(len(labels))
     else:
-        try:  # all str: distinct labels print distinctly
-            text, mixed = "\t".join(labels), False
+        try:  # all str: distinct labels print distinctly; a tab is no separator nor line break
+            mixed, names = False, labels
+            _refuse_clashes(names, "\t".join(labels))
         except TypeError:  # an int label may print as a str label does
-            text, mixed = "\t".join(names), True
-        _refuse_clashes(names, text)  # a tab is neither a separator nor a line break
-        del text
-        order = sorted(range(len(names)), key=names.__getitem__)
-        order.sort(key=list(map(len, names)).__getitem__)  # stable: by length, then by label
-        if mixed and (pair := _printed_alike(labels, names, order)):
-            a, b = pair
-            raise DumpFormatError(f"labels {labels[a]!r} and {labels[b]!r} both print as {names[a]}")
-    owner_sym = f.owner_sym
-    isolated = [x for x in order if not owner_sym[x]] if 0 in owner_sym else []
-    for x in compress(range(len(names)), f.front):
-        names[x] = "~" + names[x]
+            mixed, names = True, [str(x) for x in labels]
+            _refuse_clashes(names, "\t".join(names))
+        lens = list(map(len, names))
+        order = sorted(range(len(names)), key=(length := lens.__getitem__))
+        for size in set(lens):  # then each run of one length by label
+            lo, hi = bisect_left(order, size, key=length), bisect_right(order, size, key=length)
+            order[lo:hi] = sorted(order[lo:hi], key=names.__getitem__)
+        del lens, length
+        ints = list(compress(range(len(labels)), map(is_not, names, labels))) if mixed else []
+        for x in ints if len(ints) < len(labels) else ():  # str() made each int's name: seek it
+            k = bisect_left(order, (len(names[x]), names[x]), key=lambda y: (len(names[y]), names[y]))
+            if k + 1 < len(order) and names[order[k + 1]] == names[x]:  # two equal names sit side by side
+                a, b = order[k], order[k + 1]
+                raise DumpFormatError(f"labels {labels[a]!r} and {labels[b]!r} both print as {names[a]}")
+    isolated = [x for x in order if not owner_sym[x]] if 0 in (owner_sym := f.owner_sym) else []
+    names = [f"~{x}" if tilde else f"{x}" for x, tilde in zip(names, f.front)]
+    masks = map(_defined, f.images)  # each symbol's defined slots, made as its line is
+    if isinstance(order, list) and len(order) > 1:  # read in `order`: 8 symbols to a byte, one gather
+        groups = (enumerate(f.images[g : g + 8]) for g in range(0, f.n, 8))  # bit k: the group's k-th maps it
+        bits = (sum(int.from_bytes(_defined(m), "little") << k for k, m in group) for group in groups)
+        packed = [bytes(itemgetter(*order)(b.to_bytes(len(order), "little"))) for b in bits]
+        masks = (packed[k >> 3].translate(_BITS[k & 7]) for k in range(f.n))
     out = [f"{f.n} {len(names)}\n"]
-    for i, img in enumerate(f.images, start=1):
+    for i, (img, mask) in enumerate(zip(f.images, masks), start=1):
         chunks = (
-            ", ".join([f"{names[x]}->{names[y]}" for x in order[k : k + 256] if (y := img[x]) >= 0])
+            [f"{names[x]}->{names[img[x]]}" for x in compress(order[k : k + 256], mask[k : k + 256])]
             for k in range(0, len(order), 256)
         )
-        out += f"{i}: ", ", ".join(filter(None, chunks)), "\n"
+        out += f"{i}: ", ", ".join(filter(None, map(", ".join, chunks))), "\n"
         isolated = [x for x in isolated if img[x] < 0]
     if isolated:
         if "" in (lone := [names[x] for x in isolated]):  # a load would skip it
@@ -714,10 +704,8 @@ def dump_bfs(f: BranchingSystem) -> str:
 
 
 def _lines(text: str) -> Iterator[str]:
-    """The lines of `text`, cut where `str.splitlines` cuts them, one at a
-    time; an empty line may be dropped.  A line is cut at each "\n" and
-    then at any other break inside it, and the reader keeps no reference
-    to a line it has yielded."""
+    """The lines of `text` one at a time, cut at each "\n" and then where
+    `str.splitlines` cuts; an empty line may be dropped, and none is kept."""
     start = 0
     while start < len(text):
         end = text.find("\n", start)
@@ -728,13 +716,11 @@ def _lines(text: str) -> Iterator[str]:
             yield lines.pop()
 
 
-def _batches(line: str) -> Iterator[list[str]]:
-    """The items of `line`, as `line.split(",")` cuts them, 256 at a time.
-
-    Each batch is split off a window of the line that starts at 256
-    characters and doubles until it holds 256 commas, so a batch copies a
-    small multiple of the widest batch's span and never the rest of the
-    line, however long the line."""
+def _batches(line: str, edges: bool) -> Iterator[tuple[list[str], list[str]]]:
+    """The stripped tokens of `line`'s items and their names (less one "~"),
+    256 items at a time, split off a window that doubles until it holds 256
+    commas.  Edge tokens are each target and its source, cut by one split
+    when each item holds one "->", and stripped only if whitespace is left."""
     pos, span = 0, 256
     while pos < len(line):
         window = line[pos : pos + span]
@@ -746,22 +732,40 @@ def _batches(line: str) -> Iterator[list[str]]:
             continue
         else:
             pos = len(line)
-        yield items
+        tokens = items = list(filter(None, map(str.strip, items)))
+        if edges:
+            if not all(map(contains, items, repeat("->"))):
+                raise DumpFormatError(f"bad edge {next(x for x in items if '->' not in x)!r}")
+            tokens = (joined := "->".join(items)).split("->")
+            if len(tokens) > 2 * len(items):  # cut at the first "->": the target then clashes
+                tokens = list(chain.from_iterable(item.split("->", 1) for item in items))
+            if not joined.isascii() or any(map(joined.__contains__, (" ", "\t", "\x1f"))):
+                tokens = list(map(str.strip, tokens))
+            tokens[::2], tokens[1::2] = tokens[1::2], tokens[::2]
+        yield tokens, list(map(str.removeprefix, tokens, repeat("~"))) if "~" in window else tokens
 
 
 def load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
     """Parse the dump format back into a system over the given matrix.
 
     Whitespace around a token is ignored, lines for one symbol merge, and
-    a "~" on any occurrence marks a point as frontier.  A label that
-    `dump_bfs` refuses is refused, so what loads dumps, and so is a second
-    edge into a point, which no system holds.  Labels come back as
-    strings; the carrier keeps first-mention order, target before source.
-    Components and decompositions do not depend on either choice.  Lines
-    are read one at a time and a symbol line is split 256 items at a time,
-    so besides the text and the tables and labels built so far a load
-    holds one line, a window of it and one batch of its items.
+    a "~" on any occurrence marks a point as frontier.  A label `dump_bfs`
+    refuses is refused, so what loads dumps, and so is a second edge into
+    a point.  Labels come back as strings, in first-mention order, target
+    before source; no component depends on either.  A load reads a line at
+    a time and a symbol line 256 items at a time, so it holds the text, what
+    it built, a line, a window and one batch of tokens (4.34 MiB at most for
+    the dump above).  Edges are stored unchecked; if that fails or a point
+    ends with two edges, a checked read names the first fault.
     """
+    try:
+        return _load(text, matrix, checked=False)
+    except DumpFormatError:  # handled outside, so the failed read's tables are freed first
+        pass
+    return _load(text, matrix, checked=True)
+
+
+def _load(text: str, matrix: TransitionMatrix, checked: bool) -> BranchingSystem:
     lines = filter(str.strip, _lines(text))
     if (first := next(lines, None)) is None:
         raise DumpFormatError("empty dump")
@@ -781,42 +785,38 @@ def load_bfs(text: str, matrix: TransitionMatrix) -> BranchingSystem:
 
     index: dict[str, int] = {}  # label -> point, in first-mention order
     images = [_table(0) for _ in range(n)]
-    front, owner_sym, owner_pre = bytearray(), bytearray() if n < 255 else [], _table(0)
+    front, owner_sym, owner_pre, edges = bytearray(), bytearray() if n < 255 else [], _table(0), 0
     blanks = [(front, bytes(1)), (owner_sym, bytes(1)), *zip((owner_pre, *images), repeat(_table(1)))]
     for sym_text, _, rest in map(str.partition, lines, repeat(":")):  # map lets each line go
         sym = number(sym_text, "symbol")
         if not 0 <= sym <= n:
             raise DumpFormatError(f"bad symbol {sym_text!r}")
-        # batches of 256 free their strings before the next is split off: kept labels pack densely
-        for items in _batches(rest):
-            tokens = list(filter(None, map(str.strip, items)))
-            if sym and tokens:
-                sources, arrows, targets = zip(*map(str.partition, tokens, repeat("->")))
-                if "" in arrows:
-                    raise DumpFormatError(f"bad edge {tokens[arrows.index('')]!r}")
-                tokens = list(map(str.strip, chain.from_iterable(zip(targets, sources))))
-            names = list(map(str.removeprefix, tokens, repeat("~")))
-            ids = [index.setdefault(name, len(index)) for name in names]
+        for tokens, names in _batches(rest, sym > 0):  # each freed before the next: kept labels pack densely
+            ids = list(map(index.setdefault, names, map(len, repeat(index))))  # a new name: the count so far
             if added := len(index) - len(front):  # new points, with no data yet
                 _refuse_clashes(names, "\t".join(names))  # the labels seen before have passed
                 for arr, blank in blanks:
                     arr += blank * added
-            for x in compress(ids, map(str.startswith, tokens, repeat("~"))):
-                front[x] = 1
+            if names is not tokens:
+                for x in compress(ids, map(ne, names, tokens)):  # the tokens that lost a "~"
+                    front[x] = 1
             if sym:  # views as in `_fill`, released before the tables grow again
+                edges += len(ids) // 2
                 with memoryview(images[sym - 1]) as img, memoryview(owner_pre) as pre:
                     for y, x in zip(ids[::2], ids[1::2]):
-                        if img[x] >= 0:
-                            raise DumpFormatError(f"symbol {sym} maps {names[ids.index(x)]!r} twice")
-                        if j := owner_sym[y]:  # a second edge into y, refused as in `_fill`
-                            raise DumpFormatError(_second_edge(list(index), j, pre[y], sym, x, y))
+                        if checked and (img[x] >= 0 or owner_sym[y]):  # refused as in `_fill`
+                            raise DumpFormatError(
+                                f"symbol {sym} maps {names[ids.index(x)]!r} twice" if img[x] >= 0
+                                else _second_edge(list(index), owner_sym[y], pre[y], sym, x, y)
+                            )
                         img[x] = y
                         owner_sym[y], pre[y] = sym, x
         del rest  # the last line is not kept while the system is built
     if len(index) != size:
         raise DumpFormatError(f"header says {size} points, found {len(index)}")
-    labels = list(index)
-    del index  # the system reads labels only
+    # an edge stored over another leaves fewer defined slots or owned points than edges read
+    if sum(_defined(img).count(1) for img in images) != edges or owner_sym.count(0) + edges != size:
+        raise DumpFormatError("two edges share a point")
     f = BranchingSystem.__new__(BranchingSystem)
-    f._set(matrix, labels, images, front, owner_sym, owner_pre, {})
+    f._set(matrix, list(index), images, front, owner_sym, owner_pre, {})  # the system reads labels only
     return f
